@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, RealnessError
-from .fields import (ScalarField, WirtingerGradient, constant_field, eval_jet,
-                     wirtinger_split)
+from .fields import (ScalarField, WirtingerGradient, constant_field,
+                     point_jets, wirtinger_split)
 from .phasespace import PhasePoint
 
 #: tolerance for the dual-route agreement checks, scaled by magnitude
@@ -132,32 +132,19 @@ def sdyn_jets(Hj, sj, n: int) -> np.ndarray:
     return w.real
 
 
-def _point_jets(pt: PhasePoint, *fields: ScalarField, order: int = 1):
-    Q, P = pt.q[:, None], pt.p[:, None]
-    return tuple(eval_jet(f, Q, P, order=order) for f in fields)
-
-
-def _match(pt: PhasePoint, *fields: ScalarField):
-    for f in fields:
-        if f.n != pt.n:
-            raise ValueError(f"field has n={f.n}, point has n={pt.n}")
-
-
 # ---------------------------------------------------------------------------
 # public single-point operations
 
 
 def pb_real(f: ScalarField, g: ScalarField, pt: PhasePoint) -> complex:
     """Classical bracket from the real partials."""
-    _match(pt, f, g)
-    fj, gj = _point_jets(pt, f, g)
+    fj, gj = point_jets(pt, f, g)
     return complex(pb_real_jets(fj, gj, pt.n)[0])
 
 
 def pb_complex(f: ScalarField, g: ScalarField, pt: PhasePoint) -> complex:
     """Classical bracket from the Wirtinger pairs; equal to pb_real."""
-    _match(pt, f, g)
-    fj, gj = _point_jets(pt, f, g)
+    fj, gj = point_jets(pt, f, g)
     return complex(pb_complex_jets(fj, gj, pt.n)[0])
 
 
@@ -165,8 +152,7 @@ def structural_derivative(f: ScalarField, sys: StructuredSystem,
                           pt: PhasePoint) -> WirtingerGradient:
     """The product-corrected gradient Df/dz_j = df/dz_j + f * ds/dz_j
     (and its conjugate-chart partner)."""
-    _match(pt, f, sys.structural)
-    fj, sj = _point_jets(pt, f, sys.structural)
+    fj, sj = point_jets(pt, f, sys.structural)
     fz, fzb = wirtinger_split(fj.grad[:, 0], pt.n)
     sz, szb = wirtinger_split(sj.grad[:, 0], pt.n)
     v = fj.val[0]
@@ -176,23 +162,21 @@ def structural_derivative(f: ScalarField, sys: StructuredSystem,
 def geobracket(f: ScalarField, g: ScalarField, sys: StructuredSystem,
                pt: PhasePoint) -> complex:
     """The structural correction f*{s,g} - g*{s,f}."""
-    _match(pt, f, g)
-    fj, gj, sj = _point_jets(pt, f, g, sys.structural)
+    fj, gj, sj = point_jets(pt, f, g, sys.structural)
     return complex(geobracket_jets(fj, gj, sj, pt.n)[0])
 
 
 def gspb(f: ScalarField, g: ScalarField, sys: StructuredSystem,
          pt: PhasePoint) -> complex:
     """The full structural bracket {f,g} + f*{s,g} - g*{s,f}."""
-    _match(pt, f, g)
-    fj, gj, sj = _point_jets(pt, f, g, sys.structural)
+    fj, gj, sj = point_jets(pt, f, g, sys.structural)
     return complex(gspb_jets(fj, gj, sj, pt.n)[0])
 
 
 def geometrio(sys: StructuredSystem, pt: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
     """Brackets of the structural function with each chart coordinate:
     ({s,z_j}, {s,zbar_j}) = (2i ds/dzbar_j, -2i ds/dz_j) for all j."""
-    (sj,) = _point_jets(pt, sys.structural)
+    (sj,) = point_jets(pt, sys.structural)
     sz, szb = wirtinger_split(sj.grad[:, 0], pt.n)
     return 2j * szb, -2j * sz
 

@@ -15,16 +15,8 @@ import numpy as np
 from .brackets import StructuredSystem, pb_real_jets
 from .dynamics import CovariantRate
 from .errors import RealnessError
-from .fields import ScalarField, eval_jet
+from .fields import ScalarField, eval_jet, point_jets
 from .phasespace import PhasePoint
-
-
-def _jets(pt_or_batch, *fields: ScalarField):
-    if isinstance(pt_or_batch, PhasePoint):
-        Q, P = pt_or_batch.q[:, None], pt_or_batch.p[:, None]
-    else:
-        Q, P = pt_or_batch
-    return tuple(eval_jet(f, Q, P, order=1) for f in fields)
 
 
 def _w_real(Hj, sj, n: int) -> np.ndarray:
@@ -45,14 +37,14 @@ def gspb_real_jets(fj, gj, sj, n: int) -> np.ndarray:
 def gspb_real(f: ScalarField, g: ScalarField, sys: StructuredSystem,
               pt: PhasePoint) -> complex:
     """The structural bracket assembled purely from real partials."""
-    fj, gj, sj = _jets(pt, f, g, sys.structural)
+    fj, gj, sj = point_jets(pt, f, g, sys.structural)
     return complex(gspb_real_jets(fj, gj, sj, sys.n)[0])
 
 
 def gchs_real_rate(f: ScalarField, sys: StructuredSystem,
                    pt: PhasePoint) -> CovariantRate:
     """Covariant total rate from the real-chart engine."""
-    fj, Hj, sj = _jets(pt, f, sys.hamiltonian, sys.structural)
+    fj, Hj, sj = point_jets(pt, f, sys.hamiltonian, sys.structural)
     n = sys.n
     w = _w_real(Hj, sj, n)
     thorough = pb_real_jets(fj, Hj, n) - Hj.val * pb_real_jets(sj, fj, n)
@@ -88,7 +80,8 @@ def cross_check(f: ScalarField, g: ScalarField, sys: StructuredSystem,
     P = np.stack([pt.p for pt in pts], axis=1)
     n = sys.n
 
-    fj, gj, Hj, sj = _jets((Q, P), f, g, sys.hamiltonian, sys.structural)
+    fj, gj, Hj, sj = (eval_jet(field, Q, P, order=1)
+                      for field in (f, g, sys.hamiltonian, sys.structural))
 
     gspb_c = gspb_jets(fj, gj, sj, n)
     gspb_r = gspb_real_jets(fj, gj, sj, n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bridge
-from .brackets import (StructuredSystem, geobracket_jets, gspb_jets,
+from .brackets import (StructuredSystem, _amax, geobracket_jets, gspb_jets,
                        pb_complex_jets, pb_real_jets, sdyn_jets)
 from .dynamics import (acceleration_jets, beta_jets, flow_jacobian_jets,
                        thorough_jets, tghs_zbardot_jets, tghs_zdot_jets,
@@ -140,11 +140,6 @@ def random_system(rng: np.random.Generator, n: int,
 
 # ---------------------------------------------------------------------------
 # the suite
-
-
-def _amax(x) -> float:
-    x = np.asarray(x)
-    return float(np.max(np.abs(x))) if x.size else 0.0
 
 
 def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,

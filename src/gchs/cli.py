@@ -8,7 +8,10 @@ Three subcommands:
 
 Exit codes: 0 success, 1 input or parse error (messages name line and
 column where that applies), 2 runtime integration failure (blow-up or
-step underflow, message names t), 3 invariant failure from check.
+step underflow, message names t), 3 invariant failure from check, 4 a
+field left the domain of an operation (division by zero, log of zero,
+zero to a negative power; the message names the scenario, and t when it
+happened during the march).
 
 The environment variable GCHS_LOG (error, info, debug) sets log
 verbosity on stderr; reports on stdout are deterministic for a fixed
@@ -28,8 +31,8 @@ import numpy as np
 from .bridge import gspb_real
 from .brackets import geobracket, gspb, pb_complex
 from .checks import run_invariant_suite
-from .errors import (ExpressionError, GchsError, IntegrationError,
-                     RealnessError, ScenarioError)
+from .errors import (DomainError, ExpressionError, GchsError,
+                     IntegrationError, RealnessError, ScenarioError)
 from .fields import parse_field
 from .integrate import Trajectory, integrate_tghs, monitor_report
 from .phasespace import PhasePoint
@@ -125,6 +128,8 @@ def run_one_scenario(path) -> tuple[int, str]:
         return 1, f"{path}: error: {e}"
     except IntegrationError as e:
         return 2, f"{path}: error: {e}"
+    except DomainError as e:
+        return 4, f"{path}: error: {e}"
 
 
 def cmd_run(args) -> int:
@@ -239,6 +244,9 @@ def main(argv=None) -> int:
     except IntegrationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except DomainError as e:
+        print(f"{args.scenario}: error: {e}", file=sys.stderr)
+        return 4
     except GchsError:
         # consistency failures and other internal bugs should crash loudly
         raise

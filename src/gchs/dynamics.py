@@ -29,7 +29,7 @@ import numpy as np
 from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
                        gspb_jets, pb_complex_jets, sdyn_jets, unit_field)
 from .errors import RealnessError
-from .fields import ScalarField, eval_jet, wirtinger_split
+from .fields import ScalarField, point_jets, wirtinger_split
 from .phasespace import ComplexCoords, PhasePoint
 
 
@@ -67,21 +67,10 @@ def _real_part(arr: np.ndarray, what: str) -> np.ndarray:
     return arr.real
 
 
-def _sys_jets(sys: StructuredSystem, pt: PhasePoint, order: int = 1):
-    if pt.n != sys.n:
-        raise ValueError(f"point has n={pt.n}, system has n={sys.n}")
-    Q, P = pt.q[:, None], pt.p[:, None]
-    Hj = eval_jet(sys.hamiltonian, Q, P, order=order)
-    sj = eval_jet(sys.structural, Q, P, order=order)
-    return Hj, sj
-
-
-def _field_jet(f: ScalarField, sys: StructuredSystem, pt: PhasePoint, order: int = 1):
-    if f.n != sys.n:
-        raise ValueError(f"field has n={f.n}, system has n={sys.n}")
+def _time_free(f: ScalarField) -> ScalarField:
     if f.uses_time:
         raise ValueError("rates are defined for time-independent fields")
-    return eval_jet(f, pt.q[:, None], pt.p[:, None], order=order)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +195,25 @@ def acceleration_jets(fj2, Hj2, sj2, n: int) -> np.ndarray:
 
 def tghs_velocity(sys: StructuredSystem, pt: PhasePoint) -> np.ndarray:
     """dz_j/dt for all j at one point."""
-    Hj, sj = _sys_jets(sys, pt)
+    Hj, sj = point_jets(pt, sys.hamiltonian, sys.structural)
     return tghs_zdot_jets(Hj, sj, sys.n)[:, 0]
 
 
 def tghs_velocity_pair(sys: StructuredSystem, pt: PhasePoint):
     """(dz_j/dt, dzbar_j/dt); the second comes from its own closed form
     and equals the conjugate of the first for real H and s."""
-    Hj, sj = _sys_jets(sys, pt)
+    Hj, sj = point_jets(pt, sys.hamiltonian, sys.structural)
     return (tghs_zdot_jets(Hj, sj, sys.n)[:, 0],
             tghs_zbardot_jets(Hj, sj, sys.n)[:, 0])
 
 
 def s_dynamics(sys: StructuredSystem, pt: PhasePoint) -> float:
     """The structural flow rate w = {s,H} at one point, always real."""
-    Hj, sj = _sys_jets(sys, pt)
+    Hj, sj, onej = point_jets(pt, sys.hamiltonian, sys.structural,
+                              unit_field(sys.n))
     w = sdyn_jets(Hj, sj, sys.n)
 
     # the same number must fall out of the structural bracket with 1
-    onej = eval_jet(unit_field(sys.n), pt.q[:, None], pt.p[:, None], order=1)
     via_unit = gspb_jets(onej, Hj, sj, sys.n)
     _check_routes(w.astype(complex), via_unit, "structural flow rate (unit slot)")
     return float(w[0])
@@ -232,15 +221,13 @@ def s_dynamics(sys: StructuredSystem, pt: PhasePoint) -> float:
 
 def thorough_rate(f: ScalarField, sys: StructuredSystem, pt: PhasePoint) -> complex:
     """Plain flow derivative df/dt at one point."""
-    fj = _field_jet(f, sys, pt)
-    Hj, sj = _sys_jets(sys, pt)
+    fj, Hj, sj = point_jets(pt, _time_free(f), sys.hamiltonian, sys.structural)
     return complex(thorough_jets(fj, Hj, sj, sys.n)[0])
 
 
 def gchs_rate(f: ScalarField, sys: StructuredSystem, pt: PhasePoint) -> CovariantRate:
     """Covariant total rate Df/dt = df/dt + f * w with its parts."""
-    fj = _field_jet(f, sys, pt)
-    Hj, sj = _sys_jets(sys, pt)
+    fj, Hj, sj = point_jets(pt, _time_free(f), sys.hamiltonian, sys.structural)
     th, w, total = total_rate_jets(fj, Hj, sj, sys.n)
     return CovariantRate(value=complex(fj.val[0]), thorough=complex(th[0]),
                          sdyn=float(w[0]), total=complex(total[0]))
@@ -248,7 +235,7 @@ def gchs_rate(f: ScalarField, sys: StructuredSystem, pt: PhasePoint) -> Covarian
 
 def beta(sys: StructuredSystem, pt: PhasePoint) -> float:
     """Acceleration coefficient dw/dt + w^2 at one point."""
-    Hj2, sj2 = _sys_jets(sys, pt, order=2)
+    Hj2, sj2 = point_jets(pt, sys.hamiltonian, sys.structural, order=2)
     b = beta_jets(Hj2, sj2, sys.n)
     return float(_real_part(b, "acceleration coefficient")[0])
 
@@ -256,16 +243,15 @@ def beta(sys: StructuredSystem, pt: PhasePoint) -> float:
 def covariant_acceleration(f: ScalarField, sys: StructuredSystem,
                            pt: PhasePoint) -> complex:
     """Second covariant rate D(Df/dt)/dt = d2f/dt2 + 2 w df/dt + f * beta."""
-    fj2 = _field_jet(f, sys, pt, order=2)
-    Hj2, sj2 = _sys_jets(sys, pt, order=2)
+    fj2, Hj2, sj2 = point_jets(pt, _time_free(f), sys.hamiltonian,
+                               sys.structural, order=2)
     return complex(acceleration_jets(fj2, Hj2, sj2, sys.n)[0])
 
 
 def equilibrium_residual(f: ScalarField, sys: StructuredSystem,
                          pt: PhasePoint) -> EquilibriumReport:
     """Covariant residual {f,H}_s with its decomposition diagnostics."""
-    fj = _field_jet(f, sys, pt)
-    Hj, sj = _sys_jets(sys, pt)
+    fj, Hj, sj = point_jets(pt, _time_free(f), sys.hamiltonian, sys.structural)
     n = sys.n
     residual = complex(gspb_jets(fj, Hj, sj, n)[0])
     classical = complex(pb_complex_jets(fj, Hj, n)[0])

@@ -17,12 +17,18 @@ against n.  Powers are integer-only.
 All derivatives come from forward-mode jets over the 2n real
 coordinates; nothing is ever differentiated symbolically.  Wirtinger
 pairs are assembled from the real partials afterwards.
+
+Jets are evaluated over a batch of points with numpy (autodiff.Jet).
+A single point of a real-form field at order 0 or 1 is walked in plain
+Python floats instead, which returns the same values (see _ScalarCtx).
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +53,87 @@ class _EvalCtx:
         self.t = t
 
 
+class _Fallback(Exception):
+    """The scalar walk cannot promise the batched path's bits here."""
+
+
+class _ScalarCtx:
+    """One point of a real-form field, walked in Python floats.
+
+    Each node returns (value, gradient) with the gradient a sparse dict
+    {coordinate index: partial}; a missing index means zero, and no dict
+    is changed after it was returned, so leaves can share theirs.
+
+    On a real-form field every imaginary part of the batched complex jet
+    is zero, and numpy's complex arithmetic then rounds like the float
+    operation below it: a + b, a * b, sin, cos and exp exactly; a / b as
+    a * (1 / b); integer powers through numpy's binary-exponentiation
+    chain (_chain_pow).  That holds while every value stays finite.
+    Overflow and NaN carry through the float operations up to the result,
+    except where a division, a negative power or exp could turn them
+    back into a finite number; at those points, and on a math error, a
+    domain error or an operation outside that list, the walk raises
+    _Fallback and eval_jet redoes the call on the batched path, which
+    returns what it always did, or raises DomainError where it always
+    did.  The one difference left is the sign of an exact zero: an index
+    missing from the sparse gradient reads +0 where the dense product
+    may give -0, and every imaginary part is +0.
+    """
+
+    __slots__ = ("q", "p", "t", "dq", "dp")
+
+    def __init__(self, q, p, t, seeds):
+        n = len(q)
+        self.q = q
+        self.p = p
+        self.t = t
+        self.dq = seeds[:n]
+        self.dp = seeds[n:]
+
+
+@lru_cache(maxsize=None)
+def _unit_seeds(two_n: int, order: int) -> tuple[dict, ...]:
+    if order == 0:
+        return ({},) * two_n
+    return tuple({a: 1.0} for a in range(two_n))
+
+
+_NO_GRAD: dict = {}
+
+# numpy's complex power multiplies out integer exponents below this bound
+# and calls the general complex power at or above it
+_CHAIN_LIMIT = 100
+
+
+def _chain_pow(v: float, k: int) -> float:
+    """v**k in the order numpy's complex power multiplies it out."""
+    if not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
+        raise _Fallback
+    e = -k if k < 0 else k
+    acc, sq = 1.0, v
+    while True:
+        if e & 1:
+            acc = acc * sq
+        e >>= 1
+        if not e:
+            break
+        sq = sq * sq
+    if k > 0:
+        return acc
+    # 1 / inf would hide the overflow, 1 / 0 is a domain error
+    if acc == 0.0 or not math.isfinite(acc):
+        raise _Fallback
+    return 1.0 / acc
+
+
+#: function name -> (value, first derivative) on floats
+_FLOAT_FUNCS = {
+    "sin": (math.sin, math.cos),
+    "cos": (math.cos, lambda x: -math.sin(x)),
+    "exp": (math.exp, math.exp),
+}
+
+
 class Node:
     """Base expression node."""
 
@@ -54,6 +141,9 @@ class Node:
 
     def ev(self, ctx: _EvalCtx) -> Jet:
         raise NotImplementedError
+
+    def ev_scalar(self, ctx: _ScalarCtx) -> tuple[float, dict]:
+        raise _Fallback
 
     def _raw(self) -> str:
         raise NotImplementedError
@@ -79,6 +169,9 @@ class Num(Node):
 
     def ev(self, ctx):
         return ctx.space.const(self.value)
+
+    def ev_scalar(self, ctx):
+        return self.value, _NO_GRAD
 
     def _raw(self):
         return repr(float(self.value))
@@ -106,6 +199,9 @@ class CoordQ(Node):
     def ev(self, ctx):
         return ctx.space.leaf(ctx.Q[self.j - 1], [(self.j - 1, 1.0)])
 
+    def ev_scalar(self, ctx):
+        return ctx.q[self.j - 1], ctx.dq[self.j - 1]
+
     def _raw(self):
         return f"q{self.j}"
 
@@ -116,6 +212,9 @@ class CoordP(Node):
 
     def ev(self, ctx):
         return ctx.space.leaf(ctx.P[self.j - 1], [(ctx.n + self.j - 1, 1.0)])
+
+    def ev_scalar(self, ctx):
+        return ctx.p[self.j - 1], ctx.dp[self.j - 1]
 
     def _raw(self):
         return f"p{self.j}"
@@ -140,6 +239,9 @@ class TimeVar(Node):
         # time is an evaluation parameter, not a differentiation variable
         return ctx.space.const(ctx.t)
 
+    def ev_scalar(self, ctx):
+        return ctx.t, _NO_GRAD
+
     def _raw(self):
         return "t"
 
@@ -151,6 +253,10 @@ class Neg(Node):
 
     def ev(self, ctx):
         return -self.child.ev(ctx)
+
+    def ev_scalar(self, ctx):
+        v, g = self.child.ev_scalar(ctx)
+        return -v, {a: -d for a, d in g.items()}
 
     def _raw(self):
         return f"-{self.child.fmt(_MUL)}"
@@ -174,6 +280,18 @@ class Add(_Binary):
     def ev(self, ctx):
         return self.left.ev(ctx) + self.right.ev(ctx)
 
+    def ev_scalar(self, ctx):
+        a, ga = self.left.ev_scalar(ctx)
+        b, gb = self.right.ev_scalar(ctx)
+        if not gb:
+            return a + b, ga
+        if not ga:
+            return a + b, gb
+        g = dict(ga)
+        for i, d in gb.items():
+            g[i] = g[i] + d if i in g else d
+        return a + b, g
+
     def _raw(self):
         return f"{self.left.fmt(_ADD)} + {self.right.fmt(_MUL)}"
 
@@ -183,6 +301,16 @@ class Sub(_Binary):
 
     def ev(self, ctx):
         return self.left.ev(ctx) - self.right.ev(ctx)
+
+    def ev_scalar(self, ctx):
+        a, ga = self.left.ev_scalar(ctx)
+        b, gb = self.right.ev_scalar(ctx)
+        if not gb:
+            return a - b, ga
+        g = dict(ga)
+        for i, d in gb.items():
+            g[i] = g[i] - d if i in g else -d
+        return a - b, g
 
     def _raw(self):
         return f"{self.left.fmt(_ADD)} - {self.right.fmt(_MUL)}"
@@ -194,6 +322,17 @@ class Mul(_Binary):
     def ev(self, ctx):
         return self.left.ev(ctx) * self.right.ev(ctx)
 
+    def ev_scalar(self, ctx):
+        # grad = a * grad_b + b * grad_a, as the batched jet sums it
+        a, ga = self.left.ev_scalar(ctx)
+        b, gb = self.right.ev_scalar(ctx)
+        if not ga:
+            return a * b, {i: a * d for i, d in gb.items()}
+        g = {i: b * d for i, d in ga.items()}
+        for i, d in gb.items():
+            g[i] = a * d + g[i] if i in g else a * d
+        return a * b, g
+
     def _raw(self):
         return f"{self.left.fmt(_MUL)} * {self.right.fmt(_POW)}"
 
@@ -203,6 +342,19 @@ class Div(_Binary):
 
     def ev(self, ctx):
         return self.left.ev(ctx) / self.right.ev(ctx)
+
+    def ev_scalar(self, ctx):
+        # grad = (grad_a - val * grad_b) / b, each division a * (1 / b)
+        a, ga = self.left.ev_scalar(ctx)
+        b, gb = self.right.ev_scalar(ctx)
+        if b == 0.0 or not math.isfinite(b):
+            raise _Fallback
+        r = 1.0 / b
+        val = a * r
+        g = {i: d * r for i, d in ga.items()}
+        for i, d in gb.items():
+            g[i] = (ga[i] - val * d) * r if i in ga else -(val * d) * r
+        return val, g
 
     def _raw(self):
         return f"{self.left.fmt(_MUL)} / {self.right.fmt(_POW)}"
@@ -216,6 +368,23 @@ class Pow(Node):
 
     def ev(self, ctx):
         return self.base.ev(ctx) ** self.exponent
+
+    def ev_scalar(self, ctx):
+        k = self.exponent
+        v, g = self.base.ev_scalar(ctx)
+        if k == 0:
+            return 1.0, _NO_GRAD
+        if k == 1:
+            return v, g
+        if k == 2:
+            # the chain for k = 2 and k - 1 = 1 is v * v and v itself
+            val, d1 = v * v, 2 * v
+        else:
+            val = _chain_pow(v, k)
+            if not g:
+                return val, g
+            d1 = k * _chain_pow(v, k - 1)
+        return val, {i: d1 * d for i, d in g.items()}
 
     def _raw(self):
         return f"{self.base.fmt(_ATOM)}^{self.exponent}"
@@ -231,6 +400,21 @@ class Func(Node):
 
     def ev(self, ctx):
         return getattr(self.child.ev(ctx), self.name)()
+
+    def ev_scalar(self, ctx):
+        x, g = self.child.ev_scalar(ctx)
+        # exp(-inf) would hide an overflow; log and conj stay batched
+        if self.name not in _FLOAT_FUNCS or not math.isfinite(x):
+            raise _Fallback
+        fn, d1fn = _FLOAT_FUNCS[self.name]
+        try:
+            val = fn(x)
+        except OverflowError:
+            raise _Fallback from None
+        if not g:
+            return val, g
+        d1 = d1fn(x)
+        return val, {i: d1 * d for i, d in g.items()}
 
     def _raw(self):
         return f"{self.name}({self.child.fmt(_ADD)})"
@@ -392,6 +576,8 @@ class ScalarField:
     n: int
     uses_time: bool
     is_real_form: bool
+    # real form without log: its single-point jets can take the scalar walk
+    walks_in_floats: bool = field(default=False, repr=False)
 
     def __str__(self):
         return self.root.fmt(_ADD)
@@ -400,21 +586,20 @@ class ScalarField:
         return f"ScalarField({str(self)!r}, n={self.n})"
 
 
-def _flags(root: Node) -> tuple[bool, bool]:
+def _make_field(root: Node, n: int) -> ScalarField:
     uses_time = False
     real_form = True
+    has_log = False
     for node in root.walk():
         if isinstance(node, TimeVar):
             uses_time = True
         if isinstance(node, (ImagUnit, CoordZ)) or (
                 isinstance(node, Func) and node.name == "conj"):
             real_form = False
-    return uses_time, real_form
-
-
-def _make_field(root: Node, n: int) -> ScalarField:
-    uses_time, real_form = _flags(root)
-    return ScalarField(root, n, uses_time, real_form)
+        if isinstance(node, Func) and node.name == "log":
+            # numpy's complex log rounds differently from math.log
+            has_log = True
+    return ScalarField(root, n, uses_time, real_form, real_form and not has_log)
 
 
 def parse_field(text: str, n: int, allow_time: bool = False) -> ScalarField:
@@ -454,7 +639,10 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
     """Evaluate a field over a batch of points, returning a jet.
 
     Q and P have shape (n, m).  This is the single entry point every
-    bracket and rate in the package funnels through.
+    bracket and rate in the package funnels through.  A single point
+    (m == 1) at order 0 or 1 of a field with walks_in_floats set takes
+    the scalar walk, which returns the batched path's values and falls
+    back to it wherever it could not (see _ScalarCtx).
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -463,23 +651,53 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
     if f.uses_time and time is None:
         raise ValueError("field depends on t; pass time=")
     m = Q.shape[1]
-    space = JetSpace(2 * f.n, m, order)
     tval = None
     if time is not None:
         tval = np.broadcast_to(np.asarray(time, dtype=float), (m,))
+    if m == 1 and order in (0, 1) and f.walks_in_floats:
+        try:
+            return _scalar_jet(f, Q, P, order, tval)
+        except _Fallback:
+            pass
+    space = JetSpace(2 * f.n, m, order)
     ctx = _EvalCtx(space, f.n, Q, P, tval)
     return f.root.ev(ctx)
 
 
-def _point_jet(f: ScalarField, pt: PhasePoint, order: int, time=None) -> Jet:
-    if pt.n != f.n:
-        raise ValueError(f"point has n={pt.n}, field has n={f.n}")
-    return eval_jet(f, pt.q[:, None], pt.p[:, None], order=order, time=time)
+def _scalar_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
+                tval) -> Jet:
+    """The jet of eval_jet at one point, from the scalar walk."""
+    two_n = 2 * f.n
+    t = None if tval is None else float(tval[0])
+    ctx = _ScalarCtx(Q[:, 0].tolist(), P[:, 0].tolist(), t,
+                     _unit_seeds(two_n, order))
+    v, g = f.root.ev_scalar(ctx)
+    # NaN and inf reach the result (see _ScalarCtx); a sum sees them all
+    if not math.isfinite(sum(g.values(), v)):
+        raise _Fallback
+    val = np.array([v], dtype=complex)
+    if order == 0:
+        return Jet(val)
+    grad = np.zeros((two_n, 1), dtype=complex)
+    if g:
+        grad[list(g), 0] = list(g.values())
+    return Jet(val, grad)
+
+
+def point_jets(pt: PhasePoint, *fields: ScalarField, order: int = 1,
+               time=None) -> tuple[Jet, ...]:
+    """Jets of each field at one point, as batches of size one."""
+    for f in fields:
+        if f.n != pt.n:
+            raise ValueError(f"field has n={f.n}, point has n={pt.n}")
+    Q, P = pt.q[:, None], pt.p[:, None]
+    return tuple(eval_jet(f, Q, P, order=order, time=time) for f in fields)
 
 
 def evaluate(f: ScalarField, pt: PhasePoint, time=None) -> complex:
     """Value of the field at a single point."""
-    return complex(_point_jet(f, pt, 0, time).val[0])
+    (jet,) = point_jets(pt, f, order=0, time=time)
+    return complex(jet.val[0])
 
 
 @dataclass(frozen=True)
@@ -514,7 +732,7 @@ def wirtinger_split(grad: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gradient(f: ScalarField, pt: PhasePoint, time=None) -> WirtingerGradient:
     """All first Wirtinger derivatives of the field at a point."""
-    jet = _point_jet(f, pt, 1, time)
+    (jet,) = point_jets(pt, f, order=1, time=time)
     dz, dzbar = wirtinger_split(jet.grad[:, 0], f.n)
     return WirtingerGradient(dz, dzbar)
 
@@ -525,6 +743,6 @@ def second_derivatives(f: ScalarField, pt: PhasePoint, time=None) -> SecondDeriv
     Forward-mode products are symmetrized pairwise so the returned
     matrix satisfies matrix[a, b] == matrix[b, a] exactly.
     """
-    jet = _point_jet(f, pt, 2, time)
+    (jet,) = point_jets(pt, f, order=2, time=time)
     h = jet.hess[:, :, 0]
     return SecondDerivatives(0.5 * (h + h.T))

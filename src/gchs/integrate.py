@@ -24,7 +24,7 @@ import numpy as np
 
 from .brackets import StructuredSystem, gspb_jets, sdyn_jets
 from .dynamics import real_velocity_jets, tghs_zbardot_jets, tghs_zdot_jets
-from .errors import BlowUpError, StepUnderflowError
+from .errors import BlowUpError, DomainError, StepUnderflowError
 from .fields import ScalarField, eval_jet
 from .phasespace import ComplexCoords, PhasePoint, from_complex
 
@@ -211,9 +211,15 @@ def _adaptive_rk45(rhs, x0: np.ndarray, cfg: StepperConfig):
 
 
 def _march(rhs, x0: np.ndarray, cfg: StepperConfig):
+    def timed_rhs(t, x):
+        try:
+            return rhs(t, x)
+        except DomainError as e:
+            raise DomainError(f"{e} at t={t:.6g}") from None
+
     if cfg.method == "rk4":
-        return _fixed_rk4(rhs, x0, cfg)
-    return _adaptive_rk45(rhs, x0, cfg)
+        return _fixed_rk4(timed_rhs, x0, cfg)
+    return _adaptive_rk45(timed_rhs, x0, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gchs import InvariantResult
-from gchs.cli import main
+from gchs import InvariantResult, fields
+from gchs.cli import main, run_one_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 OSC = {
     "n": 1,
@@ -141,6 +145,72 @@ def test_run_jobs_propagates_worst_exit_code(write_scenario, capsys):
     out = capsys.readouterr()
     assert str(good) in out.out      # success goes to stdout
     assert str(bad) in out.err       # failures go to stderr
+
+
+def test_run_domain_error_at_start_exit_4(write_scenario, capsys):
+    path = write_scenario(hamiltonian="p1^2/2 + 1/q1", structural="0",
+                          initial={"q": [0.0], "p": [1.0]})
+    assert main(["run", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "division by zero at t=0" in err
+
+
+def test_run_domain_error_mid_run_names_t(write_scenario):
+    # the second RK4 stage lands exactly on q1 = 0.005, where H is singular
+    path = write_scenario(hamiltonian="p1^2/2 + 1/(q1 - 0.005)", structural="0",
+                          initial={"q": [0.0], "p": [1.0]},
+                          stepper={"step": 0.01, "t_end": 0.1})
+    rc, message = run_one_scenario(path)   # what --jobs workers call
+    assert rc == 4
+    assert message == f"{path}: error: division by zero at t=0.005"
+
+
+def test_bracket_domain_error_exit_4(write_scenario, capsys):
+    path = write_scenario()
+    assert main(["bracket", "-f", "1/q1", "-g", "p1", "--at", "0,1",
+                 str(path)]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and "division by zero" in err
+
+
+def _no_scalar_walk(*args):
+    raise fields._Fallback
+
+
+def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, capsys):
+    # single-point jets of real-form fields come from the scalar walk; with
+    # it removed every jet is batched, and the files must not change a byte
+    paths = [Path(shutil.copy(src, tmp_path)) for src in sorted(SCENARIOS.glob("*.json"))]
+    coupled = {
+        "n": 3,
+        "hamiltonian": ("(q1^2 + p1^2 + q2^2 + p2^2 + q3^2 + p3^2) / 2"
+                        " + 0.031 * q1^2 * q2^2 - 0.027 * q2^2 * q3^2"
+                        " + 0.044 * q1 * q3 * p2^2 - 0.012 * p1^2 * p3^2"),
+        "structural": ("0.03 * q1 - 0.02 * p2 + 0.041 * q3 * p1"
+                       " - 0.015 * q2^2 + 0.05 * p3^3"),
+        "observables": {"zc": "z1 * conj(z2)", "r": "q1 * p3 + q2^2"},
+        "initial": {"q": [0.4, -0.3, 0.5], "p": [-0.2, 0.55, 0.1]},
+        "stepper": {"method": "rk4", "step": 1e-3, "t_end": 0.3},
+    }
+    paths.append(tmp_path / "coupled.json")
+    paths[-1].write_text(json.dumps(coupled))
+
+    def outputs():
+        assert main(["run", *map(str, paths)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())
+                if p.suffix in (".csv", ".json") and p not in paths}
+
+    walks = []
+    scalar_jet = fields._scalar_jet
+    monkeypatch.setattr(fields, "_scalar_jet",
+                        lambda *args: walks.append(1) or scalar_jet(*args))
+    walked = outputs()
+    assert walks
+    monkeypatch.setattr(fields, "_scalar_jet", _no_scalar_walk)
+    batched = outputs()
+    capsys.readouterr()
+    assert len(walked) == 2 * len(paths)
+    assert walked == batched
 
 
 # ---------------------------------------------------------------------------

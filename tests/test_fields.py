@@ -7,9 +7,13 @@ no derivative code.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gchs import (DomainError, ExpressionError, PhasePoint, evaluate,
                   gradient, parse_field, second_derivatives)
+from gchs import fields
+from gchs.checks import random_polynomial, random_smooth_field
 from gchs.fields import (constant_field, conjugate_field, coordinate_field,
                          eval_jet, linear_combination, wirtinger_split)
 from fd_reference import fd_first, fd_second
@@ -182,17 +186,112 @@ def test_hessian_is_exactly_symmetric():
     np.testing.assert_array_equal(h, h.T)
 
 
-def test_batched_evaluation_matches_per_point():
+# single points of real-form fields take the scalar walk in floats; the
+# batched numpy jets are the reference it must reproduce exactly
+PER_POINT_FIELDS = [
+    "sin(q1) * p2 + z1 * conj(z2) - p1^3",
+    "q1^2 * p2 - 0.5 * p1^4 + q2 * p2 - 3",
+    "q1^3 - p2^5 + q2^7 * p1 - (q1 + p2)^11",
+    "q1^-1 + 2 * p2^-2 - q2^-3 * p1^-5",
+    "q1 / (1.5 + p2) - p1 / q2 / (q1 - 3)",
+    "-sin(q1 - 0.3 * p2) * cos(p1) + exp(0.2 * q2) / (2 + cos(q1 * p1))",
+    "log(2.5 + q1^2) / (1.5 + p2^2) + q2",
+    "sin(t) * q1 + t^2 * p2 - exp(-t) / (2 + q2)",
+]
+
+
+@pytest.mark.parametrize("src", PER_POINT_FIELDS)
+@pytest.mark.parametrize("order", [0, 1])
+def test_batched_evaluation_matches_per_point(src, order):
     rng = np.random.default_rng(7)
-    f = parse_field("sin(q1) * p2 + z1 * conj(z2) - p1^3", 2)
+    f = parse_field(src, 2, allow_time=True)
     Q = rng.uniform(-1, 1, size=(2, 5))
     P = rng.uniform(-1, 1, size=(2, 5))
-    batch = eval_jet(f, Q, P, order=1)
+    time = 0.7 if f.uses_time else None
+    batch = eval_jet(f, Q, P, order=order, time=time)
     for k in range(5):
-        single = eval_jet(f, Q[:, k:k + 1], P[:, k:k + 1], order=1)
+        single = eval_jet(f, Q[:, k:k + 1], P[:, k:k + 1], order=order,
+                          time=time)
         np.testing.assert_allclose(batch.val[k], single.val[0], rtol=0, atol=0)
-        np.testing.assert_allclose(batch.grad[:, k], single.grad[:, 0],
-                                   rtol=0, atol=0)
+        if order:
+            np.testing.assert_allclose(batch.grad[:, k], single.grad[:, 0],
+                                       rtol=0, atol=0)
+        else:
+            assert single.grad is None
+
+
+@pytest.mark.parametrize("src", PER_POINT_FIELDS)
+def test_scalar_walk_is_taken_on_real_form_fields(src):
+    f = parse_field(src, 2, allow_time=True)
+    assert f.walks_in_floats == (f.is_real_form and "log" not in src)
+    if f.walks_in_floats:
+        Q, P = np.array([[0.3], [-0.4]]), np.array([[0.6], [0.2]])
+        tval = np.array([0.7]) if f.uses_time else None
+        jet = fields._scalar_jet(f, Q, P, 1, tval)   # no fallback here
+        assert jet.val.shape == (1,) and jet.grad.shape == (4, 1)
+        assert jet.val.dtype == jet.grad.dtype == complex
+
+
+def _same_as_batch_column(f, q, p, order):
+    """Evaluate f at one point and as a batch of that point twice; both
+    must return equal jets (NaN equal to NaN) or raise the same error."""
+    Q = np.array(q, dtype=float)[:, None]
+    P = np.array(p, dtype=float)[:, None]
+    outcomes = []
+    with np.errstate(all="ignore"):
+        for QQ, PP in ((Q, P), (np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1))):
+            try:
+                outcomes.append(eval_jet(f, QQ, PP, order=order))
+            except DomainError as e:
+                outcomes.append(e)
+    single, batch = outcomes
+    if isinstance(single, DomainError) or isinstance(batch, DomainError):
+        assert type(single) is type(batch) and str(single) == str(batch)
+        return single
+    np.testing.assert_array_equal(single.val, batch.val[:1])
+    if order:
+        np.testing.assert_array_equal(single.grad, batch.grad[:, :1])
+    else:
+        assert single.grad is None and batch.grad is None
+    return single
+
+
+_coord = st.one_of(st.floats(-2.0, 2.0),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       smooth=st.booleans(), data=st.data())
+def test_single_point_equals_batch_column(seed, n, smooth, data):
+    rng = np.random.default_rng(seed)
+    f = (random_smooth_field(rng, n) if smooth
+         else random_polynomial(rng, n, max_degree=5))
+    q = data.draw(st.lists(_coord, min_size=n, max_size=n))
+    p = data.draw(st.lists(_coord, min_size=n, max_size=n))
+    for order in (0, 1):
+        _same_as_batch_column(f, q, p, order)
+
+
+@pytest.mark.parametrize("src, q1, expect", [
+    ("1 / q1", 0.0, DomainError),
+    ("q1^-3", 1e-110, "nonfinite"),
+    ("exp(q1)", 800.0, "nonfinite"),
+    ("sin(q1)", np.inf, "nonfinite"),
+    ("exp(q1)^3 - exp(q1)^3", 300.0, "nonfinite"),
+    # overflow that 1 / inf would turn back into a finite number
+    ("2 + 1 / (q1 * q1 * q1)", 1e200, "nonfinite"),
+    ("q1^-5", 1e200, "nonfinite"),
+])
+@pytest.mark.parametrize("order", [0, 1])
+def test_single_point_edge_cases_match_batch(src, q1, expect, order):
+    f = parse_field(src, 1)
+    assert f.walks_in_floats
+    out = _same_as_batch_column(f, [q1], [0.5], order)
+    if expect is DomainError:
+        assert isinstance(out, DomainError)
+    else:
+        assert not np.all(np.isfinite(out.val))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,12 @@ it can only come from a derivative bug, never from user input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, RealnessError
+from .errors import ConsistencyError, DomainError, RealnessError
 from .fields import (ScalarField, WirtingerGradient, constant_field,
                      point_jets, wirtinger_split)
 from .phasespace import PhasePoint
@@ -33,6 +34,27 @@ ROUTE_TOL = 1e-10
 
 def _amax(x: np.ndarray) -> float:
     return float(np.max(np.abs(x))) if x.size else 0.0
+
+
+def _exceeds(dev: float, tol: float, what: str, *mags: float) -> bool:
+    """Whether dev exceeds tol * max(1, *mags).
+
+    Every guard goes through here.  A non-finite dev or magnitude is no
+    question of tolerance, so it raises DomainError naming `what`; the
+    comparison is written so that a NaN could not pass it either.
+    """
+    if not all(math.isfinite(x) for x in (dev, *mags)):
+        raise DomainError(f"{what} is not finite")
+    return not (dev <= tol * max((1.0, *mags)))
+
+
+def _real_part(arr: np.ndarray, what: str) -> np.ndarray:
+    dev = _amax(arr.imag)
+    if _exceeds(dev, 1e-10, what, _amax(arr)):
+        raise RealnessError(
+            f"{what} came out complex (|imag| up to {dev:.3e}); "
+            "H and s must be real-valued fields")
+    return arr.real
 
 
 def _require_real_form(field: ScalarField, role: str):
@@ -66,13 +88,12 @@ class StructuredSystem:
 def _check_routes(a: np.ndarray, b: np.ndarray, what: str, extra_scale: float = 0.0):
     # extra_scale carries the magnitude of terms that cancel exactly in
     # one of the routes, so their rounding residue is judged fairly
-    dev = float(np.max(np.abs(a - b))) if a.size else 0.0
-    scale = max(1.0, extra_scale,
-                float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    if dev > ROUTE_TOL * scale:
+    dev = _amax(a - b)
+    mags = (extra_scale, _amax(a), _amax(b))
+    if _exceeds(dev, ROUTE_TOL, what, *mags):
         raise ConsistencyError(
             f"{what}: independent evaluation routes differ by {dev:.3e} "
-            f"(scale {scale:.3e}); this is an internal derivative bug")
+            f"(scale {max(1.0, *mags):.3e}); this is an internal derivative bug")
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +144,7 @@ def sdyn_jets(Hj, sj, n: int) -> np.ndarray:
     alt = 2j * np.sum(DHz * szb - DHzb * sz, axis=0)
     cancel = _amax(Hj.val) * max(_amax(sz), _amax(szb)) ** 2 * n
     _check_routes(w, alt, "structural flow rate", cancel)
-
-    dev = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if dev > 1e-10 * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0):
-        raise RealnessError(
-            f"structural flow rate came out complex (|imag| up to {dev:.3e}); "
-            "H and s must be real-valued fields")
-    return w.real
+    return _real_part(w, "structural flow rate")
 
 
 # ---------------------------------------------------------------------------

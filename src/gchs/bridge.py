@@ -12,20 +12,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .brackets import StructuredSystem, pb_real_jets
+from .brackets import StructuredSystem, _real_part, pb_real_jets
 from .dynamics import CovariantRate
-from .errors import RealnessError
 from .fields import ScalarField, eval_jet, point_jets
 from .phasespace import PhasePoint
 
 
 def _w_real(Hj, sj, n: int) -> np.ndarray:
-    w = pb_real_jets(sj, Hj, n)
-    dev = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if dev > 1e-10 * max(1.0, float(np.max(np.abs(w))) if w.size else 1.0):
-        raise RealnessError("structural flow rate came out complex in the "
-                            "real-chart engine; H and s must be real-valued")
-    return w.real
+    return _real_part(pb_real_jets(sj, Hj, n),
+                      "structural flow rate in the real-chart engine")
 
 
 def gspb_real_jets(fj, gj, sj, n: int) -> np.ndarray:

@@ -8,10 +8,11 @@ Three subcommands:
 
 Exit codes: 0 success, 1 input or parse error (messages name line and
 column where that applies), 2 runtime integration failure (blow-up or
-step underflow, message names t), 3 invariant failure from check, 4 a
-field left the domain of an operation (division by zero, log of zero,
-zero to a negative power; the message names the scenario, and t when it
-happened during the march).
+step underflow, message names t; a NaN or infinite state is a blow-up),
+3 invariant failure from check, 4 a field left the domain of an
+operation (division by zero, log of zero, zero to a negative power) or
+a guarded quantity came out NaN or infinite; the message names the
+scenario, and t when it happened during the march.
 
 The environment variable GCHS_LOG (error, info, debug) sets log
 verbosity on stderr; reports on stdout are deterministic for a fixed
@@ -104,9 +105,13 @@ def write_summary_json(path, sc: Scenario, traj: Trajectory):
 
     rep = monitor_report(traj)
     doc = {"scenario": sc.path.name, **rep.to_dict()}
+    try:
+        # a bare NaN or Infinity is not JSON
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainError("a summary value is not finite") from None
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def run_one_scenario(path) -> tuple[int, str]:

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
-                       gspb_jets, pb_complex_jets, sdyn_jets, unit_field)
-from .errors import RealnessError
+                       _real_part, gspb_jets, pb_complex_jets, sdyn_jets,
+                       unit_field)
 from .fields import ScalarField, point_jets, wirtinger_split
 from .phasespace import ComplexCoords, PhasePoint
 
@@ -56,15 +56,6 @@ class EquilibriumReport:
     classical: complex
     structural_term: complex
     decay_term: complex
-
-
-def _real_part(arr: np.ndarray, what: str) -> np.ndarray:
-    dev = _amax(arr.imag)
-    if dev > 1e-10 * max(1.0, _amax(arr)):
-        raise RealnessError(
-            f"{what} came out complex (|imag| up to {dev:.3e}); "
-            "H and s must be real-valued fields")
-    return arr.real
 
 
 def _time_free(f: ScalarField) -> ScalarField:

@@ -24,7 +24,8 @@ class ExpressionError(GchsError):
 
 
 class DomainError(GchsError):
-    """Evaluation left the domain of an operation (division by zero, log of zero)."""
+    """Evaluation left the domain of an operation (division by zero, log of
+    zero), or a quantity a guard checks came out NaN or infinite."""
 
 
 class RealnessError(GchsError):

@@ -19,22 +19,27 @@ coordinates; nothing is ever differentiated symbolically.  Wirtinger
 pairs are assembled from the real partials afterwards.
 
 Jets are evaluated over a batch of points with numpy (autodiff.Jet).
-A single point of a real-form field at order 0 or 1 is walked in plain
-Python floats instead, which returns the same values (see _ScalarCtx).
+A single point of a real-form field is evaluated instead by straight-line
+float code generated once per field and order, which returns the same
+values (see _Emitter).
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from time import perf_counter
 
 import numpy as np
 
 from .autodiff import Jet, JetSpace
 from .errors import ExpressionError
 from .phasespace import PhasePoint
+
+log = logging.getLogger(__name__)
 
 _FUNCTIONS = ("sin", "cos", "exp", "log", "conj")
 
@@ -53,87 +58,6 @@ class _EvalCtx:
         self.t = t
 
 
-class _Fallback(Exception):
-    """The scalar walk cannot promise the batched path's bits here."""
-
-
-class _ScalarCtx:
-    """One point of a real-form field, walked in Python floats.
-
-    Each node returns (value, gradient) with the gradient a sparse dict
-    {coordinate index: partial}; a missing index means zero, and no dict
-    is changed after it was returned, so leaves can share theirs.
-
-    On a real-form field every imaginary part of the batched complex jet
-    is zero, and numpy's complex arithmetic then rounds like the float
-    operation below it: a + b, a * b, sin, cos and exp exactly; a / b as
-    a * (1 / b); integer powers through numpy's binary-exponentiation
-    chain (_chain_pow).  That holds while every value stays finite.
-    Overflow and NaN carry through the float operations up to the result,
-    except where a division, a negative power or exp could turn them
-    back into a finite number; at those points, and on a math error, a
-    domain error or an operation outside that list, the walk raises
-    _Fallback and eval_jet redoes the call on the batched path, which
-    returns what it always did, or raises DomainError where it always
-    did.  The one difference left is the sign of an exact zero: an index
-    missing from the sparse gradient reads +0 where the dense product
-    may give -0, and every imaginary part is +0.
-    """
-
-    __slots__ = ("q", "p", "t", "dq", "dp")
-
-    def __init__(self, q, p, t, seeds):
-        n = len(q)
-        self.q = q
-        self.p = p
-        self.t = t
-        self.dq = seeds[:n]
-        self.dp = seeds[n:]
-
-
-@lru_cache(maxsize=None)
-def _unit_seeds(two_n: int, order: int) -> tuple[dict, ...]:
-    if order == 0:
-        return ({},) * two_n
-    return tuple({a: 1.0} for a in range(two_n))
-
-
-_NO_GRAD: dict = {}
-
-# numpy's complex power multiplies out integer exponents below this bound
-# and calls the general complex power at or above it
-_CHAIN_LIMIT = 100
-
-
-def _chain_pow(v: float, k: int) -> float:
-    """v**k in the order numpy's complex power multiplies it out."""
-    if not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
-        raise _Fallback
-    e = -k if k < 0 else k
-    acc, sq = 1.0, v
-    while True:
-        if e & 1:
-            acc = acc * sq
-        e >>= 1
-        if not e:
-            break
-        sq = sq * sq
-    if k > 0:
-        return acc
-    # 1 / inf would hide the overflow, 1 / 0 is a domain error
-    if acc == 0.0 or not math.isfinite(acc):
-        raise _Fallback
-    return 1.0 / acc
-
-
-#: function name -> (value, first derivative) on floats
-_FLOAT_FUNCS = {
-    "sin": (math.sin, math.cos),
-    "cos": (math.cos, lambda x: -math.sin(x)),
-    "exp": (math.exp, math.exp),
-}
-
-
 class Node:
     """Base expression node."""
 
@@ -141,9 +65,6 @@ class Node:
 
     def ev(self, ctx: _EvalCtx) -> Jet:
         raise NotImplementedError
-
-    def ev_scalar(self, ctx: _ScalarCtx) -> tuple[float, dict]:
-        raise _Fallback
 
     def _raw(self) -> str:
         raise NotImplementedError
@@ -169,9 +90,6 @@ class Num(Node):
 
     def ev(self, ctx):
         return ctx.space.const(self.value)
-
-    def ev_scalar(self, ctx):
-        return self.value, _NO_GRAD
 
     def _raw(self):
         return repr(float(self.value))
@@ -199,9 +117,6 @@ class CoordQ(Node):
     def ev(self, ctx):
         return ctx.space.leaf(ctx.Q[self.j - 1], [(self.j - 1, 1.0)])
 
-    def ev_scalar(self, ctx):
-        return ctx.q[self.j - 1], ctx.dq[self.j - 1]
-
     def _raw(self):
         return f"q{self.j}"
 
@@ -212,9 +127,6 @@ class CoordP(Node):
 
     def ev(self, ctx):
         return ctx.space.leaf(ctx.P[self.j - 1], [(ctx.n + self.j - 1, 1.0)])
-
-    def ev_scalar(self, ctx):
-        return ctx.p[self.j - 1], ctx.dp[self.j - 1]
 
     def _raw(self):
         return f"p{self.j}"
@@ -239,9 +151,6 @@ class TimeVar(Node):
         # time is an evaluation parameter, not a differentiation variable
         return ctx.space.const(ctx.t)
 
-    def ev_scalar(self, ctx):
-        return ctx.t, _NO_GRAD
-
     def _raw(self):
         return "t"
 
@@ -253,10 +162,6 @@ class Neg(Node):
 
     def ev(self, ctx):
         return -self.child.ev(ctx)
-
-    def ev_scalar(self, ctx):
-        v, g = self.child.ev_scalar(ctx)
-        return -v, {a: -d for a, d in g.items()}
 
     def _raw(self):
         return f"-{self.child.fmt(_MUL)}"
@@ -280,18 +185,6 @@ class Add(_Binary):
     def ev(self, ctx):
         return self.left.ev(ctx) + self.right.ev(ctx)
 
-    def ev_scalar(self, ctx):
-        a, ga = self.left.ev_scalar(ctx)
-        b, gb = self.right.ev_scalar(ctx)
-        if not gb:
-            return a + b, ga
-        if not ga:
-            return a + b, gb
-        g = dict(ga)
-        for i, d in gb.items():
-            g[i] = g[i] + d if i in g else d
-        return a + b, g
-
     def _raw(self):
         return f"{self.left.fmt(_ADD)} + {self.right.fmt(_MUL)}"
 
@@ -301,16 +194,6 @@ class Sub(_Binary):
 
     def ev(self, ctx):
         return self.left.ev(ctx) - self.right.ev(ctx)
-
-    def ev_scalar(self, ctx):
-        a, ga = self.left.ev_scalar(ctx)
-        b, gb = self.right.ev_scalar(ctx)
-        if not gb:
-            return a - b, ga
-        g = dict(ga)
-        for i, d in gb.items():
-            g[i] = g[i] - d if i in g else -d
-        return a - b, g
 
     def _raw(self):
         return f"{self.left.fmt(_ADD)} - {self.right.fmt(_MUL)}"
@@ -322,17 +205,6 @@ class Mul(_Binary):
     def ev(self, ctx):
         return self.left.ev(ctx) * self.right.ev(ctx)
 
-    def ev_scalar(self, ctx):
-        # grad = a * grad_b + b * grad_a, as the batched jet sums it
-        a, ga = self.left.ev_scalar(ctx)
-        b, gb = self.right.ev_scalar(ctx)
-        if not ga:
-            return a * b, {i: a * d for i, d in gb.items()}
-        g = {i: b * d for i, d in ga.items()}
-        for i, d in gb.items():
-            g[i] = a * d + g[i] if i in g else a * d
-        return a * b, g
-
     def _raw(self):
         return f"{self.left.fmt(_MUL)} * {self.right.fmt(_POW)}"
 
@@ -342,19 +214,6 @@ class Div(_Binary):
 
     def ev(self, ctx):
         return self.left.ev(ctx) / self.right.ev(ctx)
-
-    def ev_scalar(self, ctx):
-        # grad = (grad_a - val * grad_b) / b, each division a * (1 / b)
-        a, ga = self.left.ev_scalar(ctx)
-        b, gb = self.right.ev_scalar(ctx)
-        if b == 0.0 or not math.isfinite(b):
-            raise _Fallback
-        r = 1.0 / b
-        val = a * r
-        g = {i: d * r for i, d in ga.items()}
-        for i, d in gb.items():
-            g[i] = (ga[i] - val * d) * r if i in ga else -(val * d) * r
-        return val, g
 
     def _raw(self):
         return f"{self.left.fmt(_MUL)} / {self.right.fmt(_POW)}"
@@ -368,23 +227,6 @@ class Pow(Node):
 
     def ev(self, ctx):
         return self.base.ev(ctx) ** self.exponent
-
-    def ev_scalar(self, ctx):
-        k = self.exponent
-        v, g = self.base.ev_scalar(ctx)
-        if k == 0:
-            return 1.0, _NO_GRAD
-        if k == 1:
-            return v, g
-        if k == 2:
-            # the chain for k = 2 and k - 1 = 1 is v * v and v itself
-            val, d1 = v * v, 2 * v
-        else:
-            val = _chain_pow(v, k)
-            if not g:
-                return val, g
-            d1 = k * _chain_pow(v, k - 1)
-        return val, {i: d1 * d for i, d in g.items()}
 
     def _raw(self):
         return f"{self.base.fmt(_ATOM)}^{self.exponent}"
@@ -401,26 +243,307 @@ class Func(Node):
     def ev(self, ctx):
         return getattr(self.child.ev(ctx), self.name)()
 
-    def ev_scalar(self, ctx):
-        x, g = self.child.ev_scalar(ctx)
-        # exp(-inf) would hide an overflow; log and conj stay batched
-        if self.name not in _FLOAT_FUNCS or not math.isfinite(x):
-            raise _Fallback
-        fn, d1fn = _FLOAT_FUNCS[self.name]
-        try:
-            val = fn(x)
-        except OverflowError:
-            raise _Fallback from None
-        if not g:
-            return val, g
-        d1 = d1fn(x)
-        return val, {i: d1 * d for i, d in g.items()}
-
     def _raw(self):
         return f"{self.name}({self.child.fmt(_ADD)})"
 
     def children(self):
         return (self.child,)
+
+
+# ---------------------------------------------------------------------------
+# single points in floats: straight-line code generated once per field
+
+
+class _NoFloatCode(Exception):
+    """The field has no float code at this order; its jets stay batched."""
+
+
+# numpy's complex power multiplies out integer exponents below this bound
+# and calls the general complex power at or above it
+_CHAIN_LIMIT = 100
+
+_FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+_FLOAT_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+# outputs summed by one finiteness guard of the generated code
+_GUARD_TERMS = 32
+
+
+def _src(x) -> str:
+    # an operand of the generated code: a float literal or a local's name
+    return repr(x) if isinstance(x, float) else x
+
+
+def _keys(*dicts) -> dict:
+    # the union of the keys, in a fixed order
+    return dict.fromkeys(k for d in dicts for k in d)
+
+
+class _Emitter:
+    """Translate one field at one order into a flat Python function.
+
+    Emitting a node gives its value, gradient and Hessian as operands of
+    the generated code, each a float literal or the name of a local.  The
+    gradient {a: operand} and the Hessian {(a, b): operand} hold only the
+    structurally nonzero entries, so sparsity is settled here and the
+    function computes nothing else.  Equal operations share one local.
+
+    On a real-form field every imaginary part of the batched complex jet
+    is zero, and numpy's complex arithmetic then rounds like the float
+    operation below it: a + b, a * b, sin, cos and exp exactly; a / b as
+    a * (1 / b); integer powers through numpy's binary-exponentiation
+    chain.  Every entry sums its terms in the order of the Jet arithmetic
+    in autodiff, leaving out the terms that are exact zeros there, since
+    x + 0 == x.  That holds while every value stays finite.  Overflow and
+    NaN carry through the float operations up to the outputs, except
+    where a division, a negative power or sin/cos/exp could turn them
+    back into a finite number or raise; each of those gets a guard, and the
+    last ones check that every output is finite.  A guard that fires
+    returns its index, and eval_jet redoes the call on the batched path,
+    which stays the reference and raises DomainError where it always did.
+    The one difference left is the sign of an exact zero.
+    """
+
+    def __init__(self, n: int, order: int):
+        self.n = n
+        self.order = order
+        self.lines: list[str] = []
+        self.locals: dict[str, str] = {}   # expression -> the local holding it
+        self.reasons: list[str] = []       # guard index -> why it fires
+        self.finite: list[str] = []        # checked by the last guard as well
+
+    # ---- statements ----------------------------------------------------
+
+    def _local(self, expr: str) -> str:
+        name = self.locals.get(expr)
+        if name is None:
+            name = self.locals[expr] = f"v{len(self.locals)}"
+            self.lines.append(f"{name} = {expr}")
+        return name
+
+    def op(self, a, sym: str, b):
+        if isinstance(a, float) and isinstance(b, float):
+            v = _FLOAT_OPS[sym](a, b)   # the same IEEE operation as at run time
+            if math.isfinite(v):
+                return v
+        if sym == "*" and (a == 1.0 or b == 1.0):
+            return b if a == 1.0 else a
+        if sym in "+*" and _src(b) < _src(a):
+            a, b = b, a
+        return self._local(f"{_src(a)} {sym} {_src(b)}")
+
+    def neg(self, a):
+        return -a if isinstance(a, float) else self._local(f"-{a}")
+
+    def call(self, name: str, x):
+        if isinstance(x, float):
+            try:
+                return _FLOAT_FUNCS[name](x)
+            except OverflowError:
+                raise _NoFloatCode(f"{name}({x!r}) overflows") from None
+        return self._local(f"{name}({x})")
+
+    def guard(self, x, reason: str, zero: bool = False):
+        """Fall back when x is not finite, or when zero and x == 0."""
+        if isinstance(x, float):
+            if not math.isfinite(x) or (zero and x == 0.0):
+                raise _NoFloatCode(reason)
+            return
+        test = f"not ({x} - {x} == 0.0)"
+        if zero:
+            test = f"{x} == 0.0 or {test}"
+        self.lines.append(f"if {test}: return {len(self.reasons)}")
+        self.reasons.append(reason)
+
+    def prod(self, a, b):
+        return None if a is None or b is None else self.op(a, "*", b)
+
+    def total(self, terms):
+        """Sum the present (sign, term) pairs left to right; None is an
+        absent term, an exact zero in the dense jet."""
+        acc = None
+        for sym, term in terms:
+            if term is not None:
+                if acc is None:
+                    acc = term if sym == "+" else self.neg(term)
+                else:
+                    acc = self.op(acc, sym, term)
+        return acc
+
+    def pairs(self, x: dict, y: dict) -> dict:
+        # the entries of the outer product x y^T a Hessian needs
+        return {(i, j): None for i in x for j in y} if self.order == 2 else {}
+
+    def power(self, v, k: int):
+        """v**k in the order numpy's complex power multiplies it out."""
+        if not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
+            raise _NoFloatCode(f"exponent {k} is outside numpy's multiply chain")
+        e, acc, sq = abs(k), 1.0, v
+        while True:
+            if e & 1:
+                acc = self.op(acc, "*", sq)
+            e >>= 1
+            if not e:
+                break
+            sq = self.op(sq, "*", sq)
+        if k >= 0:
+            return acc
+        # 1 / inf would hide the overflow, 1 / 0 is a domain error
+        self.guard(acc, "zero or non-finite value to a negative power", zero=True)
+        return self.op(1.0, "/", acc)
+
+    def chain(self, d1, d2, g: dict, h: dict):
+        """Gradient d1 * g and Hessian d1 * h + d2 * (g_i * g_j), as
+        Jet._unary forms them; d2 is None below order 2."""
+        grad = {i: self.op(d1, "*", gi) for i, gi in g.items()}
+        if d2 is None:
+            return grad, {}
+        hess = {(i, j): self.total([("+", self.prod(d1, h.get((i, j)))),
+                                    ("+", self.prod(d2, self.prod(g[i], g[j])))])
+                for i, j in _keys(h, self.pairs(g, g))}
+        return grad, hess
+
+    # ---- nodes -----------------------------------------------------------
+
+    def node(self, node: Node):
+        rule = _EMIT_RULES.get(type(node))
+        if rule is None:
+            raise _NoFloatCode(f"no float code for {type(node).__name__} nodes")
+        return rule(self, node)
+
+    def num(self, node):
+        value = float(node.value)
+        self.guard(value, f"non-finite literal {value!r}")
+        return value, {}, {}
+
+    def coord(self, a: int):
+        return f"x{a}", ({a: 1.0} if self.order else {}), {}
+
+    def neg_node(self, node):
+        v, g, h = self.node(node.child)
+        return (self.neg(v), {i: self.neg(d) for i, d in g.items()},
+                {ij: self.neg(d) for ij, d in h.items()})
+
+    def add_sub(self, node):
+        sym = "+" if isinstance(node, Add) else "-"
+        a, ga, ha = self.node(node.left)
+        b, gb, hb = self.node(node.right)
+
+        def merge(x, y):
+            return {k: self.total([("+", x.get(k)), (sym, y.get(k))])
+                    for k in _keys(x, y)}
+
+        return self.op(a, sym, b), merge(ga, gb), merge(ha, hb)
+
+    def mul(self, node):
+        a, ga, ha = self.node(node.left)
+        b, gb, hb = self.node(node.right)
+        g = {i: self.total([("+", self.prod(a, gb.get(i))),
+                            ("+", self.prod(b, ga.get(i)))])
+             for i in _keys(gb, ga)}
+        h = {(i, j): self.total([("+", self.prod(a, hb.get((i, j)))),
+                                 ("+", self.prod(b, ha.get((i, j)))),
+                                 ("+", self.prod(ga.get(i), gb.get(j))),
+                                 ("+", self.prod(gb.get(i), ga.get(j)))])
+             for i, j in _keys(hb, ha, self.pairs(ga, gb), self.pairs(gb, ga))}
+        return self.op(a, "*", b), g, h
+
+    def div(self, node):
+        a, ga, ha = self.node(node.left)
+        b, gb, hb = self.node(node.right)
+        self.guard(b, "division by zero or by a non-finite value", zero=True)
+        r = self.op(1.0, "/", b)
+        val = self.op(a, "*", r)
+        g = {i: self.op(self.total([("+", ga.get(i)),
+                                    ("-", self.prod(val, gb.get(i)))]), "*", r)
+             for i in _keys(ga, gb)}
+        h = {(i, j): self.op(self.total([("+", ha.get((i, j))),
+                                         ("-", self.prod(g.get(i), gb.get(j))),
+                                         ("-", self.prod(gb.get(i), g.get(j))),
+                                         ("-", self.prod(val, hb.get((i, j))))]),
+                             "*", r)
+             for i, j in _keys(ha, self.pairs(g, gb), self.pairs(gb, g), hb)}
+        return val, g, h
+
+    def pow(self, node):
+        k = node.exponent
+        v, g, h = self.node(node.base)
+        if k == 0:
+            return 1.0, {}, {}
+        if k == 1:
+            return v, g, h
+        val = self.power(v, k)
+        if not self.order:
+            return val, {}, {}
+        d1 = self.op(float(k), "*", self.power(v, k - 1))
+        d2 = (self.op(float(k * (k - 1)), "*", self.power(v, k - 2))
+              if self.order == 2 else None)
+        if not g:
+            # the dense jet multiplies them by zeros: NaN unless finite
+            self.finite += [d for d in (d1, d2) if isinstance(d, str)]
+        return (val, *self.chain(d1, d2, g, h))
+
+    def func(self, node):
+        name = node.name
+        if name not in _FLOAT_FUNCS:
+            # conj is complex; numpy's complex log rounds unlike math.log
+            raise _NoFloatCode(f"{name} has no float code")
+        x, g, h = self.node(node.child)
+        self.guard(x, f"non-finite argument of {name}")
+        val = self.call(name, x)
+        if not self.order:
+            return val, {}, {}
+        if name == "sin":
+            d1, d2 = self.call("cos", x), self.neg(val)
+        elif name == "cos":
+            d1, d2 = self.neg(self.call("sin", x)), self.neg(val)
+        else:
+            d1 = d2 = val
+        return (val, *self.chain(d1, d2 if self.order == 2 else None, g, h))
+
+
+_EMIT_RULES = {
+    Num: _Emitter.num,
+    CoordQ: lambda em, node: em.coord(node.j - 1),
+    CoordP: lambda em, node: em.coord(em.n + node.j - 1),
+    TimeVar: lambda em, node: ("t", {}, {}),
+    Neg: _Emitter.neg_node,
+    Add: _Emitter.add_sub,
+    Sub: _Emitter.add_sub,
+    Mul: _Emitter.mul,
+    Div: _Emitter.div,
+    Pow: _Emitter.pow,
+    Func: _Emitter.func,
+}
+
+
+def _emit(f: ScalarField, order: int) -> tuple[str, list[int], list[str]]:
+    """The source of f's float code at one order, the flat slot of each
+    value it returns in a dense (val, grad, hess) buffer, and the reason
+    of each guard."""
+    em = _Emitter(f.n, order)
+    val, grad, hess = em.node(f.root)
+    two_n = 2 * f.n
+    outs = [val, *grad.values(), *hess.values()]
+    slots = [0, *(1 + a for a in grad), *(1 + two_n * (1 + a) + b for a, b in hess)]
+    names = list(dict.fromkeys(x for x in outs + em.finite if isinstance(x, str)))
+    # NaN and inf reach the outputs (see _Emitter); a sum sees them all.
+    # Each sum is bounded, since compile() recurses on a long chain of +.
+    for k in range(0, len(names), _GUARD_TERMS):
+        chunk = names[k:k + _GUARD_TERMS]
+        em.guard(chunk[0] if len(chunk) == 1 else em._local(" + ".join(chunk)),
+                 "non-finite result")
+    params = ", ".join([f"x{a}" for a in range(two_n)] + ["t"])
+    body = em.lines + [f"return ({', '.join(map(_src, outs))},)"]
+    source = f"def _jet({params}):\n" + "".join(f"    {line}\n" for line in body)
+    return source, slots, em.reasons
+
+
+def _compile(source: str):
+    namespace = {"__builtins__": {}, **_FLOAT_FUNCS}
+    exec(compile(source, "<float jet>", "exec"), namespace)
+    return namespace["_jet"]
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +699,8 @@ class ScalarField:
     n: int
     uses_time: bool
     is_real_form: bool
-    # real form without log: its single-point jets can take the scalar walk
-    walks_in_floats: bool = field(default=False, repr=False)
+    # order -> its compiled float code, or None where the jets stay batched
+    _float_code: dict = field(default_factory=dict, init=False, repr=False)
 
     def __str__(self):
         return self.root.fmt(_ADD)
@@ -589,17 +712,13 @@ class ScalarField:
 def _make_field(root: Node, n: int) -> ScalarField:
     uses_time = False
     real_form = True
-    has_log = False
     for node in root.walk():
         if isinstance(node, TimeVar):
             uses_time = True
         if isinstance(node, (ImagUnit, CoordZ)) or (
                 isinstance(node, Func) and node.name == "conj"):
             real_form = False
-        if isinstance(node, Func) and node.name == "log":
-            # numpy's complex log rounds differently from math.log
-            has_log = True
-    return ScalarField(root, n, uses_time, real_form, real_form and not has_log)
+    return ScalarField(root, n, uses_time, real_form)
 
 
 def parse_field(text: str, n: int, allow_time: bool = False) -> ScalarField:
@@ -640,9 +759,9 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
 
     Q and P have shape (n, m).  This is the single entry point every
     bracket and rate in the package funnels through.  A single point
-    (m == 1) at order 0 or 1 of a field with walks_in_floats set takes
-    the scalar walk, which returns the batched path's values and falls
-    back to it wherever it could not (see _ScalarCtx).
+    (m == 1) runs the field's float code where it has one, which returns
+    the batched path's values and falls back to it wherever it could not
+    (see _Emitter).  Complex-valued fields and log have no float code.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -654,34 +773,63 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
     tval = None
     if time is not None:
         tval = np.broadcast_to(np.asarray(time, dtype=float), (m,))
-    if m == 1 and order in (0, 1) and f.walks_in_floats:
-        try:
-            return _scalar_jet(f, Q, P, order, tval)
-        except _Fallback:
-            pass
+    if m == 1 and order in (0, 1, 2):
+        jet = _float_jet(f, Q, P, order, tval)
+        if jet is not None:
+            return jet
     space = JetSpace(2 * f.n, m, order)
     ctx = _EvalCtx(space, f.n, Q, P, tval)
     return f.root.ev(ctx)
 
 
-def _scalar_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
-                tval) -> Jet:
-    """The jet of eval_jet at one point, from the scalar walk."""
+def _code_for(f: ScalarField, order: int):
+    """f's compiled float code at one order (cached on f), or None."""
+    if order in f._float_code:
+        return f._float_code[order]
+    t0 = perf_counter()
+    try:
+        source, slots, reasons = _emit(f, order)
+        fn = _compile(source)
+    except (_NoFloatCode, RecursionError, MemoryError, SyntaxError) as e:
+        # too deep or too large for the emitter or compile(): stay batched
+        log.debug("no float code for %s at order %d: %s: %s", f, order,
+                  type(e).__name__, e)
+        code = None
+    else:
+        code = (fn, np.array(slots, dtype=np.intp), reasons)
+        log.debug("float code for %s at order %d: %d statements, %.3f ms",
+                  f, order, source.count("\n") - 1, 1e3 * (perf_counter() - t0))
+    f._float_code[order] = code
+    return code
+
+
+def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
+               tval) -> Jet | None:
+    """The jet of eval_jet at one point from f's float code, or None
+    where the batched path has to compute it."""
+    code = _code_for(f, order)
+    if code is None:
+        return None
+    fn, slots, reasons = code
+    t = 0.0 if tval is None else float(tval[0])
+    try:
+        out = fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
+    except (OverflowError, ValueError, ZeroDivisionError) as e:
+        out = f"{type(e).__name__}: {e}"
+    if type(out) is not tuple:
+        log.debug("%s at order %d falls back to the batched jets: %s", f, order,
+                  reasons[out] if type(out) is int else out)
+        return None
     two_n = 2 * f.n
-    t = None if tval is None else float(tval[0])
-    ctx = _ScalarCtx(Q[:, 0].tolist(), P[:, 0].tolist(), t,
-                     _unit_seeds(two_n, order))
-    v, g = f.root.ev_scalar(ctx)
-    # NaN and inf reach the result (see _ScalarCtx); a sum sees them all
-    if not math.isfinite(sum(g.values(), v)):
-        raise _Fallback
-    val = np.array([v], dtype=complex)
+    size = (1, 1 + two_n, (1 + two_n) ** 2 - two_n)[order]
+    buf = np.zeros(size, dtype=complex)
+    buf[slots] = out
     if order == 0:
-        return Jet(val)
-    grad = np.zeros((two_n, 1), dtype=complex)
-    if g:
-        grad[list(g), 0] = list(g.values())
-    return Jet(val, grad)
+        return Jet(buf)
+    grad = buf[1:1 + two_n].reshape(two_n, 1)
+    if order == 1:
+        return Jet(buf[:1], grad)
+    return Jet(buf[:1], grad, buf[1 + two_n:].reshape(two_n, two_n, 1))
 
 
 def point_jets(pt: PhasePoint, *fields: ScalarField, order: int = 1,

@@ -92,8 +92,9 @@ class Trajectory:
 
 
 def _check_norm(x: np.ndarray, t: float, max_norm: float):
+    # a NaN state has a NaN norm: it counts as blow-up as well
     norm = float(np.max(np.abs(x)))
-    if norm > max_norm:
+    if not (norm <= max_norm):
         raise BlowUpError(norm, t)
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gchs import (PhasePoint, RealnessError, StructuredSystem, geobracket,
-                  geometrio, gspb, parse_field, pb_complex, pb_real,
+from gchs import (DomainError, PhasePoint, RealnessError, StructuredSystem,
+                  geobracket, geometrio, gspb, parse_field, pb_complex, pb_real,
                   structural_derivative)
+from gchs.brackets import _check_routes, _exceeds, _real_part
 
 Q1 = parse_field("q1", 1)
 P1 = parse_field("p1", 1)
@@ -127,3 +130,27 @@ def test_gspb_antisymmetry(structured):
 def test_gspb_self_bracket_vanishes(structured, pt12):
     f = parse_field("sin(q1) + p1^2", 1)
     assert gspb(f, f, structured, pt12) == pytest.approx(0.0, abs=1e-12)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dev=_any_float, tol=st.floats(1e-12, 1.0), mags=st.lists(_any_float, max_size=3))
+def test_no_guard_accepts_nan_or_inf(dev, tol, mags):
+    values = [dev, *mags]
+    if all(np.isfinite(values)):
+        assert _exceeds(dev, tol, "x", *mags) == (dev > tol * max((1.0, *mags)))
+    else:
+        with pytest.raises(DomainError, match="x is not finite"):
+            _exceeds(dev, tol, "x", *mags)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_route_and_realness_checks_reject_non_finite_values(bad):
+    a = np.array([1.0 + 0.0j, bad])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(DomainError, match="structural bracket is not finite"):
+        _check_routes(a, a, "structural bracket")
+    with pytest.raises(DomainError, match="flow velocity is not finite"):
+        _real_part(a, "flow velocity")

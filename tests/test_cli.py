@@ -6,12 +6,13 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gchs import InvariantResult, fields
-from gchs.cli import main, run_one_scenario
+from gchs import DomainError, InvariantResult, Trajectory, fields
+from gchs.cli import main, run_one_scenario, write_summary_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -165,6 +166,28 @@ def test_run_domain_error_mid_run_names_t(write_scenario):
     assert message == f"{path}: error: division by zero at t=0.005"
 
 
+def test_run_nan_state_exits_4_naming_t(write_scenario):
+    # exp(300)^3 overflows, so H is inf - inf = NaN from the first point on;
+    # no guard may let that through to the outputs
+    path = write_scenario(hamiltonian="exp(q1)^3 - exp(q1)^3 + p1^2/2",
+                          structural="0", initial={"q": [300.0], "p": [0.5]},
+                          stepper={"step": 0.01, "t_end": 0.05})
+    with np.errstate(all="ignore"):
+        rc, message = run_one_scenario(path)
+    assert rc == 4
+    assert message == f"{path}: error: flow velocity is not finite at t=0"
+    assert not list(path.parent.glob("*_summary.json"))
+
+
+def test_summary_json_refuses_non_finite_values(tmp_path):
+    traj = Trajectory("tghs", 1, np.array([0.0, 0.1]), np.zeros((2, 2)),
+                      energy=np.array([1.0, np.nan]))
+    out = tmp_path / "x_summary.json"
+    with pytest.raises(DomainError, match="summary value is not finite"):
+        write_summary_json(out, SimpleNamespace(path=tmp_path / "x.json"), traj)
+    assert not out.exists()
+
+
 def test_bracket_domain_error_exit_4(write_scenario, capsys):
     path = write_scenario()
     assert main(["bracket", "-f", "1/q1", "-g", "p1", "--at", "0,1",
@@ -173,13 +196,10 @@ def test_bracket_domain_error_exit_4(write_scenario, capsys):
     assert str(path) in err and "division by zero" in err
 
 
-def _no_scalar_walk(*args):
-    raise fields._Fallback
-
-
 def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, capsys):
-    # single-point jets of real-form fields come from the scalar walk; with
-    # it removed every jet is batched, and the files must not change a byte
+    # single-point jets of real-form fields come from their compiled float
+    # code; with it removed every jet is batched, and the files must not
+    # change a byte
     paths = [Path(shutil.copy(src, tmp_path)) for src in sorted(SCENARIOS.glob("*.json"))]
     coupled = {
         "n": 3,
@@ -201,12 +221,12 @@ def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, cap
                 if p.suffix in (".csv", ".json") and p not in paths}
 
     walks = []
-    scalar_jet = fields._scalar_jet
-    monkeypatch.setattr(fields, "_scalar_jet",
-                        lambda *args: walks.append(1) or scalar_jet(*args))
+    float_jet = fields._float_jet
+    monkeypatch.setattr(fields, "_float_jet",
+                        lambda *args: walks.append(float_jet(*args)) or walks[-1])
     walked = outputs()
-    assert walks
-    monkeypatch.setattr(fields, "_scalar_jet", _no_scalar_walk)
+    assert any(jet is not None for jet in walks)
+    monkeypatch.setattr(fields, "_float_jet", lambda *args: None)
     batched = outputs()
     capsys.readouterr()
     assert len(walked) == 2 * len(paths)

@@ -153,3 +153,33 @@ def test_exponential_solution_values():
     ts = np.array([0.0, 1.0, 2.0])
     z = exponential_solution(2.0j, -0.5, ts)
     np.testing.assert_allclose(z, 2.0j * np.exp(0.5 * ts), atol=1e-14)
+
+
+def test_order_two_rates_do_not_depend_on_the_float_code(monkeypatch):
+    # beta and the second rates read the Hessians of H and s at one point,
+    # which come from their compiled float code; with it removed every jet
+    # is batched, and no value may change
+    from gchs import fields, second_derivatives
+
+    n = 6
+    rng = np.random.default_rng(20)
+    oscillator = " + ".join(f"q{j}^2 + p{j}^2" for j in range(1, n + 1))
+    c = [float(x) for x in rng.uniform(0.01, 0.05, 9)]
+    H = parse_field(f"({oscillator}) / 2 + {c[0]!r} * q1^2 * q4^2"
+                    f" + {c[1]!r} * q2 * q5 * p3^2 - {c[2]!r} * p6^4"
+                    f" + {c[3]!r} * q3 * p1 * q6 * p5", n)
+    s = parse_field(f"{c[4]!r} * q1 - {c[5]!r} * p2 + {c[6]!r} * q3 * p4"
+                    f" + {c[7]!r} * q5^2 - {c[8]!r} * p6 * q2", n)
+    sys_ = StructuredSystem(n, H, s)
+    f = parse_field("q1 * p2 - 0.3 * q3^2 * p6 + sin(p4) / (2 + q5^2)", n)
+    points = [PhasePoint(q, p) for q, p in rng.uniform(-1, 1, size=(200, 2, n))]
+
+    def values():
+        return [(beta(sys_, pt), covariant_acceleration(f, sys_, pt),
+                 second_derivatives(H, pt).matrix.tolist(),
+                 second_derivatives(s, pt).matrix.tolist()) for pt in points]
+
+    compiled = values()
+    assert H._float_code[2] is not None and s._float_code[2] is not None
+    monkeypatch.setattr(fields, "_float_jet", lambda *args: None)
+    assert values() == compiled

@@ -186,14 +186,15 @@ def test_hessian_is_exactly_symmetric():
     np.testing.assert_array_equal(h, h.T)
 
 
-# single points of real-form fields take the scalar walk in floats; the
-# batched numpy jets are the reference it must reproduce exactly
+# single points of real-form fields run the field's compiled float code;
+# the batched numpy jets are the reference it must reproduce exactly
 PER_POINT_FIELDS = [
     "sin(q1) * p2 + z1 * conj(z2) - p1^3",
     "q1^2 * p2 - 0.5 * p1^4 + q2 * p2 - 3",
     "q1^3 - p2^5 + q2^7 * p1 - (q1 + p2)^11",
     "q1^-1 + 2 * p2^-2 - q2^-3 * p1^-5",
     "q1 / (1.5 + p2) - p1 / q2 / (q1 - 3)",
+    "(q1 * p1 + q2^2) * (q1^2 - p1 * q2) / (q2 * p1 + 2) + q1 * p1 / (q1 + p1 + 3)",
     "-sin(q1 - 0.3 * p2) * cos(p1) + exp(0.2 * q2) / (2 + cos(q1 * p1))",
     "log(2.5 + q1^2) / (1.5 + p2^2) + q2",
     "sin(t) * q1 + t^2 * p2 - exp(-t) / (2 + q2)",
@@ -201,7 +202,7 @@ PER_POINT_FIELDS = [
 
 
 @pytest.mark.parametrize("src", PER_POINT_FIELDS)
-@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("order", [0, 1, 2])
 def test_batched_evaluation_matches_per_point(src, order):
     rng = np.random.default_rng(7)
     f = parse_field(src, 2, allow_time=True)
@@ -218,18 +219,33 @@ def test_batched_evaluation_matches_per_point(src, order):
                                        rtol=0, atol=0)
         else:
             assert single.grad is None
+        if order == 2:
+            np.testing.assert_allclose(batch.hess[:, :, k], single.hess[:, :, 0],
+                                       rtol=0, atol=0)
+        else:
+            assert single.hess is None
 
 
 @pytest.mark.parametrize("src", PER_POINT_FIELDS)
 def test_scalar_walk_is_taken_on_real_form_fields(src):
+    # the float code is the scalar walk: on a real-form field without log
+    # it must run, not fall back; every other field stays batched
     f = parse_field(src, 2, allow_time=True)
-    assert f.walks_in_floats == (f.is_real_form and "log" not in src)
-    if f.walks_in_floats:
-        Q, P = np.array([[0.3], [-0.4]]), np.array([[0.6], [0.2]])
-        tval = np.array([0.7]) if f.uses_time else None
-        jet = fields._scalar_jet(f, Q, P, 1, tval)   # no fallback here
-        assert jet.val.shape == (1,) and jet.grad.shape == (4, 1)
-        assert jet.val.dtype == jet.grad.dtype == complex
+    compiles = f.is_real_form and "log" not in src
+    Q, P = np.array([[0.3], [-0.4]]), np.array([[0.6], [0.2]])
+    tval = np.array([0.7]) if f.uses_time else None
+    for order in (0, 1, 2):
+        jet = fields._float_jet(f, Q, P, order, tval)   # no fallback here
+        assert (f._float_code[order] is not None) == compiles
+        if compiles:
+            assert jet is not None and jet.val.shape == (1,)
+            assert jet.val.dtype == complex
+            if order:
+                assert jet.grad.shape == (4, 1) and jet.grad.dtype == complex
+            if order == 2:
+                assert jet.hess.shape == (4, 4, 1) and jet.hess.dtype == complex
+        else:
+            assert jet is None
 
 
 def _same_as_batch_column(f, q, p, order):
@@ -253,6 +269,10 @@ def _same_as_batch_column(f, q, p, order):
         np.testing.assert_array_equal(single.grad, batch.grad[:, :1])
     else:
         assert single.grad is None and batch.grad is None
+    if order == 2:
+        np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
+    else:
+        assert single.hess is None and batch.hess is None
     return single
 
 
@@ -269,7 +289,7 @@ def test_single_point_equals_batch_column(seed, n, smooth, data):
          else random_polynomial(rng, n, max_degree=5))
     q = data.draw(st.lists(_coord, min_size=n, max_size=n))
     p = data.draw(st.lists(_coord, min_size=n, max_size=n))
-    for order in (0, 1):
+    for order in (0, 1, 2):
         _same_as_batch_column(f, q, p, order)
 
 
@@ -282,16 +302,141 @@ def test_single_point_equals_batch_column(seed, n, smooth, data):
     # overflow that 1 / inf would turn back into a finite number
     ("2 + 1 / (q1 * q1 * q1)", 1e200, "nonfinite"),
     ("q1^-5", 1e200, "nonfinite"),
+    # the dense jet multiplies the infinite derivative of a constant by
+    # its zero gradient, which makes the gradient NaN
+    ("1e-160^-1 * q1", 0.5, "finite"),
 ])
-@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("order", [0, 1, 2])
 def test_single_point_edge_cases_match_batch(src, q1, expect, order):
     f = parse_field(src, 1)
-    assert f.walks_in_floats
     out = _same_as_batch_column(f, [q1], [0.5], order)
     if expect is DomainError:
         assert isinstance(out, DomainError)
-    else:
+    elif expect == "nonfinite":
         assert not np.all(np.isfinite(out.val))
+    else:
+        assert np.isfinite(out.val[0]) and (order == 0 or np.isnan(out.grad[0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the float code generator
+
+
+def test_non_finite_literal_is_not_compiled():
+    # repr(inf) would be a name the generated code cannot resolve
+    f = parse_field("1e400 * q1 + p1", 1)
+    with pytest.raises(fields._NoFloatCode, match="non-finite literal"):
+        fields._emit(f, 0)
+    for order in (0, 1, 2):
+        out = _same_as_batch_column(f, [0.5], [0.25], order)
+        assert f._float_code[order] is None
+        assert out.val[0].real == np.inf
+
+
+def _dense_cubic(n):
+    # every Hessian entry is a distinct product: (2n)^2 / 2 outputs
+    terms = [f"{1 + j / 97}*q{j}" for j in range(1, n + 1)]
+    terms += [f"{2 + j / 89}*p{j}" for j in range(1, n + 1)]
+    return parse_field("(" + " + ".join(terms) + ")^3", n)
+
+
+def test_large_dense_field_compiles_and_matches_batch():
+    # one finiteness check over all its outputs would be a chain of
+    # thousands of + that compile() cannot take
+    f = _dense_cubic(60)
+    Q = np.linspace(0.1, 0.9, 60)[:, None]
+    P = np.linspace(-0.5, 0.5, 60)[:, None]
+    single = eval_jet(f, Q, P, order=2)
+    assert f._float_code[2] is not None
+    batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), order=2)
+    np.testing.assert_array_equal(single.val, batch.val[:1])
+    np.testing.assert_array_equal(single.grad, batch.grad[:, :1])
+    np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError, SyntaxError])
+def test_field_the_compiler_refuses_stays_batched(monkeypatch, error):
+    def refuse(source):
+        raise error("too large")
+
+    monkeypatch.setattr(fields, "_compile", refuse)
+    f = _dense_cubic(4)
+    Q, P = np.array([[0.3], [0.1], [-0.2], [0.5]]), np.array([[0.4], [0.2], [0.7], [-0.1]])
+    single = eval_jet(f, Q, P, order=2)
+    assert f._float_code[2] is None
+    batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), order=2)
+    np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
+
+
+def test_deep_field_stays_batched():
+    # a left-leaning sum deep enough for the emitter's recursion but not
+    # for the batched evaluator's
+    f = parse_field(" + ".join(["q1 * p1"] * 700), 1)
+    jet = eval_jet(f, [[0.5]], [[2.0]], order=1)
+    assert f._float_code[1] is None
+    assert jet.val[0] == 700.0 and list(jet.grad[:, 0]) == [1400.0, 350.0]
+
+
+def test_time_dependent_field_compiles_and_matches_batch():
+    f = parse_field("sin(t) * q1 + t^2 * p1^2 - exp(-t) / (2 + q1)", 1,
+                    allow_time=True)
+    Q, P = np.array([[0.3]]), np.array([[-0.7]])
+    for order in (0, 1, 2):
+        for time in (0.7, -1.3):
+            single = eval_jet(f, Q, P, order=order, time=time)
+            batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1),
+                             order=order, time=time)
+            assert f._float_code[order] is not None
+            np.testing.assert_array_equal(single.val, batch.val[:1])
+            if order:
+                np.testing.assert_array_equal(single.grad, batch.grad[:, :1])
+            if order == 2:
+                np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
+
+
+class _Shadow(fields.Node):
+    """q1 under a node type the generator has no rule for."""
+
+    def ev(self, ctx):
+        return ctx.space.leaf(ctx.Q[0], [(0, 1.0)])
+
+    def _raw(self):
+        return "q1"
+
+
+def test_emitter_refuses_unknown_node_types():
+    f = fields._make_field(fields.Mul(_Shadow(), fields.CoordP(1)), 1)
+    with pytest.raises(fields._NoFloatCode, match="_Shadow"):
+        fields._emit(f, 1)
+    jet = eval_jet(f, [[3.0]], [[2.0]], order=1)   # batched instead
+    assert f._float_code[1] is None
+    assert jet.val[0] == 6.0 and list(jet.grad[:, 0]) == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_unknown_order_is_refused(m):
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        eval_jet(parse_field("q1", 1), np.ones((1, m)), np.ones((1, m)), order=3)
+
+
+def test_generated_source_has_no_builtins():
+    f = parse_field("q1 / (1 + p1^2) + cos(q1)^-2", 1)
+    source, _, _ = fields._emit(f, 2)
+    assert "import" not in source and "__" not in source
+    fn = fields._compile(source)
+    assert fn.__globals__["__builtins__"] == {}
+
+
+def test_float_code_logs_compiles_and_fallbacks(caplog):
+    f = parse_field("1 / q1 + p1^2", 1)
+    with caplog.at_level("DEBUG", logger="gchs.fields"):
+        eval_jet(f, [[2.0]], [[1.0]], order=2)
+        with pytest.raises(DomainError):
+            eval_jet(f, [[0.0]], [[1.0]], order=2)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("float code for" in m and "order 2" in m and "statements" in m
+               for m in messages)
+    assert any("falls back" in m and "division by zero" in m for m in messages)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from gchs import (BlowUpError, PhasePoint, StepperConfig, StructuredSystem,
                   exponential_solution, integrate_equilibrium,
                   integrate_perturbed, integrate_tghs, monitor_report,
                   parse_field)
+from gchs.integrate import _check_norm
 
 
 def cfg(**kw):
@@ -194,6 +195,14 @@ def test_blow_up_reports_time():
     # |z| = exp(30 t) crosses 1e3 near t = ln(1e3)/30
     assert t_fail == pytest.approx(np.log(1e3) / 30.0, abs=0.01)
     assert "t=" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_counts_as_blow_up(bad):
+    # a NaN norm fails every `norm > max_norm` test; it must not pass
+    with pytest.raises(BlowUpError, match="exceeded") as err:
+        _check_norm(np.array([0.5, bad]), 0.25, 1e12)
+    assert err.value.t == 0.25
 
 
 def test_unstable_structural_flow_blows_up():

@@ -47,23 +47,12 @@ _FUNCTIONS = ("sin", "cos", "exp", "log", "conj")
 _ADD, _MUL, _POW, _ATOM = 1, 2, 3, 4
 
 
-class _EvalCtx:
-    __slots__ = ("space", "n", "Q", "P", "t")
-
-    def __init__(self, space, n, Q, P, t):
-        self.space = space
-        self.n = n
-        self.Q = Q
-        self.P = P
-        self.t = t
-
-
 class Node:
     """Base expression node."""
 
     PREC = _ATOM
 
-    def ev(self, ctx: _EvalCtx) -> Jet:
+    def ev(self, ctx: JetSpace) -> Jet:
         raise NotImplementedError
 
     def _raw(self) -> str:
@@ -89,7 +78,7 @@ class Num(Node):
     value: float
 
     def ev(self, ctx):
-        return ctx.space.const(self.value)
+        return ctx.const(self.value)
 
     def _raw(self):
         return repr(float(self.value))
@@ -104,7 +93,7 @@ class Num(Node):
 
 class ImagUnit(Node):
     def ev(self, ctx):
-        return ctx.space.const(1j)
+        return ctx.const(1j)
 
     def _raw(self):
         return "i"
@@ -115,7 +104,7 @@ class CoordQ(Node):
     j: int  # 1-based
 
     def ev(self, ctx):
-        return ctx.space.leaf(ctx.Q[self.j - 1], [(self.j - 1, 1.0)])
+        return ctx.leaf(ctx.Q[self.j - 1], [(self.j - 1, 1.0)])
 
     def _raw(self):
         return f"q{self.j}"
@@ -126,7 +115,7 @@ class CoordP(Node):
     j: int
 
     def ev(self, ctx):
-        return ctx.space.leaf(ctx.P[self.j - 1], [(ctx.n + self.j - 1, 1.0)])
+        return ctx.leaf(ctx.P[self.j - 1], [(ctx.n + self.j - 1, 1.0)])
 
     def _raw(self):
         return f"p{self.j}"
@@ -140,7 +129,7 @@ class CoordZ(Node):
 
     def ev(self, ctx):
         k = self.j - 1
-        return ctx.space.leaf(ctx.Q[k] + 1j * ctx.P[k], [(k, 1.0), (ctx.n + k, 1j)])
+        return ctx.leaf(ctx.Q[k] + 1j * ctx.P[k], [(k, 1.0), (ctx.n + k, 1j)])
 
     def _raw(self):
         return f"z{self.j}"
@@ -149,7 +138,7 @@ class CoordZ(Node):
 class TimeVar(Node):
     def ev(self, ctx):
         # time is an evaluation parameter, not a differentiation variable
-        return ctx.space.const(ctx.t)
+        return ctx.const(ctx.t)
 
     def _raw(self):
         return "t"
@@ -293,13 +282,14 @@ class _Emitter:
     is zero, and numpy's complex arithmetic then rounds like the float
     operation below it: a + b, a * b, sin, cos and exp exactly; a / b as
     a * (1 / b); integer powers through numpy's binary-exponentiation
-    chain.  Every entry sums its terms in the order of the Jet arithmetic
-    in autodiff, leaving out the terms that are exact zeros there, since
-    x + 0 == x.  That holds while every value stays finite.  Overflow and
-    NaN carry through the float operations up to the outputs, except
-    where a division, a negative power or sin/cos/exp could turn them
-    back into a finite number or raise; each of those gets a guard, and the
-    last ones check that every output is finite.  A guard that fires
+    chain.  Every entry sums its present terms in the order of the Jet
+    arithmetic in autodiff, which leaves out the same absent terms, and a
+    gradient-free operand gets no derivative there either.  That holds
+    while every value stays finite.  Overflow and NaN carry through the
+    float operations up to the outputs, except where a division, a
+    negative power or sin/cos/exp could turn them back into a finite
+    number or raise; each of those gets a guard, and the last ones check
+    that every output is finite.  A guard that fires
     returns its index, and eval_jet redoes the call on the batched path,
     which stays the reference and raises DomainError where it always did.
     The one difference left is the sign of an exact zero.
@@ -311,7 +301,6 @@ class _Emitter:
         self.lines: list[str] = []
         self.locals: dict[str, str] = {}   # expression -> the local holding it
         self.reasons: list[str] = []       # guard index -> why it fires
-        self.finite: list[str] = []        # checked by the last guard as well
 
     # ---- statements ----------------------------------------------------
 
@@ -474,14 +463,11 @@ class _Emitter:
         if k == 1:
             return v, g, h
         val = self.power(v, k)
-        if not self.order:
+        if not g:
             return val, {}, {}
         d1 = self.op(float(k), "*", self.power(v, k - 1))
         d2 = (self.op(float(k * (k - 1)), "*", self.power(v, k - 2))
               if self.order == 2 else None)
-        if not g:
-            # the dense jet multiplies them by zeros: NaN unless finite
-            self.finite += [d for d in (d1, d2) if isinstance(d, str)]
         return (val, *self.chain(d1, d2, g, h))
 
     def func(self, node):
@@ -492,7 +478,7 @@ class _Emitter:
         x, g, h = self.node(node.child)
         self.guard(x, f"non-finite argument of {name}")
         val = self.call(name, x)
-        if not self.order:
+        if not g:
             return val, {}, {}
         if name == "sin":
             d1, d2 = self.call("cos", x), self.neg(val)
@@ -527,7 +513,7 @@ def _emit(f: ScalarField, order: int) -> tuple[str, list[int], list[str]]:
     two_n = 2 * f.n
     outs = [val, *grad.values(), *hess.values()]
     slots = [0, *(1 + a for a in grad), *(1 + two_n * (1 + a) + b for a, b in hess)]
-    names = list(dict.fromkeys(x for x in outs + em.finite if isinstance(x, str)))
+    names = list(dict.fromkeys(x for x in outs if isinstance(x, str)))
     # NaN and inf reach the outputs (see _Emitter); a sum sees them all.
     # Each sum is bounded, since compile() recurses on a long chain of +.
     for k in range(0, len(names), _GUARD_TERMS):
@@ -777,9 +763,8 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
         jet = _float_jet(f, Q, P, order, tval)
         if jet is not None:
             return jet
-    space = JetSpace(2 * f.n, m, order)
-    ctx = _EvalCtx(space, f.n, Q, P, tval)
-    return f.root.ev(ctx)
+    space = JetSpace(f.n, Q, P, tval, order)
+    return space.dense(f.root.ev(space))
 
 
 def _code_for(f: ScalarField, order: int):
@@ -828,8 +813,8 @@ def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
         return Jet(buf)
     grad = buf[1:1 + two_n].reshape(two_n, 1)
     if order == 1:
-        return Jet(buf[:1], grad)
-    return Jet(buf[:1], grad, buf[1 + two_n:].reshape(two_n, two_n, 1))
+        return Jet(buf[:1], grad, order=1)
+    return Jet(buf[:1], grad, buf[1 + two_n:].reshape(two_n, two_n, 1), 2)
 
 
 def point_jets(pt: PhasePoint, *fields: ScalarField, order: int = 1,

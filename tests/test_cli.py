@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -172,11 +173,22 @@ def test_run_nan_state_exits_4_naming_t(write_scenario):
     path = write_scenario(hamiltonian="exp(q1)^3 - exp(q1)^3 + p1^2/2",
                           structural="0", initial={"q": [300.0], "p": [0.5]},
                           stepper={"step": 0.01, "t_end": 0.05})
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc, message = run_one_scenario(path)
     assert rc == 4
     assert message == f"{path}: error: flow velocity is not finite at t=0"
     assert not list(path.parent.glob("*_summary.json"))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # the same through the command line: the message and nothing else
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from gchs.cli import main; sys.exit(main(sys.argv[1:]))",
+         "run", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 4
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr == f"{message}\n"
 
 
 def test_summary_json_refuses_non_finite_values(tmp_path):

@@ -16,6 +16,7 @@ from gchs import fields
 from gchs.checks import random_polynomial, random_smooth_field
 from gchs.fields import (constant_field, conjugate_field, coordinate_field,
                          eval_jet, linear_combination, wirtinger_split)
+from dense_jet_reference import dense_eval
 from fd_reference import fd_first, fd_second
 
 PT = PhasePoint([1.0], [2.0])
@@ -186,6 +187,21 @@ def test_hessian_is_exactly_symmetric():
     np.testing.assert_array_equal(h, h.T)
 
 
+def _equals_dense(f, Q, P, order, time=None):
+    """Batched sparse jets of f equal the dense reference jets."""
+    got = eval_jet(f, Q, P, order=order, time=time)
+    want = dense_eval(f, Q, P, order, time=time)
+    # assert_array_equal counts +0 and -0 as equal
+    np.testing.assert_array_equal(got.val, want.val)
+    for slot in ("grad", "hess"):
+        g, w = getattr(got, slot), getattr(want, slot)
+        if w is None:
+            assert g is None
+        else:
+            assert g.dtype == complex and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+
 # single points of real-form fields run the field's compiled float code;
 # the batched numpy jets are the reference it must reproduce exactly
 PER_POINT_FIELDS = [
@@ -210,6 +226,7 @@ def test_batched_evaluation_matches_per_point(src, order):
     P = rng.uniform(-1, 1, size=(2, 5))
     time = 0.7 if f.uses_time else None
     batch = eval_jet(f, Q, P, order=order, time=time)
+    _equals_dense(f, Q, P, order, time)
     for k in range(5):
         single = eval_jet(f, Q[:, k:k + 1], P[:, k:k + 1], order=order,
                           time=time)
@@ -302,8 +319,8 @@ def test_single_point_equals_batch_column(seed, n, smooth, data):
     # overflow that 1 / inf would turn back into a finite number
     ("2 + 1 / (q1 * q1 * q1)", 1e200, "nonfinite"),
     ("q1^-5", 1e200, "nonfinite"),
-    # the dense jet multiplies the infinite derivative of a constant by
-    # its zero gradient, which makes the gradient NaN
+    # the derivative of the constant 1e-160^-1 overflows, but a constant
+    # has no gradient to multiply it by: q1's gradient is the true 1e160
     ("1e-160^-1 * q1", 0.5, "finite"),
 ])
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -315,7 +332,58 @@ def test_single_point_edge_cases_match_batch(src, q1, expect, order):
     elif expect == "nonfinite":
         assert not np.all(np.isfinite(out.val))
     else:
-        assert np.isfinite(out.val[0]) and (order == 0 or np.isnan(out.grad[0, 0]))
+        assert out.val[0] == 0.5 / 1e-160
+        assert order == 0 or out.grad[0, 0] == 1 / 1e-160
+
+
+# ---------------------------------------------------------------------------
+# sparse batched jets against dense ones
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       smooth=st.booleans(), complex_ok=st.booleans(),
+       m=st.sampled_from([2, 7]), data=st.data())
+def test_batched_jets_equal_dense_reference(seed, n, smooth, complex_ok, m, data):
+    rng = np.random.default_rng(seed)
+    f = (random_smooth_field(rng, n, complex_ok=complex_ok) if smooth
+         else random_polynomial(rng, n, max_degree=5, complex_ok=complex_ok))
+    x = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n * m,
+                           max_size=2 * n * m))
+    Q, P = np.array(x).reshape(2, n, m)
+    for order in (0, 1, 2):
+        _equals_dense(f, Q, P, order)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_derivative_free_fields_come_out_dense(m):
+    # constants and t carry no derivative arrays inside the walk; eval_jet
+    # still returns every slot up to the order, complex, in the documented
+    # shapes (2n, m) and (2n, 2n, m)
+    n = 2
+    Q, P = np.full((n, m), 0.25), np.full((n, m), -0.5)
+    cases = [(constant_field(1.5, n), None, 1.5, None),
+             (parse_field("t", n, allow_time=True), 0.75, 0.75, None),
+             (coordinate_field("z", 2, n), None, 0.25 - 0.5j, (1, 3))]
+    for f, time, value, seeds in cases:
+        for order in (0, 1, 2):
+            jet = eval_jet(f, Q, P, order=order, time=time)
+            assert jet.val.dtype == complex and jet.val.shape == (m,)
+            assert np.all(jet.val == value)
+            if order == 0:
+                assert jet.grad is None and jet.hess is None
+                continue
+            assert jet.grad.dtype == complex and jet.grad.shape == (2 * n, m)
+            want = np.zeros((2 * n, m), dtype=complex)
+            if seeds:
+                want[seeds[0]], want[seeds[1]] = 1.0, 1j
+            np.testing.assert_array_equal(jet.grad, want)
+            if order == 1:
+                assert jet.hess is None
+            else:
+                assert jet.hess.dtype == complex
+                assert jet.hess.shape == (2 * n, 2 * n, m)
+                assert not np.any(jet.hess)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +466,7 @@ class _Shadow(fields.Node):
     """q1 under a node type the generator has no rule for."""
 
     def ev(self, ctx):
-        return ctx.space.leaf(ctx.Q[0], [(0, 1.0)])
+        return ctx.leaf(ctx.Q[0], [(0, 1.0)])
 
     def _raw(self):
         return "q1"

@@ -20,14 +20,14 @@ import numpy as np
 from . import bridge
 from .brackets import (StructuredSystem, _amax, geobracket_jets, gspb_jets,
                        pb_complex_jets, pb_real_jets, sdyn_jets)
-from .dynamics import (acceleration_jets, beta_jets, flow_jacobian_jets,
+from .dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
                        thorough_jets, tghs_zbardot_jets, tghs_zdot_jets,
-                       total_rate_jets, w_gradient_jets, _symmetrize)
+                       total_rate_jets, _symmetrize)
 from .fields import (ScalarField, constant_field, conjugate_field,
                      coordinate_field, eval_jet, linear_combination,
                      parse_field, wirtinger_split)
 from .integrate import StepperConfig, integrate_tghs, monitor_report
-from .phasespace import PhasePoint
+from .phasespace import PhasePoint, real_from_wirtinger, wirtinger_from_real
 
 _VAR_KINDS = ("q", "p")
 
@@ -176,9 +176,9 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
 
     dq = rng.uniform(-1, 1, size=count) + 1j * rng.uniform(-1, 1, size=count)
     dp = rng.uniform(-1, 1, size=count) + 1j * rng.uniform(-1, 1, size=count)
-    dz, dzb = 0.5 * (dq - 1j * dp), 0.5 * (dq + 1j * dp)
+    back_q, back_p = real_from_wirtinger(*wirtinger_from_real(dq, dp))
     add("phasespace.wirtinger_inverse",
-        max(_amax((dz + dzb) - dq), _amax(1j * (dz - dzb) - dp)), 1e-14)
+        max(_amax(back_q - dq), _amax(back_p - dp)), 1e-14)
 
     frj = jets(freal)
     rz, rzb = wirtinger_split(frj.grad, n)
@@ -291,8 +291,7 @@ def _acceleration_operator_route(fj2, Hj2, sj2, n: int) -> np.ndarray:
     formula: the rate field g = df/dt + f w is differentiated through
     the Hessians, then D g/dt = dg/dt + g w.
     """
-    V, dV = flow_jacobian_jets(Hj2, sj2, n)
-    w, gw = w_gradient_jets(Hj2, sj2, n)
+    V, dV, w, gw = flow_gradient_jets(Hj2, sj2, n)
     Gf = fj2.grad
     Hf = _symmetrize(fj2.hess)
 

@@ -32,8 +32,8 @@ import numpy as np
 from .bridge import gspb_real
 from .brackets import geobracket, gspb, pb_complex
 from .checks import run_invariant_suite
-from .errors import (DomainError, ExpressionError, GchsError,
-                     IntegrationError, RealnessError, ScenarioError)
+from .errors import (DomainError, ExpressionError, IntegrationError,
+                     RealnessError, ScenarioError)
 from .fields import parse_field
 from .integrate import Trajectory, integrate_tghs, monitor_report
 from .phasespace import PhasePoint
@@ -47,6 +47,17 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
 
 class _UsageError(Exception):
     pass
+
+
+#: the exit code of each failure the user causes; anything else, such as
+#: a ConsistencyError, is a bug and propagates as a traceback
+_EXIT_CODES = {ScenarioError: 1, ExpressionError: 1, RealnessError: 1,
+               ValueError: 1, IntegrationError: 2, DomainError: 4}
+_USER_ERRORS = tuple(_EXIT_CODES)
+
+
+def _exit_code(e: Exception) -> int:
+    return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -130,12 +141,8 @@ def run_one_scenario(path) -> tuple[int, str]:
             write_summary_json(sc.summary_path, sc, traj)
         return 0, (f"{path}: {traj.samples} samples, t_final="
                    f"{traj.times[-1]:.6g} -> {sc.csv_path}, {sc.summary_path}")
-    except (ScenarioError, ExpressionError, RealnessError, ValueError) as e:
-        return 1, f"{path}: error: {e}"
-    except IntegrationError as e:
-        return 2, f"{path}: error: {e}"
-    except DomainError as e:
-        return 4, f"{path}: error: {e}"
+    except _USER_ERRORS as e:
+        return _exit_code(e), f"{path}: error: {e}"
 
 
 def cmd_run(args) -> int:
@@ -234,6 +241,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "check" and args.count < 1:
+            parser.error(f"argument --count: must be at least 1, got {args.count}")
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -247,18 +256,12 @@ def main(argv=None) -> int:
             if args.command == "bracket":
                 return cmd_bracket(args)
             return cmd_check(args)
-    except (ScenarioError, ExpressionError, RealnessError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except IntegrationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
-        print(f"{args.scenario}: error: {e}", file=sys.stderr)
-        return 4
-    except GchsError:
-        # consistency failures and other internal bugs should crash loudly
-        raise
+    except _USER_ERRORS as e:
+        code = _exit_code(e)
+        # a domain error names the scenario (run reports per file itself)
+        where = f"{args.scenario}: " if code == 4 else ""
+        print(f"{where}error: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

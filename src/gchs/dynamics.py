@@ -132,44 +132,35 @@ def _J(x: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([x[n:], -x[:n]], axis=0)
 
 
-def flow_jacobian_jets(Hj2, sj2, n: int):
-    """Velocities and their spatial Jacobian dV[a, b] = d V_a / d x_b.
+def flow_gradient_jets(Hj2, sj2, n: int):
+    """Velocities V, their spatial Jacobian dV[a, b] = d V_a / d x_b,
+    w = {s,H} and its real-coordinate gradient gw.
 
-    Requires order-2 jets of H and s."""
+    Requires order-2 jets of H and s; each Hessian is symmetrized once."""
     GH, Gs, Hval = Hj2.grad, sj2.grad, Hj2.val
     HH = _symmetrize(Hj2.hess)
     Hs = _symmetrize(sj2.hess)
     M = HH + np.einsum("c...,b...->cb...", Gs, GH) + Hval * Hs
     V = _J(GH + Hval * Gs, n)
     dV = _J(M, n)
-    return V, dV
-
-
-def w_gradient_jets(Hj2, sj2, n: int):
-    """w = {s,H} and its real-coordinate gradient, from Hessians."""
-    GH, Gs = Hj2.grad, sj2.grad
-    HH = _symmetrize(Hj2.hess)
-    Hs = _symmetrize(sj2.hess)
     JGH = _J(GH, n)
     JGs = _J(Gs, n)
     w = np.sum(Gs * JGH, axis=0)
     gw = (np.einsum("ab...,b...->a...", Hs, JGH)
           - np.einsum("ab...,b...->a...", HH, JGs))
-    return w, gw
+    return V, dV, w, gw
 
 
 def beta_jets(Hj2, sj2, n: int) -> np.ndarray:
     """Acceleration coefficient dw/dt + w^2 along the flow."""
-    V, _ = flow_jacobian_jets(Hj2, sj2, n)
-    w, gw = w_gradient_jets(Hj2, sj2, n)
+    V, _, w, gw = flow_gradient_jets(Hj2, sj2, n)
     dwdt = np.sum(V * gw, axis=0)
     return dwdt + w * w
 
 
 def acceleration_jets(fj2, Hj2, sj2, n: int) -> np.ndarray:
     """Second covariant rate d2f/dt2 + 2 w df/dt + f * beta."""
-    V, dV = flow_jacobian_jets(Hj2, sj2, n)
-    w, gw = w_gradient_jets(Hj2, sj2, n)
+    V, dV, w, gw = flow_gradient_jets(Hj2, sj2, n)
     Gf = fj2.grad
     Hf = _symmetrize(fj2.hess)
 

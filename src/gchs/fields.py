@@ -37,7 +37,7 @@ import numpy as np
 
 from .autodiff import Jet, JetSpace
 from .errors import ExpressionError
-from .phasespace import PhasePoint
+from .phasespace import PhasePoint, wirtinger_from_real
 
 log = logging.getLogger(__name__)
 
@@ -858,9 +858,7 @@ class SecondDerivatives:
 
 def wirtinger_split(grad: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Turn a stacked real gradient (2n, ...) into (df/dz, df/dzbar) arrays."""
-    dq = grad[:n]
-    dp = grad[n:]
-    return 0.5 * (dq - 1j * dp), 0.5 * (dq + 1j * dp)
+    return wirtinger_from_real(grad[:n], grad[n:])
 
 
 def gradient(f: ScalarField, pt: PhasePoint, time=None) -> WirtingerGradient:

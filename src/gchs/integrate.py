@@ -18,7 +18,8 @@ monitor.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,14 +47,14 @@ class StepperConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("step and tolerances must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        # each test is written so that NaN fails it
+        for name in ("step", "abs_tol", "rel_tol", "max_norm"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         if not isinstance(self.stride, int) or self.stride < 1:
             raise ValueError("stride must be a positive integer")
-        if self.max_norm <= 0:
-            raise ValueError("max_norm must be positive")
 
 
 @dataclass
@@ -227,78 +228,59 @@ def _march(rhs, x0: np.ndarray, cfg: StepperConfig):
 # flows
 
 
-def _tghs_rhs(sys: StructuredSystem):
-    n = sys.n
-
-    def rhs(t, x):
-        Q, P = x[:n, None], x[n:, None]
-        Hj = eval_jet(sys.hamiltonian, Q, P, order=1)
-        sj = eval_jet(sys.structural, Q, P, order=1)
-        return real_velocity_jets(Hj, sj, n)[:, 0]
-
-    return rhs
-
-
-def _w_of_state(sys: StructuredSystem, n: int):
-    def w_fn(x):
-        Q, P = x[:n, None], x[n:, None]
-        Hj = eval_jet(sys.hamiltonian, Q, P, order=1)
-        sj = eval_jet(sys.structural, Q, P, order=1)
-        return float(sdyn_jets(Hj, sj, n)[0])
-    return w_fn
-
-
-def _as_initial_point(z0) -> PhasePoint:
+def _initial_point(z0, sys: StructuredSystem | None) -> PhasePoint:
+    """z0 (a PhasePoint, ComplexCoords or complex array) as a PhasePoint,
+    checked against the system's n when there is a system."""
     if isinstance(z0, PhasePoint):
-        return z0
-    if isinstance(z0, ComplexCoords):
-        return from_complex(z0)
-    return from_complex(ComplexCoords(np.atleast_1d(np.asarray(z0, dtype=complex))))
+        pt0 = z0
+    elif isinstance(z0, ComplexCoords):
+        pt0 = from_complex(z0)
+    else:
+        pt0 = from_complex(ComplexCoords(np.atleast_1d(np.asarray(z0, dtype=complex))))
+    if sys is not None and pt0.n != sys.n:
+        raise ValueError(f"initial point has n={pt0.n}, system has n={sys.n}")
+    return pt0
+
+
+def _state_jets(sys: StructuredSystem, x: np.ndarray, n: int):
+    """Order-1 jets of H and s at one flat state, as batches of size one."""
+    Q, P = x[:n, None], x[n:, None]
+    return (eval_jet(sys.hamiltonian, Q, P, order=1),
+            eval_jet(sys.structural, Q, P, order=1))
+
+
+def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
+            sys: StructuredSystem | None,
+            observables: dict[str, ScalarField] | None,
+            w0: float | None = None) -> Trajectory:
+    """March rhs from pt0 and attach the monitors of the rate source: sys,
+    or the constant rate w0 when sys is None."""
+    times, states = _march(rhs, pt0.flat(), cfg)
+    traj = Trajectory(flow, pt0.n, times, states, w0=w0)
+    _attach_monitors(traj, sys, observables or {})
+    return traj
 
 
 def integrate_tghs(sys: StructuredSystem, z0, cfg: StepperConfig,
                    observables: dict[str, ScalarField] | None = None) -> Trajectory:
     """March the structural Hamiltonian flow from z0."""
-    pt0 = _as_initial_point(z0)
-    if pt0.n != sys.n:
-        raise ValueError(f"initial point has n={pt0.n}, system has n={sys.n}")
-    times, states = _march(_tghs_rhs(sys), pt0.flat(), cfg)
-    traj = Trajectory("tghs", sys.n, times, states)
-    _attach_monitors(traj, sys, observables or {})
-    return traj
+    n = sys.n
+
+    def rhs(t, x):
+        return real_velocity_jets(*_state_jets(sys, x, n), n)[:, 0]
+
+    return _finish("tghs", rhs, _initial_point(z0, sys), cfg, sys, observables)
 
 
 def integrate_equilibrium(z0, w_source, cfg: StepperConfig,
                           observables: dict[str, ScalarField] | None = None) -> Trajectory:
-    """March the equilibrium flow dz_j/dt = -z_j w.
+    """March the equilibrium flow dz_j/dt = -z_j w: the disturbed flow
+    with no disturbance.
 
     w_source is either a constant rate or a StructuredSystem whose w is
     evaluated along the run.
     """
-    pt0 = _as_initial_point(z0)
-    n = pt0.n
-    if isinstance(w_source, StructuredSystem):
-        if w_source.n != n:
-            raise ValueError(f"initial point has n={n}, system has n={w_source.n}")
-        w_fn = _w_of_state(w_source, n)
-
-        def rhs(t, x):
-            return -w_fn(x) * x
-
-        times, states = _march(rhs, pt0.flat(), cfg)
-        traj = Trajectory("equilibrium", n, times, states)
-        _attach_monitors(traj, w_source, observables or {})
-    else:
-        w0 = float(w_source)
-
-        def rhs(t, x):
-            return -w0 * x
-
-        times, states = _march(rhs, pt0.flat(), cfg)
-        traj = Trajectory("equilibrium", n, times, states, w0=w0,
-                          sdyn=np.full(times.size, w0))
-        _attach_values(traj, observables or {})
-    return traj
+    return integrate_perturbed(w_source, z0, [], cfg, observables)
 
 
 def integrate_perturbed(w_source, z0, h, cfg: StepperConfig,
@@ -306,65 +288,54 @@ def integrate_perturbed(w_source, z0, h, cfg: StepperConfig,
     """March the disturbed equilibrium flow dz_j/dt = -z_j w + h_j(t, z).
 
     h is one time-dependent field applied to every component, or a
-    sequence of n fields, one per component.
+    sequence of n fields, one per component.  An empty sequence is no
+    disturbance: the run is the equilibrium flow and is labelled so.
     """
-    pt0 = _as_initial_point(z0)
+    sys = w_source if isinstance(w_source, StructuredSystem) else None
+    pt0 = _initial_point(z0, sys)
     n = pt0.n
     if isinstance(h, ScalarField):
         h_fields = [h] * n
     else:
         h_fields = list(h)
-        if len(h_fields) != n:
+        if h_fields and len(h_fields) != n:
             raise ValueError(f"need one disturbance per component: got "
                              f"{len(h_fields)} for n={n}")
     for hf in h_fields:
         if hf.n != n:
             raise ValueError(f"disturbance field has n={hf.n}, expected {n}")
-
-    if isinstance(w_source, StructuredSystem):
-        if w_source.n != n:
-            raise ValueError(f"initial point has n={n}, system has n={w_source.n}")
-        w_fn = _w_of_state(w_source, n)
-        w0 = None
-    else:
-        w0 = float(w_source)
-        w_fn = None
+    w0 = None if sys is not None else float(w_source)
 
     def rhs(t, x):
+        w = w0 if sys is None else float(sdyn_jets(*_state_jets(sys, x, n), n)[0])
+        if not h_fields:
+            return -w * x
         Q, P = x[:n, None], x[n:, None]
         hval = np.array([complex(eval_jet(hf, Q, P, order=0, time=t).val[0])
                          for hf in h_fields])
-        w = w_fn(x) if w_fn is not None else w0
         return -w * x + np.concatenate([hval.real, hval.imag])
 
-    times, states = _march(rhs, pt0.flat(), cfg)
-    traj = Trajectory("perturbed", n, times, states, w0=w0)
-    if w_fn is not None:
-        _attach_monitors(traj, w_source, observables or {})
-    else:
-        traj.sdyn = np.full(times.size, w0)
-        _attach_values(traj, observables or {})
-    return traj
+    flow = "perturbed" if h_fields else "equilibrium"
+    return _finish(flow, rhs, pt0, cfg, sys, observables, w0)
 
 
 # ---------------------------------------------------------------------------
 # monitors
 
 
-def _attach_values(traj: Trajectory, observables: dict[str, ScalarField]):
-    if not observables:
-        return
-    Q = traj.states[:, :traj.n].T
-    P = traj.states[:, traj.n:].T
-    for name, f in observables.items():
-        traj.observables[name] = eval_jet(f, Q, P, order=0).val
-
-
-def _attach_monitors(traj: Trajectory, sys: StructuredSystem,
+def _attach_monitors(traj: Trajectory, sys: StructuredSystem | None,
                      observables: dict[str, ScalarField]):
+    """Record the monitors of a run; with no system (a constant rate) only
+    w and the observables' values."""
     n = traj.n
     Q = traj.states[:, :n].T
     P = traj.states[:, n:].T
+    if sys is None:
+        traj.sdyn = np.full(traj.samples, traj.w0)
+        for name, f in observables.items():
+            traj.observables[name] = eval_jet(f, Q, P, order=0).val
+        return
+
     Hj = eval_jet(sys.hamiltonian, Q, P, order=1)
     sj = eval_jet(sys.structural, Q, P, order=1)
 
@@ -401,20 +372,10 @@ class MonitorReport:
     max_conj_violation: float | None
     energy_initial: float | None
     energy_final: float | None
-    observable_stats: dict[str, dict[str, float]]
+    observables: dict[str, dict[str, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "flow": self.flow,
-            "samples": self.samples,
-            "t_final": self.t_final,
-            "max_hh_residual": self.max_hh_residual,
-            "decay_law_max_dev": self.decay_law_max_dev,
-            "max_conj_violation": self.max_conj_violation,
-            "energy_initial": self.energy_initial,
-            "energy_final": self.energy_final,
-            "observables": self.observable_stats,
-        }
+        return asdict(self)
 
 
 def monitor_report(traj: Trajectory) -> MonitorReport:
@@ -455,5 +416,5 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
                             else float(np.max(traj.conj_violation))),
         energy_initial=None if traj.energy is None else float(traj.energy[0]),
         energy_final=None if traj.energy is None else float(traj.energy[-1]),
-        observable_stats=stats,
+        observables=stats,
     )

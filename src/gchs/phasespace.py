@@ -93,7 +93,8 @@ def from_complex(zc: ComplexCoords) -> PhasePoint:
 
 
 def wirtinger_from_real(dq: complex, dp: complex) -> tuple[complex, complex]:
-    """Convert real partials (df/dq, df/dp) into (df/dz, df/dzbar)."""
+    """Convert real partials (df/dq, df/dp) into (df/dz, df/dzbar);
+    numbers or arrays of one shape."""
     dz = 0.5 * (dq - 1j * dp)
     dzbar = 0.5 * (dq + 1j * dp)
     return dz, dzbar

@@ -108,6 +108,14 @@ def test_run_missing_file_exit_1(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_run_infinite_horizon_exit_1(write_scenario, capsys):
+    # json reads the bare token Infinity as a float
+    path = write_scenario(stepper={"step": 1e-3, "t_end": float("inf")})
+    assert "Infinity" in path.read_text()
+    assert main(["run", str(path)]) == 1
+    assert "stepper: t_end must be finite" in capsys.readouterr().err
+
+
 def test_run_blow_up_exit_2(write_scenario, capsys):
     path = write_scenario(
         hamiltonian="q1 * p1", structural="0",
@@ -336,6 +344,14 @@ def test_check_failure_exit_3(write_scenario, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL rigged.identity" in out
     assert "0/1 invariants passed" in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_check_count_below_one_is_usage_error(write_scenario, capsys, count):
+    path = write_scenario()
+    assert main(["check", "--count", count, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --count: must be at least 1")
 
 
 def test_check_complex_structural_exit_1(write_scenario, capsys):

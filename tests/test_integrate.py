@@ -27,6 +27,15 @@ def cfg(**kw):
     {"stride": 0},
     {"stride": 1.5},
     {"max_norm": 0.0},
+    # NaN fails every comparison, so each guard must be written to catch it
+    {"step": np.nan},
+    {"step": np.inf},
+    {"abs_tol": np.nan},
+    {"rel_tol": np.inf},
+    {"t_end": np.nan},
+    {"t_end": np.inf},
+    {"max_norm": np.nan},
+    {"max_norm": np.inf},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -236,10 +245,45 @@ def test_partial_final_step_lands_on_horizon(oscillator):
     assert closed_form_error(traj) < 1e-8
 
 
-def test_mismatched_initial_point(structured):
-    with pytest.raises(ValueError, match="n="):
-        integrate_tghs(structured, PhasePoint([1.0, 2.0], [0.0, 0.0]),
-                       cfg(t_end=0.1))
+FLOWS = {
+    "tghs": lambda sys, z0, c, obs=None: integrate_tghs(sys, z0, c, obs),
+    "equilibrium": lambda w, z0, c, obs=None: integrate_equilibrium(z0, w, c, obs),
+    "perturbed": lambda w, z0, c, obs=None: integrate_perturbed(
+        w, z0, parse_field("0.5 * t", z0.n, allow_time=True), c, obs),
+}
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+def test_mismatched_initial_point(structured, flow):
+    with pytest.raises(ValueError, match="initial point has n=2, system has n=1"):
+        FLOWS[flow](structured, PhasePoint([1.0, 2.0], [0.0, 0.0]), cfg(t_end=0.1))
+
+
+@pytest.mark.parametrize("flow", ["equilibrium", "perturbed"])
+def test_constant_rate_flow_records_values_only(flow):
+    obs = {"height": parse_field("p1", 1)}
+    traj = FLOWS[flow](0.25, PhasePoint([0.5], [0.5]),
+                       cfg(step=1e-2, t_end=0.1), obs)
+    assert traj.flow == flow
+    assert traj.w0 == 0.25
+    np.testing.assert_array_equal(traj.sdyn, np.full(traj.samples, 0.25))
+    np.testing.assert_array_equal(traj.observables["height"].real,
+                                  traj.states[:, 1])
+    assert traj.residuals == {}
+    assert traj.energy is None and traj.hh_residual is None
+    assert traj.conj_violation is None
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+def test_system_rate_flow_records_monitors(structured, flow):
+    obs = {"height": parse_field("p1", 1)}
+    traj = FLOWS[flow](structured, PhasePoint([0.5], [0.5]),
+                       cfg(step=1e-2, t_end=0.1), obs)
+    assert traj.flow == flow
+    assert traj.w0 is None
+    for monitor in (traj.energy, traj.sdyn, traj.hh_residual, traj.conj_violation,
+                    traj.observables["height"], traj.residuals["height"]):
+        assert monitor.shape == (traj.samples,)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +307,8 @@ def test_observables_recorded_with_residuals(structured):
     np.testing.assert_allclose(traj.observables["height"].real,
                                traj.states[:, 1], atol=1e-14)
     rep = monitor_report(traj)
-    assert "height" in rep.observable_stats
-    stats = rep.observable_stats["height"]
+    assert "height" in rep.observables
+    stats = rep.observables["height"]
     assert {"final_re", "final_im", "residual_max", "residual_mean"} <= set(stats)
 
 

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .brackets import StructuredSystem, _real_part, pb_real_jets
-from .dynamics import CovariantRate
+from .brackets import StructuredSystem, _real_part, gspb_jets, pb_real_jets
+from .dynamics import CovariantRate, total_rate_jets
 from .fields import ScalarField, eval_jet, point_jets
 from .phasespace import PhasePoint
 
@@ -65,9 +65,6 @@ class CrossCheckReport:
 def cross_check(f: ScalarField, g: ScalarField, sys: StructuredSystem,
                 points: Sequence[PhasePoint]) -> CrossCheckReport:
     """Run both engines over a batch of points and report the gaps."""
-    from .brackets import gspb_jets
-    from .dynamics import total_rate_jets
-
     pts = list(points)
     if not pts:
         raise ValueError("need at least one point")

@@ -18,10 +18,10 @@ All derivatives come from forward-mode jets over the 2n real
 coordinates; nothing is ever differentiated symbolically.  Wirtinger
 pairs are assembled from the real partials afterwards.
 
-Jets are evaluated over a batch of points with numpy (autodiff.Jet).
-A single point of a real-form field is evaluated instead by straight-line
-float code generated once per field and order, which returns the same
-values (see _Emitter).
+Jets are computed by straight-line code generated once per field and
+order (see _Emitter): numpy calls on complex arrays over a batch of
+points, and for a single point of a real-form field, Python float code
+that returns the same values.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import operator
 import re
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import Jet, JetSpace
-from .errors import ExpressionError
+from .errors import DomainError, ExpressionError
 from .phasespace import PhasePoint, wirtinger_from_real
 
 log = logging.getLogger(__name__)
@@ -51,9 +51,6 @@ class Node:
     """Base expression node."""
 
     PREC = _ATOM
-
-    def ev(self, ctx: JetSpace) -> Jet:
-        raise NotImplementedError
 
     def _raw(self) -> str:
         raise NotImplementedError
@@ -77,9 +74,6 @@ class Node:
 class Num(Node):
     value: float
 
-    def ev(self, ctx):
-        return ctx.const(self.value)
-
     def _raw(self):
         return repr(float(self.value))
 
@@ -92,9 +86,6 @@ class Num(Node):
 
 
 class ImagUnit(Node):
-    def ev(self, ctx):
-        return ctx.const(1j)
-
     def _raw(self):
         return "i"
 
@@ -103,9 +94,6 @@ class ImagUnit(Node):
 class CoordQ(Node):
     j: int  # 1-based
 
-    def ev(self, ctx):
-        return ctx.leaf(ctx.Q[self.j - 1], [(self.j - 1, 1.0)])
-
     def _raw(self):
         return f"q{self.j}"
 
@@ -113,9 +101,6 @@ class CoordQ(Node):
 @dataclass(frozen=True)
 class CoordP(Node):
     j: int
-
-    def ev(self, ctx):
-        return ctx.leaf(ctx.P[self.j - 1], [(ctx.n + self.j - 1, 1.0)])
 
     def _raw(self):
         return f"p{self.j}"
@@ -127,19 +112,11 @@ class CoordZ(Node):
 
     j: int
 
-    def ev(self, ctx):
-        k = self.j - 1
-        return ctx.leaf(ctx.Q[k] + 1j * ctx.P[k], [(k, 1.0), (ctx.n + k, 1j)])
-
     def _raw(self):
         return f"z{self.j}"
 
 
 class TimeVar(Node):
-    def ev(self, ctx):
-        # time is an evaluation parameter, not a differentiation variable
-        return ctx.const(ctx.t)
-
     def _raw(self):
         return "t"
 
@@ -148,9 +125,6 @@ class TimeVar(Node):
 class Neg(Node):
     PREC = _ADD
     child: Node
-
-    def ev(self, ctx):
-        return -self.child.ev(ctx)
 
     def _raw(self):
         return f"-{self.child.fmt(_MUL)}"
@@ -171,18 +145,12 @@ class _Binary(Node):
 class Add(_Binary):
     PREC = _ADD
 
-    def ev(self, ctx):
-        return self.left.ev(ctx) + self.right.ev(ctx)
-
     def _raw(self):
         return f"{self.left.fmt(_ADD)} + {self.right.fmt(_MUL)}"
 
 
 class Sub(_Binary):
     PREC = _ADD
-
-    def ev(self, ctx):
-        return self.left.ev(ctx) - self.right.ev(ctx)
 
     def _raw(self):
         return f"{self.left.fmt(_ADD)} - {self.right.fmt(_MUL)}"
@@ -191,18 +159,12 @@ class Sub(_Binary):
 class Mul(_Binary):
     PREC = _MUL
 
-    def ev(self, ctx):
-        return self.left.ev(ctx) * self.right.ev(ctx)
-
     def _raw(self):
         return f"{self.left.fmt(_MUL)} * {self.right.fmt(_POW)}"
 
 
 class Div(_Binary):
     PREC = _MUL
-
-    def ev(self, ctx):
-        return self.left.ev(ctx) / self.right.ev(ctx)
 
     def _raw(self):
         return f"{self.left.fmt(_MUL)} / {self.right.fmt(_POW)}"
@@ -213,9 +175,6 @@ class Pow(Node):
     PREC = _POW
     base: Node
     exponent: int
-
-    def ev(self, ctx):
-        return self.base.ev(ctx) ** self.exponent
 
     def _raw(self):
         return f"{self.base.fmt(_ATOM)}^{self.exponent}"
@@ -229,9 +188,6 @@ class Func(Node):
     name: str
     child: Node
 
-    def ev(self, ctx):
-        return getattr(self.child.ev(ctx), self.name)()
-
     def _raw(self):
         return f"{self.name}({self.child.fmt(_ADD)})"
 
@@ -240,11 +196,11 @@ class Func(Node):
 
 
 # ---------------------------------------------------------------------------
-# single points in floats: straight-line code generated once per field
+# jets by generated code: one emitter, two back ends
 
 
 class _NoFloatCode(Exception):
-    """The field has no float code at this order; its jets stay batched."""
+    """The field has no code in this back end."""
 
 
 # numpy's complex power multiplies out integer exponents below this bound
@@ -253,15 +209,52 @@ _CHAIN_LIMIT = 100
 
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
-_FLOAT_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+# the operators of the generated code, by their names on the tape
+_OPERATORS = {**_FLOAT_OPS, "**": operator.pow, "neg": operator.neg}
 
-# outputs summed by one finiteness guard of the generated code
+# outputs summed by one finiteness guard of the float code
 _GUARD_TERMS = 32
 
 
+def _refuse_zero(message: str):
+    def check(x):
+        if np.count_nonzero(x == 0):
+            raise DomainError(message)
+    return check
+
+
+def _outer(a, b):
+    """a * b as the textbook complex product, which is how the outer
+    products of forward-mode jets round (numpy's * rounds like an FMA)."""
+    out = (a.real * b.real - a.imag * b.imag).astype(complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+# the names the code of each back end reads
+_NAMESPACES = {
+    "float": {"sin": math.sin, "cos": math.cos, "exp": math.exp},
+    "array": {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+              "conj": np.conj, "outer": _outer, "complex": complex,
+              "inf": math.inf, "nan": math.nan,
+              "divisor": _refuse_zero("division by zero"),
+              "log_arg": _refuse_zero("log of zero"),
+              "power_base": _refuse_zero("zero raised to a negative power")},
+}
+
+
 def _src(x) -> str:
-    # an operand of the generated code: a float literal or a local's name
-    return repr(x) if isinstance(x, float) else x
+    # an operand in the source: a local's name or a literal (the array
+    # code's namespace has inf, nan and complex)
+    if type(x) is str:
+        return x
+    return f"complex({x.real!r}, {x.imag!r})" if type(x) is complex else repr(x)
+
+
+def _plain(x) -> bool:
+    # a literal with a zero real or imaginary part: numpy's * then rounds
+    # each part of a product once, as the textbook product does
+    return not isinstance(x, str) and (x.real == 0 or x.imag == 0)
 
 
 def _keys(*dicts) -> dict:
@@ -270,87 +263,148 @@ def _keys(*dicts) -> dict:
 
 
 class _Emitter:
-    """Translate one field at one order into a flat Python function.
+    """Translate one field at one order into straight-line code.
 
-    Emitting a node gives its value, gradient and Hessian as operands of
-    the generated code, each a float literal or the name of a local.  The
-    gradient {a: operand} and the Hessian {(a, b): operand} hold only the
-    structurally nonzero entries, so sparsity is settled here and the
-    function computes nothing else.  Equal operations share one local.
+    Emitting a node gives its value, gradient and Hessian over the 2n
+    real coordinates as operands of the code, each a literal or the name
+    of a local.  The gradient {a: operand} and the Hessian {(a, b):
+    operand} hold only the structurally nonzero entries, so sparsity is
+    settled here and the code computes nothing else.  Equal operations
+    share one local, and operations on literals are folded as the code
+    would compute them.  Every entry sums its present terms in the order
+    of the textbook forward-mode formulas, leaving out each term with an
+    identically zero factor:
 
-    On a real-form field every imaginary part of the batched complex jet
-    is zero, and numpy's complex arithmetic then rounds like the float
-    operation below it: a + b, a * b, sin, cos and exp exactly; a / b as
-    a * (1 / b); integer powers through numpy's binary-exponentiation
-    chain.  Every entry sums its present terms in the order of the Jet
-    arithmetic in autodiff, which leaves out the same absent terms, and a
-    gradient-free operand gets no derivative there either.  That holds
-    while every value stays finite.  Overflow and NaN carry through the
-    float operations up to the outputs, except where a division, a
-    negative power or sin/cos/exp could turn them back into a finite
-    number or raise; each of those gets a guard, and the last ones check
-    that every output is finite.  A guard that fires
-    returns its index, and eval_jet redoes the call on the batched path,
-    which stays the reference and raises DomainError where it always did.
-    The one difference left is the sign of an exact zero.
+        a * b      ((a hb_ij + b ha_ij) + ga_i gb_j) + gb_i ga_j
+        a / b      ((((ha_ij - g_i gb_j) - gb_i g_j) - val hb_ij) / b
+        u(x)       d1 h_ij + d2 (g_i g_j),  with d1 = u'(x), d2 = u''(x)
+
+    The statements (self.tape) are written for one of two back ends:
+
+    - "array" runs on complex (m,) arrays and makes numpy's calls of those
+      formulas, entry by entry: a / b, v ** k, sin, cos, exp, log, conj,
+      and the leaf z_j = q_j + 1j * p_j with seeds 1 and 1j.  Products
+      keep their operand order, since numpy's complex * rounds like an FMA
+      whose result depends on it; the terms g_i g_j of an outer product
+      take the textbook product (_outer).  Literals are folded by the same
+      numpy calls, so zero imaginary parts keep their signs.  The code
+      raises DomainError where a divisor, the argument of log or the base
+      of a negative power has a zero.  Every parsed field has array code.
+    - "float" runs a field without i, z_j, conj, log or exponents beyond
+      numpy's multiply chain on the Python floats of one point.  With
+      every imaginary part zero, numpy's complex arithmetic rounds like
+      the float operation below it: a + b, a * b, sin, cos and exp
+      exactly; a / b as a * (1 / b); integer powers through numpy's
+      binary-exponentiation chain.  So the float code returns the array
+      code's numbers while every value stays finite, up to the sign of an
+      exact zero.  Overflow and NaN carry through its operations up to
+      the outputs, except where a division, a negative power or
+      sin/cos/exp could turn them back into a finite number or raise;
+      each of those gets a guard, and the last guards check that every
+      output is finite.  A guard that fires returns its index, and
+      eval_jet runs the point on the array code instead.
     """
 
-    def __init__(self, n: int, order: int):
-        self.n = n
-        self.order = order
-        self.lines: list[str] = []
-        self.locals: dict[str, str] = {}   # expression -> the local holding it
-        self.reasons: list[str] = []       # guard index -> why it fires
+    def __init__(self, n: int, order: int, floats: bool):
+        self.n, self.order, self.floats = n, order, floats
+        self.tape: list[tuple] = []       # (target or None, op, operands, source)
+        self.locals: dict[str, str] = {}  # source -> the local holding it
+        self.reasons: list[str] = []      # float guard index -> why it fires
 
     # ---- statements ----------------------------------------------------
 
-    def _local(self, expr: str) -> str:
-        name = self.locals.get(expr)
+    def _local(self, op: str, *args, text: str = "") -> str:
+        if not text:
+            s = [_src(x) for x in args]
+            text = f"-{s[0]}" if op == "neg" else f"{op}({', '.join(s)})"
+        name = self.locals.get(text)
         if name is None:
-            name = self.locals[expr] = f"v{len(self.locals)}"
-            self.lines.append(f"{name} = {expr}")
+            name = self.locals[text] = f"v{len(self.locals)}"
+            self.tape.append((name, op, args, text))
         return name
 
+    def fold(self, fn, *args):
+        """fn of literal operands, computed now as the code would compute
+        it: on Python floats in the float code, else on complex arrays of
+        one element."""
+        if self.floats:
+            try:
+                return fn(*args)
+            except OverflowError:
+                raise _NoFloatCode(f"{fn.__name__}{args!r} overflows") from None
+        with np.errstate(all="ignore"):
+            v = fn(*(np.array([x], dtype=complex) for x in args))[0].item()
+        # a literal with imaginary part +0 reads as the float it equals
+        return v.real if v.imag == 0 and math.copysign(1.0, v.imag) > 0 else v
+
     def op(self, a, sym: str, b):
-        if isinstance(a, float) and isinstance(b, float):
+        if not isinstance(a, str) and not isinstance(b, str):
+            if not self.floats:
+                return self.fold(_FLOAT_OPS[sym], a, b)
             v = _FLOAT_OPS[sym](a, b)   # the same IEEE operation as at run time
             if math.isfinite(v):
                 return v
-        if sym == "*" and (a == 1.0 or b == 1.0):
+        if self.floats and sym == "*" and (a == 1.0 or b == 1.0):
             return b if a == 1.0 else a
-        if sym in "+*" and _src(b) < _src(a):
-            a, b = b, a
-        return self._local(f"{_src(a)} {sym} {_src(b)}")
+        sa, sb = _src(a), _src(b)
+        if (sym == "+" or sym == "*" and self.floats) and sb < sa:
+            a, b, sa, sb = b, a, sb, sa
+        return self._local(sym, a, b, text=f"{sa} {sym} {sb}")
 
     def neg(self, a):
-        return -a if isinstance(a, float) else self._local(f"-{a}")
+        if isinstance(a, str):
+            return self._local("neg", a)
+        return -a if self.floats else self.fold(np.negative, a)
 
     def call(self, name: str, x):
-        if isinstance(x, float):
-            try:
-                return _FLOAT_FUNCS[name](x)
-            except OverflowError:
-                raise _NoFloatCode(f"{name}({x!r}) overflows") from None
-        return self._local(f"{name}({x})")
+        if isinstance(x, str):
+            return self._local(name, x)
+        return self.fold(_NAMESPACES["float" if self.floats else "array"][name], x)
 
     def guard(self, x, reason: str, zero: bool = False):
-        """Fall back when x is not finite, or when zero and x == 0."""
-        if isinstance(x, float):
+        """Float code: return the guard's index where x is not finite, or
+        where zero and x == 0."""
+        if not isinstance(x, str):
             if not math.isfinite(x) or (zero and x == 0.0):
                 raise _NoFloatCode(reason)
             return
         test = f"not ({x} - {x} == 0.0)"
         if zero:
             test = f"{x} == 0.0 or {test}"
-        self.lines.append(f"if {test}: return {len(self.reasons)}")
+        self.tape.append((None, "guard", (x,), f"if {test}: return {len(self.reasons)}"))
         self.reasons.append(reason)
 
+    def refuse_zero(self, x, check: str):
+        """Array code: raise the DomainError of check where x has a zero."""
+        if isinstance(x, str) or x == 0:
+            self.tape.append((None, check, (x,), f"{check}({_src(x)})"))
+
+    def array_only(self, what: str):
+        if self.floats:
+            raise _NoFloatCode(f"{what} has no float code")
+
     def prod(self, a, b):
-        return None if a is None or b is None else self.op(a, "*", b)
+        """The term a * b of a derivative; None where a factor is absent.
+        A factor 1, a coordinate's seed, is left out (up to the sign of a
+        zero imaginary part, x * 1 is x)."""
+        if a is None or b is None:
+            return None
+        if a == 1.0 or b == 1.0:
+            return b if a == 1.0 else a
+        return self.op(a, "*", b)
+
+    def outer(self, a, b):
+        """The term a * b of an outer product of two gradients."""
+        if self.floats or a is None or b is None or _plain(a) or _plain(b):
+            return self.prod(a, b)
+        if isinstance(a, str) or isinstance(b, str):
+            return self._local("outer", a, b)
+        return complex(a.real * b.real - a.imag * b.imag,
+                       a.real * b.imag + a.imag * b.real)
 
     def total(self, terms):
         """Sum the present (sign, term) pairs left to right; None is an
-        absent term, an exact zero in the dense jet."""
+        absent term, an identically zero one."""
         acc = None
         for sym, term in terms:
             if term is not None:
@@ -365,9 +419,13 @@ class _Emitter:
         return {(i, j): None for i in x for j in y} if self.order == 2 else {}
 
     def power(self, v, k: int):
-        """v**k in the order numpy's complex power multiplies it out."""
-        if not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
-            raise _NoFloatCode(f"exponent {k} is outside numpy's multiply chain")
+        """v ** k: numpy's power in the array code, and in the float code
+        the order numpy's complex power multiplies it out in."""
+        if not self.floats:
+            if k in (0, 1):
+                return 1.0 if k == 0 else v   # numpy returns these exactly
+            return self._local("**", v, k, text=f"{v} ** {k}") if isinstance(v, str) \
+                else self.fold(lambda x: x ** k, v)
         e, acc, sq = abs(k), 1.0, v
         while True:
             if e & 1:
@@ -383,41 +441,64 @@ class _Emitter:
         return self.op(1.0, "/", acc)
 
     def chain(self, d1, d2, g: dict, h: dict):
-        """Gradient d1 * g and Hessian d1 * h + d2 * (g_i * g_j), as
-        Jet._unary forms them; d2 is None below order 2."""
-        grad = {i: self.op(d1, "*", gi) for i, gi in g.items()}
+        """Gradient d1 * g_i and Hessian d1 * h_ij + d2 * (g_i g_j) of a
+        function of one operand; d2 is None below order 2."""
+        grad = {i: self.prod(d1, gi) for i, gi in g.items()}
         if d2 is None:
             return grad, {}
         hess = {(i, j): self.total([("+", self.prod(d1, h.get((i, j)))),
-                                    ("+", self.prod(d2, self.prod(g[i], g[j])))])
+                                    ("+", self.prod(d2, self.outer(g[i], g[j])))])
                 for i, j in _keys(h, self.pairs(g, g))}
         return grad, hess
 
     # ---- nodes -----------------------------------------------------------
 
-    def node(self, node: Node):
-        rule = _EMIT_RULES.get(type(node))
-        if rule is None:
-            raise _NoFloatCode(f"no float code for {type(node).__name__} nodes")
-        return rule(self, node)
+    def tree(self, root: Node):
+        """Emit root, children first.  The walk keeps its own stack, since a
+        field may nest deeper than Python's recursion limit."""
+        nodes, todo = [], [root]
+        while todo:   # root, then the right subtree before the left one
+            node = todo.pop()
+            kids = node.children()
+            nodes.append((node, len(kids)))
+            todo.extend(kids)
+        done: list = []
+        for node, k in reversed(nodes):   # left subtree, right subtree, root
+            rule = _EMIT_RULES.get(type(node))
+            if rule is None:
+                raise _NoFloatCode(f"no rule for {type(node).__name__} nodes")
+            args = done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append(rule(self, node, *args))
+        return done[0]
 
     def num(self, node):
         value = float(node.value)
-        self.guard(value, f"non-finite literal {value!r}")
+        if self.floats:
+            self.guard(value, f"non-finite literal {value!r}")
         return value, {}, {}
+
+    def imag_unit(self, node):
+        self.array_only("i")
+        return 1j, {}, {}
 
     def coord(self, a: int):
         return f"x{a}", ({a: 1.0} if self.order else {}), {}
 
-    def neg_node(self, node):
-        v, g, h = self.node(node.child)
+    def coord_z(self, node):
+        self.array_only(f"z{node.j}")
+        k, n = node.j - 1, self.n
+        val = self.op(f"x{k}", "+", self.op(1j, "*", f"x{n + k}"))
+        return val, ({k: 1.0, n + k: 1j} if self.order else {}), {}
+
+    def neg_node(self, node, child):
+        v, g, h = child
         return (self.neg(v), {i: self.neg(d) for i, d in g.items()},
                 {ij: self.neg(d) for ij, d in h.items()})
 
-    def add_sub(self, node):
+    def add_sub(self, node, left, right):
         sym = "+" if isinstance(node, Add) else "-"
-        a, ga, ha = self.node(node.left)
-        b, gb, hb = self.node(node.right)
+        (a, ga, ha), (b, gb, hb) = left, right
 
         def merge(x, y):
             return {k: self.total([("+", x.get(k)), (sym, y.get(k))])
@@ -425,43 +506,52 @@ class _Emitter:
 
         return self.op(a, sym, b), merge(ga, gb), merge(ha, hb)
 
-    def mul(self, node):
-        a, ga, ha = self.node(node.left)
-        b, gb, hb = self.node(node.right)
+    def mul(self, node, left, right):
+        (a, ga, ha), (b, gb, hb) = left, right
         g = {i: self.total([("+", self.prod(a, gb.get(i))),
                             ("+", self.prod(b, ga.get(i)))])
              for i in _keys(gb, ga)}
         h = {(i, j): self.total([("+", self.prod(a, hb.get((i, j)))),
                                  ("+", self.prod(b, ha.get((i, j)))),
-                                 ("+", self.prod(ga.get(i), gb.get(j))),
-                                 ("+", self.prod(gb.get(i), ga.get(j)))])
+                                 ("+", self.outer(ga.get(i), gb.get(j))),
+                                 ("+", self.outer(gb.get(i), ga.get(j)))])
              for i, j in _keys(hb, ha, self.pairs(ga, gb), self.pairs(gb, ga))}
         return self.op(a, "*", b), g, h
 
-    def div(self, node):
-        a, ga, ha = self.node(node.left)
-        b, gb, hb = self.node(node.right)
-        self.guard(b, "division by zero or by a non-finite value", zero=True)
-        r = self.op(1.0, "/", b)
-        val = self.op(a, "*", r)
-        g = {i: self.op(self.total([("+", ga.get(i)),
-                                    ("-", self.prod(val, gb.get(i)))]), "*", r)
+    def div(self, node, left, right):
+        (a, ga, ha), (b, gb, hb) = left, right
+        if self.floats:
+            self.guard(b, "division by zero or by a non-finite value", zero=True)
+            r = self.op(1.0, "/", b)
+
+            def scale(x):
+                return self.op(x, "*", r)
+        else:
+            self.refuse_zero(b, "divisor")
+
+            def scale(x):
+                return self.op(x, "/", b)
+        val = scale(a)
+        g = {i: scale(self.total([("+", ga.get(i)), ("-", self.prod(val, gb.get(i)))]))
              for i in _keys(ga, gb)}
-        h = {(i, j): self.op(self.total([("+", ha.get((i, j))),
-                                         ("-", self.prod(g.get(i), gb.get(j))),
-                                         ("-", self.prod(gb.get(i), g.get(j))),
-                                         ("-", self.prod(val, hb.get((i, j))))]),
-                             "*", r)
+        h = {(i, j): scale(self.total([("+", ha.get((i, j))),
+                                       ("-", self.outer(g.get(i), gb.get(j))),
+                                       ("-", self.outer(gb.get(i), g.get(j))),
+                                       ("-", self.prod(val, hb.get((i, j))))]))
              for i, j in _keys(ha, self.pairs(g, gb), self.pairs(gb, g), hb)}
         return val, g, h
 
-    def pow(self, node):
+    def pow(self, node, base):
         k = node.exponent
-        v, g, h = self.node(node.base)
+        v, g, h = base
         if k == 0:
             return 1.0, {}, {}
         if k == 1:
             return v, g, h
+        if self.floats and not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
+            raise _NoFloatCode(f"exponent {k} is outside numpy's multiply chain")
+        if k < 0 and not self.floats:
+            self.refuse_zero(v, "power_base")
         val = self.power(v, k)
         if not g:
             return val, {}, {}
@@ -470,66 +560,144 @@ class _Emitter:
               if self.order == 2 else None)
         return (val, *self.chain(d1, d2, g, h))
 
-    def func(self, node):
+    def func(self, node, child):
         name = node.name
-        if name not in _FLOAT_FUNCS:
+        x, g, h = child
+        if name in ("log", "conj"):
             # conj is complex; numpy's complex log rounds unlike math.log
-            raise _NoFloatCode(f"{name} has no float code")
-        x, g, h = self.node(node.child)
-        self.guard(x, f"non-finite argument of {name}")
+            self.array_only(name)
+        if name == "conj":
+            return (self.call(name, x), {i: self.call(name, d) for i, d in g.items()},
+                    {ij: self.call(name, d) for ij, d in h.items()})
+        if self.floats:
+            self.guard(x, f"non-finite argument of {name}")
+        if name == "log":
+            self.refuse_zero(x, "log_arg")
         val = self.call(name, x)
         if not g:
             return val, {}, {}
         if name == "sin":
-            d1, d2 = self.call("cos", x), self.neg(val)
+            d1, d2 = self.call("cos", x), lambda: self.neg(val)
         elif name == "cos":
-            d1, d2 = self.neg(self.call("sin", x)), self.neg(val)
+            d1, d2 = self.neg(self.call("sin", x)), lambda: self.neg(val)
+        elif name == "exp":
+            d1, d2 = val, lambda: val
         else:
-            d1 = d2 = val
-        return (val, *self.chain(d1, d2 if self.order == 2 else None, g, h))
+            d1, d2 = self.op(1.0, "/", x), lambda: self.op(-1.0, "/", self.power(x, 2))
+        return (val, *self.chain(d1, d2() if self.order == 2 else None, g, h))
 
 
 _EMIT_RULES = {
-    Num: _Emitter.num,
+    Num: _Emitter.num, ImagUnit: _Emitter.imag_unit, CoordZ: _Emitter.coord_z,
+    Neg: _Emitter.neg_node, Add: _Emitter.add_sub, Sub: _Emitter.add_sub,
+    Mul: _Emitter.mul, Div: _Emitter.div, Pow: _Emitter.pow, Func: _Emitter.func,
     CoordQ: lambda em, node: em.coord(node.j - 1),
     CoordP: lambda em, node: em.coord(em.n + node.j - 1),
     TimeVar: lambda em, node: ("t", {}, {}),
-    Neg: _Emitter.neg_node,
-    Add: _Emitter.add_sub,
-    Sub: _Emitter.add_sub,
-    Mul: _Emitter.mul,
-    Div: _Emitter.div,
-    Pow: _Emitter.pow,
-    Func: _Emitter.func,
 }
 
 
-def _emit(f: ScalarField, order: int) -> tuple[str, list[int], list[str]]:
-    """The source of f's float code at one order, the flat slot of each
-    value it returns in a dense (val, grad, hess) buffer, and the reason
-    of each guard."""
-    em = _Emitter(f.n, order)
-    val, grad, hess = em.node(f.root)
-    two_n = 2 * f.n
-    outs = [val, *grad.values(), *hess.values()]
-    slots = [0, *(1 + a for a in grad), *(1 + two_n * (1 + a) + b for a, b in hess)]
-    names = list(dict.fromkeys(x for x in outs if isinstance(x, str)))
-    # NaN and inf reach the outputs (see _Emitter); a sum sees them all.
-    # Each sum is bounded, since compile() recurses on a long chain of +.
-    for k in range(0, len(names), _GUARD_TERMS):
-        chunk = names[k:k + _GUARD_TERMS]
-        em.guard(chunk[0] if len(chunk) == 1 else em._local(" + ".join(chunk)),
-                 "non-finite result")
-    params = ", ".join([f"x{a}" for a in range(two_n)] + ["t"])
-    body = em.lines + [f"return ({', '.join(map(_src, outs))},)"]
-    source = f"def _jet({params}):\n" + "".join(f"    {line}\n" for line in body)
-    return source, slots, em.reasons
+def _params(n: int) -> list[str]:
+    return [f"x{a}" for a in range(2 * n)] + ["t"]
 
 
-def _compile(source: str):
-    namespace = {"__builtins__": {}, **_FLOAT_FUNCS}
-    exec(compile(source, "<float jet>", "exec"), namespace)
+def _with_dels(tape: list, outs: list) -> list:
+    """The tape with each local deleted after its last use, so the array
+    code holds only the arrays it still needs."""
+    last = {}   # local -> the statement that reads it last
+    for k, (_, _, args, _) in enumerate(tape):
+        for x in args:
+            if type(x) is str and x[0] == "v":
+                last[x] = k
+    for x in outs:
+        last.pop(x, None)
+    dead: dict[int, list] = {}
+    for x, k in last.items():
+        dead.setdefault(k, []).append(x)
+    kept = []
+    for k, statement in enumerate(tape):
+        kept.append(statement)
+        if k in dead:
+            kept.append((None, "del", dead[k], "del " + ", ".join(dead[k])))
+    return kept
+
+
+def _compile(source: str, namespace: dict):
+    namespace = {"__builtins__": {}, **namespace}
+    exec(compile(source, "<jet code>", "exec"), namespace)
     return namespace["_jet"]
+
+
+class _Code:
+    """The generated code of one field at one order: its tape, and its
+    source, a function _jet(x0, ..., x{2n-1}, t) that returns the outputs
+    (the float code returns the index of a guard that fired instead).
+
+    Float code is compiled at once (fn).  Array code (run) runs its tape
+    statement by statement at the first call and is compiled at the
+    second: many array jets are wanted once (the monitors of a run, the
+    invariant suite), and compile() costs about as much as such a run.
+    Array code that compile() refuses keeps running as a tape.
+    """
+
+    def __init__(self, f: ScalarField, order: int, floats: bool):
+        t0 = perf_counter()
+        em = _Emitter(f.n, order, floats)
+        val, grad, hess = em.tree(f.root)
+        two_n = 2 * f.n
+        outs = [val, *grad.values(), *hess.values()]
+        # the flat slot of each output in a dense (val, grad, hess) column
+        self.slots = np.array([0, *(1 + a for a in grad),
+                               *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
+        if floats:
+            # NaN and inf reach the outputs (see _Emitter); a sum sees them
+            # all.  Each sum is bounded: compile() recurses on a chain of +.
+            names = list(dict.fromkeys(x for x in outs if isinstance(x, str)))
+            for k in range(0, len(names), _GUARD_TERMS):
+                em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
+                         "non-finite result")
+        self.tape = em.tape if floats else _with_dels(em.tape, outs)
+        self.outs, self.reasons, self.n = outs, em.reasons, f.n
+        lines = [text if target is None else f"{target} = {text}"
+                 for target, _, _, text in self.tape]
+        lines.append(f"return ({', '.join(map(_src, outs))},)")
+        self.source = (f"def _jet({', '.join(_params(f.n))}):\n"
+                       + "".join(f"    {line}\n" for line in lines))
+        self.kind = "float" if floats else "array"
+        self.fn = self.compiled() if floats else None
+        self.calls = 0
+        log.debug("%s code for %s at order %d: %d statements, %.3f ms", self.kind,
+                  f, order, len(self.tape), 1e3 * (perf_counter() - t0))
+
+    def compiled(self):
+        """The compiled code, or None where compile() refuses it."""
+        try:
+            return _compile(self.source, _NAMESPACES[self.kind])
+        except (RecursionError, MemoryError, SyntaxError) as e:
+            log.debug("compile() refuses %s code of %d statements: %s: %s",
+                      self.kind, len(self.tape), type(e).__name__, e)
+            return None
+
+    def run(self, *args):
+        """The outputs of the array code at (x0, ..., x{2n-1}, t)."""
+        if self.fn is None and self.calls:
+            self.fn = self.compiled() or False
+        self.calls += 1
+        return self.fn(*args) if self.fn else self.taped(*args)
+
+    def taped(self, *args):
+        """The outputs of the array code, run statement by statement."""
+        env = dict(zip(_params(self.n), args))
+        for target, op, operands, _ in self.tape:
+            if op == "del":
+                for name in operands:
+                    del env[name]
+                continue
+            out = (_OPERATORS.get(op) or _NAMESPACES["array"][op])(
+                *(env[x] if isinstance(x, str) else x for x in operands))
+            if target is not None:
+                env[target] = out
+        return tuple(env[x] if isinstance(x, str) else x for x in self.outs)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +853,9 @@ class ScalarField:
     n: int
     uses_time: bool
     is_real_form: bool
-    # order -> its compiled float code, or None where the jets stay batched
+    # order -> its float code (None where it has none), and its array code
     _float_code: dict = field(default_factory=dict, init=False, repr=False)
+    _array_code: dict = field(default_factory=dict, init=False, repr=False)
 
     def __str__(self):
         return self.root.fmt(_ADD)
@@ -739,15 +908,25 @@ def conjugate_field(f: ScalarField) -> ScalarField:
     return _make_field(Func("conj", f.root), f.n)
 
 
+class Jet(NamedTuple):
+    """A field's value and real partials over a batch of m points, complex
+    and dense: val (m,), grad (2n, m) and hess (2n, 2n, m), the last two
+    None above the order asked for."""
+
+    val: np.ndarray
+    grad: np.ndarray | None = None
+    hess: np.ndarray | None = None
+
+
 def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
              order: int = 0, time=None) -> Jet:
     """Evaluate a field over a batch of points, returning a jet.
 
     Q and P have shape (n, m).  This is the single entry point every
-    bracket and rate in the package funnels through.  A single point
-    (m == 1) runs the field's float code where it has one, which returns
-    the batched path's values and falls back to it wherever it could not
-    (see _Emitter).  Complex-valued fields and log have no float code.
+    bracket and rate in the package funnels through.  It runs the code
+    generated once per field and order (see _Emitter): the float code at
+    a single point (m == 1) of a real-form field, and the array code
+    everywhere else and wherever the float code falls back.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -755,66 +934,78 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
         raise ValueError(f"expected coordinate arrays of shape ({f.n}, m)")
     if f.uses_time and time is None:
         raise ValueError("field depends on t; pass time=")
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     m = Q.shape[1]
     tval = None
     if time is not None:
         tval = np.broadcast_to(np.asarray(time, dtype=float), (m,))
-    if m == 1 and order in (0, 1, 2):
+    if m == 1:
         jet = _float_jet(f, Q, P, order, tval)
         if jet is not None:
             return jet
-    space = JetSpace(f.n, Q, P, tval, order)
-    return space.dense(f.root.ev(space))
+    code = _code_for(f, order, floats=False)
+    t = 0.0 if tval is None else tval.astype(complex)
+    out = code.run(*Q.astype(complex), *P.astype(complex), t)
+    buf = np.zeros((_size(f.n, order), m), dtype=complex)
+    for slot, x in zip(code.slots, out):
+        buf[slot] = x
+    return _split(buf, f.n, order)
 
 
-def _code_for(f: ScalarField, order: int):
-    """f's compiled float code at one order (cached on f), or None."""
-    if order in f._float_code:
-        return f._float_code[order]
-    t0 = perf_counter()
-    try:
-        source, slots, reasons = _emit(f, order)
-        fn = _compile(source)
-    except (_NoFloatCode, RecursionError, MemoryError, SyntaxError) as e:
-        # too deep or too large for the emitter or compile(): stay batched
-        log.debug("no float code for %s at order %d: %s: %s", f, order,
-                  type(e).__name__, e)
-        code = None
-    else:
-        code = (fn, np.array(slots, dtype=np.intp), reasons)
-        log.debug("float code for %s at order %d: %d statements, %.3f ms",
-                  f, order, source.count("\n") - 1, 1e3 * (perf_counter() - t0))
-    f._float_code[order] = code
-    return code
+def _code_for(f: ScalarField, order: int, floats: bool) -> _Code | None:
+    """f's float code (None where it has none) or array code at one
+    order, built once and cached on f."""
+    cache = f._float_code if floats else f._array_code
+    if order not in cache:
+        try:
+            code = _Code(f, order, floats)
+        except _NoFloatCode as e:
+            if not floats:
+                raise TypeError(str(e)) from None
+            log.debug("no float code for %s at order %d: %s", f, order, e)
+            code = None
+        if floats and code is not None and code.fn is None:
+            code = None   # compile() refused the float code
+        cache[order] = code
+    return cache[order]
+
+
+def _size(n: int, order: int) -> int:
+    # the slots of a dense jet, flat: val, grad, then hess row by row
+    two_n = 2 * n
+    return (1, 1 + two_n, (1 + two_n) ** 2 - two_n)[order]
+
+
+def _split(buf: np.ndarray, n: int, order: int) -> Jet:
+    two_n = 2 * n
+    if order == 0:
+        return Jet(buf[0])
+    grad = buf[1:1 + two_n]
+    if order == 1:
+        return Jet(buf[0], grad)
+    return Jet(buf[0], grad, buf[1 + two_n:].reshape(two_n, two_n, -1))
 
 
 def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
                tval) -> Jet | None:
     """The jet of eval_jet at one point from f's float code, or None
-    where the batched path has to compute it."""
-    code = _code_for(f, order)
+    where the array code has to compute it."""
+    code = _code_for(f, order, floats=True)
     if code is None:
         return None
-    fn, slots, reasons = code
     t = 0.0 if tval is None else float(tval[0])
     try:
-        out = fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
+        out = code.fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
     except (OverflowError, ValueError, ZeroDivisionError) as e:
         out = f"{type(e).__name__}: {e}"
     if type(out) is not tuple:
-        log.debug("%s at order %d falls back to the batched jets: %s", f, order,
-                  reasons[out] if type(out) is int else out)
+        log.debug("%s at order %d falls back to the array code: %s", f, order,
+                  code.reasons[out] if type(out) is int else out)
         return None
-    two_n = 2 * f.n
-    size = (1, 1 + two_n, (1 + two_n) ** 2 - two_n)[order]
-    buf = np.zeros(size, dtype=complex)
-    buf[slots] = out
-    if order == 0:
-        return Jet(buf)
-    grad = buf[1:1 + two_n].reshape(two_n, 1)
-    if order == 1:
-        return Jet(buf[:1], grad, order=1)
-    return Jet(buf[:1], grad, buf[1 + two_n:].reshape(two_n, two_n, 1), 2)
+    buf = np.zeros(_size(f.n, order), dtype=complex)
+    buf[code.slots] = out
+    return _split(buf[:, None], f.n, order)
 
 
 def point_jets(pt: PhasePoint, *fields: ScalarField, order: int = 1,

@@ -53,7 +53,7 @@ class StepperConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and nonnegative")
-        if not isinstance(self.stride, int) or self.stride < 1:
+        if type(self.stride) is not int or self.stride < 1:   # bool is no stride
             raise ValueError("stride must be a positive integer")
 
 
@@ -311,8 +311,10 @@ def integrate_perturbed(w_source, z0, h, cfg: StepperConfig,
         if not h_fields:
             return -w * x
         Q, P = x[:n, None], x[n:, None]
-        hval = np.array([complex(eval_jet(hf, Q, P, order=0, time=t).val[0])
-                         for hf in h_fields])
+        # one evaluation per distinct field (fields hash by identity)
+        vals = {hf: complex(eval_jet(hf, Q, P, order=0, time=t).val[0])
+                for hf in dict.fromkeys(h_fields)}
+        hval = np.array([vals[hf] for hf in h_fields])
         return -w * x + np.concatenate([hval.real, hval.imag])
 
     flow = "perturbed" if h_fields else "equilibrium"

@@ -126,9 +126,6 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("stepper must be an object")
     _reject_unknown(stepper_raw, _STEPPER_KEYS, "stepper")
     kwargs = dict(stepper_raw)
-    if "stride" in kwargs:
-        if not isinstance(kwargs["stride"], int) or isinstance(kwargs["stride"], bool):
-            raise ScenarioError("stepper.stride must be an integer")
     for key in ("step", "abs_tol", "rel_tol", "t_end", "max_norm"):
         if key in kwargs:
             try:

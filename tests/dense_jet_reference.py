@@ -1,18 +1,23 @@
-"""Dense forward-mode jets: the reference for the sparse ones in gchs.
+"""Dense forward-mode jets: the reference for the generated jet code in
+gchs.fields.
 
 Every jet here carries a full complex gradient (2n, m) and Hessian
 (2n, 2n, m) from the start, zeros included, and the arithmetic applies
-the textbook formulas to all of them.  gchs.autodiff leaves out the
-identically zero slots and the terms they would contribute; on finite
-values the two give equal arrays up to the sign of an exact zero.
+the textbook formulas to all of them, on complex arrays.  The generated
+code computes only the structurally nonzero entries and leaves out the
+terms an identically zero factor would contribute; on finite values the
+two give equal arrays up to the sign of an exact zero.  (Where a value
+is not finite, a dense jet multiplies it by a zero entry and gets NaN; a
+left-out term has no such NaN.)
 
-dense_eval walks a parsed field with these jets: the expression nodes
-only ask their evaluation context for constants and leaves.
+dense_eval walks a parsed field's expression tree with these jets.
 """
+
+import operator
 
 import numpy as np
 
-from gchs import DomainError
+from gchs import DomainError, fields
 
 
 def _outer(x, y):
@@ -156,6 +161,36 @@ class DenseSpace:
         return DenseJet(val, grad, hess)
 
 
+_BINARY = {fields.Add: operator.add, fields.Sub: operator.sub,
+           fields.Mul: operator.mul, fields.Div: operator.truediv}
+
+
+def _walk(node, ctx):
+    """The dense jet of one expression node."""
+    kind = type(node)
+    if kind is fields.Num:
+        return ctx.const(node.value)
+    if kind is fields.ImagUnit:
+        return ctx.const(1j)
+    if kind is fields.TimeVar:
+        # time is an evaluation parameter, not a differentiation variable
+        return ctx.const(ctx.t)
+    if kind is fields.CoordQ:
+        return ctx.leaf(ctx.Q[node.j - 1], [(node.j - 1, 1.0)])
+    if kind is fields.CoordP:
+        return ctx.leaf(ctx.P[node.j - 1], [(ctx.n + node.j - 1, 1.0)])
+    if kind is fields.CoordZ:
+        k = node.j - 1
+        return ctx.leaf(ctx.Q[k] + 1j * ctx.P[k], [(k, 1.0), (ctx.n + k, 1j)])
+    if kind is fields.Neg:
+        return -_walk(node.child, ctx)
+    if kind is fields.Pow:
+        return _walk(node.base, ctx) ** node.exponent
+    if kind is fields.Func:
+        return getattr(_walk(node.child, ctx), node.name)()
+    return _BINARY[kind](_walk(node.left, ctx), _walk(node.right, ctx))
+
+
 def dense_eval(f, Q, P, order, time=None):
     """The dense jet of field f at the points Q, P of shape (n, m)."""
     Q = np.asarray(Q, dtype=float)
@@ -163,4 +198,4 @@ def dense_eval(f, Q, P, order, time=None):
     t = None
     if time is not None:
         t = np.broadcast_to(np.asarray(time, dtype=float), (Q.shape[1],))
-    return f.root.ev(DenseSpace(f.n, Q, P, t, order))
+    return _walk(f.root, DenseSpace(f.n, Q, P, t, order))

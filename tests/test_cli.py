@@ -217,9 +217,9 @@ def test_bracket_domain_error_exit_4(write_scenario, capsys):
 
 
 def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, capsys):
-    # single-point jets of real-form fields come from their compiled float
-    # code; with it removed every jet is batched, and the files must not
-    # change a byte
+    # single-point jets of real-form fields come from their float code;
+    # with it removed every jet comes from the array code, and the files
+    # must not change a byte
     paths = [Path(shutil.copy(src, tmp_path)) for src in sorted(SCENARIOS.glob("*.json"))]
     coupled = {
         "n": 3,
@@ -247,10 +247,10 @@ def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, cap
     walked = outputs()
     assert any(jet is not None for jet in walks)
     monkeypatch.setattr(fields, "_float_jet", lambda *args: None)
-    batched = outputs()
+    arrays = outputs()
     capsys.readouterr()
     assert len(walked) == 2 * len(paths)
-    assert walked == batched
+    assert walked == arrays
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,8 @@ def test_exponential_solution_values():
 
 def test_order_two_rates_do_not_depend_on_the_float_code(monkeypatch):
     # beta and the second rates read the Hessians of H and s at one point,
-    # which come from their compiled float code; with it removed every jet
-    # is batched, and no value may change
+    # which come from their float code; with it removed every jet comes
+    # from the array code, and no value may change
     from gchs import fields, second_derivatives
 
     n = 6

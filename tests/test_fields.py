@@ -202,8 +202,8 @@ def _equals_dense(f, Q, P, order, time=None):
             np.testing.assert_array_equal(g, w)
 
 
-# single points of real-form fields run the field's compiled float code;
-# the batched numpy jets are the reference it must reproduce exactly
+# single points of real-form fields run the field's float code; the array
+# code over a batch is the reference it must reproduce exactly
 PER_POINT_FIELDS = [
     "sin(q1) * p2 + z1 * conj(z2) - p1^3",
     "q1^2 * p2 - 0.5 * p1^4 + q2 * p2 - 3",
@@ -245,8 +245,8 @@ def test_batched_evaluation_matches_per_point(src, order):
 
 @pytest.mark.parametrize("src", PER_POINT_FIELDS)
 def test_scalar_walk_is_taken_on_real_form_fields(src):
-    # the float code is the scalar walk: on a real-form field without log
-    # it must run, not fall back; every other field stays batched
+    # on a real-form field without log the float code must run, not fall
+    # back; every other field has only array code
     f = parse_field(src, 2, allow_time=True)
     compiles = f.is_real_form and "log" not in src
     Q, P = np.array([[0.3], [-0.4]]), np.array([[0.6], [0.2]])
@@ -337,13 +337,17 @@ def test_single_point_edge_cases_match_batch(src, q1, expect, order):
 
 
 # ---------------------------------------------------------------------------
-# sparse batched jets against dense ones
+# generated jet code against dense jets
+#
+# The comparisons are exact on finite inputs.  The generated code leaves
+# out every term with an identically zero factor, where the dense leaf
+# rows computed inf * 0 = NaN, so on non-finite inputs the two may differ.
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
        smooth=st.booleans(), complex_ok=st.booleans(),
-       m=st.sampled_from([2, 7]), data=st.data())
+       m=st.sampled_from([1, 2, 7]), data=st.data())
 def test_batched_jets_equal_dense_reference(seed, n, smooth, complex_ok, m, data):
     rng = np.random.default_rng(seed)
     f = (random_smooth_field(rng, n, complex_ok=complex_ok) if smooth
@@ -351,6 +355,22 @@ def test_batched_jets_equal_dense_reference(seed, n, smooth, complex_ok, m, data
     x = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * n * m,
                            max_size=2 * n * m))
     Q, P = np.array(x).reshape(2, n, m)
+    for order in (0, 1, 2):
+        _equals_dense(f, Q, P, order)
+
+
+# both need the textbook product in the outer products of their
+# Hessians; in the second, both factors of such a term are complex arrays
+COMPLEX_ORDER_2 = ["z1 * conj(z2) + i * q1^2 / (2 + p1^2)",
+                   "z1^2 * conj(z2)^2 - i * q2 / (2 + z1 * conj(z1))"]
+
+
+@pytest.mark.parametrize("src", COMPLEX_ORDER_2)
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_complex_jets_equal_dense_reference(src, m):
+    rng = np.random.default_rng(5)
+    Q, P = rng.uniform(-2, 2, size=(2, 2, m))
+    f = parse_field(src, 2)
     for order in (0, 1, 2):
         _equals_dense(f, Q, P, order)
 
@@ -387,14 +407,14 @@ def test_derivative_free_fields_come_out_dense(m):
 
 
 # ---------------------------------------------------------------------------
-# the float code generator
+# the code generator
 
 
 def test_non_finite_literal_is_not_compiled():
     # repr(inf) would be a name the generated code cannot resolve
     f = parse_field("1e400 * q1 + p1", 1)
     with pytest.raises(fields._NoFloatCode, match="non-finite literal"):
-        fields._emit(f, 0)
+        fields._Code(f, 0, True)
     for order in (0, 1, 2):
         out = _same_as_batch_column(f, [0.5], [0.25], order)
         assert f._float_code[order] is None
@@ -424,24 +444,24 @@ def test_large_dense_field_compiles_and_matches_batch():
 
 @pytest.mark.parametrize("error", [RecursionError, MemoryError, SyntaxError])
 def test_field_the_compiler_refuses_stays_batched(monkeypatch, error):
-    def refuse(source):
+    # without compile() the array code runs as a tape, statement by statement
+    def refuse(*args):
         raise error("too large")
 
     monkeypatch.setattr(fields, "_compile", refuse)
     f = _dense_cubic(4)
     Q, P = np.array([[0.3], [0.1], [-0.2], [0.5]]), np.array([[0.4], [0.2], [0.7], [-0.1]])
     single = eval_jet(f, Q, P, order=2)
-    assert f._float_code[2] is None
     batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), order=2)
     np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
+    _equals_dense(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), 2)
 
 
 def test_deep_field_stays_batched():
-    # a left-leaning sum deep enough for the emitter's recursion but not
-    # for the batched evaluator's
+    # a left-leaning sum deeper than a recursive walk could go: the
+    # emitter keeps its own stack
     f = parse_field(" + ".join(["q1 * p1"] * 700), 1)
     jet = eval_jet(f, [[0.5]], [[2.0]], order=1)
-    assert f._float_code[1] is None
     assert jet.val[0] == 700.0 and list(jet.grad[:, 0]) == [1400.0, 350.0]
 
 
@@ -465,20 +485,19 @@ def test_time_dependent_field_compiles_and_matches_batch():
 class _Shadow(fields.Node):
     """q1 under a node type the generator has no rule for."""
 
-    def ev(self, ctx):
-        return ctx.leaf(ctx.Q[0], [(0, 1.0)])
-
     def _raw(self):
         return "q1"
 
 
 def test_emitter_refuses_unknown_node_types():
+    # neither back end has a rule for it, and there is no other evaluator
     f = fields._make_field(fields.Mul(_Shadow(), fields.CoordP(1)), 1)
-    with pytest.raises(fields._NoFloatCode, match="_Shadow"):
-        fields._emit(f, 1)
-    jet = eval_jet(f, [[3.0]], [[2.0]], order=1)   # batched instead
-    assert f._float_code[1] is None
-    assert jet.val[0] == 6.0 and list(jet.grad[:, 0]) == [2.0, 3.0]
+    for floats in (True, False):
+        with pytest.raises(fields._NoFloatCode, match="_Shadow"):
+            fields._Code(f, 1, floats)
+    for m in (1, 2):
+        with pytest.raises(TypeError, match="no rule for _Shadow nodes"):
+            eval_jet(f, np.full((1, m), 3.0), np.full((1, m), 2.0), order=1)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -488,11 +507,11 @@ def test_unknown_order_is_refused(m):
 
 
 def test_generated_source_has_no_builtins():
-    f = parse_field("q1 / (1 + p1^2) + cos(q1)^-2", 1)
-    source, _, _ = fields._emit(f, 2)
-    assert "import" not in source and "__" not in source
-    fn = fields._compile(source)
-    assert fn.__globals__["__builtins__"] == {}
+    for src, floats in [("q1 / (1 + p1^2) + cos(q1)^-2", True),
+                        ("log(z1) / (1 + p1^2) + cos(q1)^-2 * conj(z1)", False)]:
+        code = fields._Code(parse_field(src, 1), 2, floats)
+        assert "import" not in code.source and "__" not in code.source
+        assert code.compiled().__globals__["__builtins__"] == {}
 
 
 def test_float_code_logs_compiles_and_fallbacks(caplog):

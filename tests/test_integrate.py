@@ -7,6 +7,7 @@ from gchs import (BlowUpError, PhasePoint, StepperConfig, StructuredSystem,
                   exponential_solution, integrate_equilibrium,
                   integrate_perturbed, integrate_tghs, monitor_report,
                   parse_field)
+from gchs import integrate
 from gchs.integrate import _check_norm
 
 
@@ -36,6 +37,8 @@ def cfg(**kw):
     {"t_end": np.inf},
     {"max_norm": np.nan},
     {"max_norm": np.inf},
+    # a bool is an int to isinstance, and True would run with stride 1
+    {"stride": True},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):
@@ -182,6 +185,25 @@ def test_perturbed_per_component_fields():
     zs = traj.complex_states()
     assert abs(zs[-1, 0] - 1.0) < 1e-8   # grew linearly
     assert abs(zs[-1, 1] - 1.0) < 1e-12  # untouched
+
+
+def test_perturbed_evaluates_each_field_once_per_call(monkeypatch):
+    # one field for all n components is evaluated once per right-hand
+    # side, not n times, and gives the numbers of n separate fields
+    n, text = 3, "sin(t) + i * q1 * p2 - 0.5 * z3"
+    z0 = PhasePoint([0.1, 0.2, 0.3], [0.0, -0.1, 0.2])
+    c = cfg(step=1e-2, t_end=0.1)
+    calls = []
+    evaluate = integrate.eval_jet
+    monkeypatch.setattr(integrate, "eval_jet",
+                        lambda f, *args, **kw: calls.append(f) or evaluate(f, *args, **kw))
+    one = integrate_perturbed(0.5, z0, parse_field(text, n, allow_time=True), c)
+    rhs_calls = 4 * (one.samples - 1)   # RK4, stride 1
+    assert len(calls) == rhs_calls == 40
+    copies = [parse_field(text, n, allow_time=True) for _ in range(n)]
+    separate = integrate_perturbed(0.5, z0, copies, c)
+    assert len(calls) == 40 + n * rhs_calls
+    np.testing.assert_array_equal(one.states, separate.states)
 
 
 def test_perturbed_wrong_field_count():

@@ -126,6 +126,15 @@ def test_non_integer_stride(write_scenario):
         load_scenario(path)
 
 
+def test_boolean_stride(write_scenario):
+    # JSON true is a bool, which StepperConfig refuses as a stride
+    path = write_scenario(stepper={"stride": True})
+    assert '"stride": true' in path.read_text()
+    with pytest.raises(ScenarioError,
+                       match="^stepper: stride must be a positive integer$"):
+        load_scenario(path)
+
+
 def test_bad_stepper_value(write_scenario):
     path = write_scenario(stepper={"step": -1.0})
     with pytest.raises(ScenarioError, match="stepper"):

@@ -100,13 +100,9 @@ def write_trajectory_csv(path, traj: Trajectory):
             complex_cols.add(len(columns))
             columns.append(traj.residuals[name])
 
-    lines = [",".join(header)]
-    for k in range(traj.samples):
-        cells = []
-        for ci, col in enumerate(columns):
-            v = col[k]
-            cells.append(_fmt_complex(v) if ci in complex_cols else _fmt(float(v)))
-        lines.append(",".join(cells))
+    cells = [list(map(_fmt_complex if ci in complex_cols else _fmt, col.tolist()))
+             for ci, col in enumerate(columns)]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

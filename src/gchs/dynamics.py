@@ -18,10 +18,22 @@ is cross-checked on every call.
 Everything here funnels through order-1 or order-2 jets; the velocity
 Jacobian needed for second rates is assembled from the Hessians of H
 and s, never from finite differences.
+
+The velocity alone, which the integrator needs at every stage, also
+has one compiled float function per system (velocity_kernel): the
+float code of H and of s emitted into one function that shares their
+coordinate leaves and common subexpressions and returns (qdot, pdot).
+Each entry is summed as real_velocity_jets sums the complex batch, so
+the two return the same floats.  It applies where H and s both have
+float code (no log, no exponent beyond numpy's multiply chain, no
+non-finite literal) and compile() takes the function; where one of
+their guards fires or a velocity is not finite it returns a guard's
+index, and the caller takes the jets instead.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +41,12 @@ import numpy as np
 from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
                        _real_part, gspb_jets, pb_complex_jets, sdyn_jets,
                        unit_field)
-from .fields import ScalarField, point_jets, wirtinger_split
+from .fields import (_Emitter, _NoFloatCode, ScalarField, _compiled,
+                     _guard_finite, _params, _source, point_jets,
+                     wirtinger_split)
 from .phasespace import ComplexCoords, PhasePoint
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -86,6 +102,45 @@ def real_velocity_jets(Hj, sj, n: int) -> np.ndarray:
     top = GH[n:] + Hval * Gs[n:]
     bot = -(GH[:n] + Hval * Gs[:n])
     return _real_part(np.concatenate([top, bot], axis=0), "flow velocity")
+
+
+def velocity_kernel(sys: StructuredSystem):
+    """sys's velocity as one compiled float function of x0..x{2n-1} that
+    returns the floats (qdot_1..qdot_n, pdot_1..pdot_n) of
+    real_velocity_jets, or the index of a guard that fired (or raises
+    one of fields._FLOAT_ERRORS); None where sys has no such function.
+    Built once and cached on sys."""
+    cache = sys._velocity_code
+    if "fn" not in cache:
+        cache["fn"] = _velocity_function(sys)
+    return cache["fn"]
+
+
+def _velocity_function(sys: StructuredSystem):
+    n = sys.n
+    em = _Emitter(n, 1, floats=True)
+    jets = []
+    try:
+        for f in (sys.hamiltonian, sys.structural):
+            # every guard of f's own float code, so the function returns
+            # where both of those would
+            val, grad, _ = em.tree(f.root)
+            _guard_finite(em, [val, *grad.values()])
+            jets.append((val, grad))
+    except _NoFloatCode as e:
+        log.debug("no velocity kernel for %s: %s", sys, e)
+        return None
+    (Hval, GH), (_, Gs) = jets
+
+    def rate(a):
+        # GH_a + H * Gs_a with a literal zero for an absent entry: the
+        # complex batch adds its zeros too, and 0.0 + -0.0 is 0.0
+        return em.op(GH.get(a, 0.0), "+", em.op(Hval, "*", Gs.get(a, 0.0)))
+
+    outs = [rate(n + j) for j in range(n)] + [em.neg(rate(j)) for j in range(n)]
+    _guard_finite(em, outs)
+    # no t: H and s of a system do not depend on it
+    return _compiled(_source(em.tape, outs, _params(n)[:-1]), "float")
 
 
 def thorough_jets(fj, Hj, sj, n: int) -> np.ndarray:

@@ -214,6 +214,8 @@ _OPERATORS = {**_FLOAT_OPS, "**": operator.pow, "neg": operator.neg}
 
 # outputs summed by one finiteness guard of the float code
 _GUARD_TERMS = 32
+# what the float code may raise instead of returning a guard's index
+_FLOAT_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 
 
 def _refuse_zero(message: str):
@@ -628,6 +630,36 @@ def _compile(source: str, namespace: dict):
     return namespace["_jet"]
 
 
+def _compiled(source: str, kind: str):
+    """The function _jet of source in the namespace of back end kind, or
+    None where compile() refuses it."""
+    try:
+        return _compile(source, _NAMESPACES[kind])
+    except (RecursionError, MemoryError, SyntaxError) as e:
+        log.debug("compile() refuses %s code of %d lines: %s: %s", kind,
+                  source.count("\n"), type(e).__name__, e)
+        return None
+
+
+def _guard_finite(em: _Emitter, outs: list):
+    """Float code: guard that every output is finite.  NaN and inf reach
+    the outputs (see _Emitter); a sum sees them all.  Each sum is
+    bounded: compile() recurses on a chain of +."""
+    names = list(dict.fromkeys(x for x in outs if isinstance(x, str)))
+    for k in range(0, len(names), _GUARD_TERMS):
+        em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
+                 "non-finite result")
+
+
+def _source(tape: list, outs: list, params: list[str]) -> str:
+    """The function _jet(*params) that runs tape and returns outs."""
+    lines = [text if target is None else f"{target} = {text}"
+             for target, _, _, text in tape]
+    lines.append(f"return ({', '.join(map(_src, outs))},)")
+    return (f"def _jet({', '.join(params)}):\n"
+            + "".join(f"    {line}\n" for line in lines))
+
+
 class _Code:
     """The generated code of one field at one order: its tape, and its
     source, a function _jet(x0, ..., x{2n-1}, t) that returns the outputs
@@ -650,19 +682,10 @@ class _Code:
         self.slots = np.array([0, *(1 + a for a in grad),
                                *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
         if floats:
-            # NaN and inf reach the outputs (see _Emitter); a sum sees them
-            # all.  Each sum is bounded: compile() recurses on a chain of +.
-            names = list(dict.fromkeys(x for x in outs if isinstance(x, str)))
-            for k in range(0, len(names), _GUARD_TERMS):
-                em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
-                         "non-finite result")
+            _guard_finite(em, outs)
         self.tape = em.tape if floats else _with_dels(em.tape, outs)
         self.outs, self.reasons, self.n = outs, em.reasons, f.n
-        lines = [text if target is None else f"{target} = {text}"
-                 for target, _, _, text in self.tape]
-        lines.append(f"return ({', '.join(map(_src, outs))},)")
-        self.source = (f"def _jet({', '.join(_params(f.n))}):\n"
-                       + "".join(f"    {line}\n" for line in lines))
+        self.source = _source(self.tape, outs, _params(f.n))
         self.kind = "float" if floats else "array"
         self.fn = self.compiled() if floats else None
         self.calls = 0
@@ -671,12 +694,7 @@ class _Code:
 
     def compiled(self):
         """The compiled code, or None where compile() refuses it."""
-        try:
-            return _compile(self.source, _NAMESPACES[self.kind])
-        except (RecursionError, MemoryError, SyntaxError) as e:
-            log.debug("compile() refuses %s code of %d statements: %s: %s",
-                      self.kind, len(self.tape), type(e).__name__, e)
-            return None
+        return _compiled(self.source, self.kind)
 
     def run(self, *args):
         """The outputs of the array code at (x0, ..., x{2n-1}, t)."""
@@ -997,7 +1015,7 @@ def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
     t = 0.0 if tval is None else float(tval[0])
     try:
         out = code.fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
-    except (OverflowError, ValueError, ZeroDivisionError) as e:
+    except _FLOAT_ERRORS as e:
         out = f"{type(e).__name__}: {e}"
     if type(out) is not tuple:
         log.debug("%s at order %d falls back to the array code: %s", f, order,

@@ -8,6 +8,13 @@ values and covariant residuals) are evaluated on the recorded samples
 in one batched pass after stepping, which is equivalent to recording
 them during the run since every monitor is a state function.
 
+The right-hand side of the structural flow is the system's velocity
+kernel (dynamics.velocity_kernel), one compiled float function of the
+state that returns the floats the jets would.  Where the system has no
+kernel, or a guard of the kernel fires or Python raises in it, that
+stage takes the order-1 jets of H and s and real_velocity_jets instead,
+whose guards raise the errors.
+
 Decay-law bookkeeping: along the structural flow dH/dt = -H w, so
 H(t) must track H(0) exp(-int w dt); along the equilibrium flow each
 z_j(t) must track z_j(0) exp(-int w dt).  The integrals use trapezoid
@@ -24,9 +31,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .brackets import StructuredSystem, gspb_jets, sdyn_jets
-from .dynamics import real_velocity_jets, tghs_zbardot_jets, tghs_zdot_jets
+from .dynamics import (real_velocity_jets, tghs_zbardot_jets, tghs_zdot_jets,
+                       velocity_kernel)
 from .errors import BlowUpError, DomainError, StepUnderflowError
-from .fields import ScalarField, eval_jet
+from .fields import _FLOAT_ERRORS, ScalarField, eval_jet
 from .phasespace import ComplexCoords, PhasePoint, from_complex
 
 log = logging.getLogger(__name__)
@@ -263,10 +271,22 @@ def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
 
 def integrate_tghs(sys: StructuredSystem, z0, cfg: StepperConfig,
                    observables: dict[str, ScalarField] | None = None) -> Trajectory:
-    """March the structural Hamiltonian flow from z0."""
+    """March the structural Hamiltonian flow from z0.
+
+    The right-hand side is sys's velocity kernel where it has one and
+    returns; otherwise the order-1 jets of H and s, whose guards raise
+    the errors."""
     n = sys.n
+    kernel = velocity_kernel(sys)
 
     def rhs(t, x):
+        if kernel is not None:
+            try:
+                v = kernel(*x.tolist())
+            except _FLOAT_ERRORS:
+                v = None
+            if type(v) is tuple:
+                return np.array(v)
         return real_velocity_jets(*_state_jets(sys, x, n), n)[:, 0]
 
     return _finish("tghs", rhs, _initial_point(z0, sys), cfg, sys, observables)
@@ -380,6 +400,11 @@ class MonitorReport:
         return asdict(self)
 
 
+def _reported(x) -> float | None:
+    # adding 0.0 folds negative zero into plain zero, as the CSV does
+    return None if x is None else float(x) + 0.0
+
+
 def monitor_report(traj: Trajectory) -> MonitorReport:
     """Summarize a trajectory's monitors; decay deviation depends on the flow.
 
@@ -400,23 +425,24 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
 
     stats = {}
     for name, vals in traj.observables.items():
-        entry = {"final_re": float(vals[-1].real), "final_im": float(vals[-1].imag)}
+        entry = {"final_re": _reported(vals[-1].real),
+                 "final_im": _reported(vals[-1].imag)}
         if name in traj.residuals:
             res = np.abs(traj.residuals[name])
-            entry["residual_max"] = float(np.max(res))
-            entry["residual_mean"] = float(np.mean(res))
+            entry["residual_max"] = _reported(np.max(res))
+            entry["residual_mean"] = _reported(np.mean(res))
         stats[name] = entry
 
     return MonitorReport(
         flow=traj.flow,
         samples=int(traj.times.size),
-        t_final=float(traj.times[-1]),
+        t_final=_reported(traj.times[-1]),
         max_hh_residual=(None if traj.hh_residual is None
-                         else float(np.max(traj.hh_residual))),
-        decay_law_max_dev=decay,
+                         else _reported(np.max(traj.hh_residual))),
+        decay_law_max_dev=_reported(decay),
         max_conj_violation=(None if traj.conj_violation is None
-                            else float(np.max(traj.conj_violation))),
-        energy_initial=None if traj.energy is None else float(traj.energy[0]),
-        energy_final=None if traj.energy is None else float(traj.energy[-1]),
+                            else _reported(np.max(traj.conj_violation))),
+        energy_initial=None if traj.energy is None else _reported(traj.energy[0]),
+        energy_final=None if traj.energy is None else _reported(traj.energy[-1]),
         observables=stats,
     )

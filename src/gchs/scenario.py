@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,21 +43,22 @@ class Scenario:
     stepper: StepperConfig
     csv_path: Path
     summary_path: Path
+    # the expressions above, parsed once by load_scenario
+    _system: StructuredSystem = field(repr=False)
+    _observable_fields: dict[str, ScalarField] = field(repr=False)
 
     def system(self) -> StructuredSystem:
-        H = self._parse("hamiltonian", self.hamiltonian)
-        s = self._parse("structural", self.structural)
-        return StructuredSystem(self.n, H, s)
+        return self._system
 
     def observable_fields(self) -> dict[str, ScalarField]:
-        return {name: self._parse(f"observables.{name}", src)
-                for name, src in self.observables.items()}
+        return dict(self._observable_fields)
 
-    def _parse(self, where: str, src: str) -> ScalarField:
-        try:
-            return parse_field(src, self.n)
-        except ExpressionError as e:
-            raise ScenarioError(f"{where}: {e}") from e
+
+def _parse(where: str, src: str, n: int) -> ScalarField:
+    try:
+        return parse_field(src, n)
+    except ExpressionError as e:
+        raise ScenarioError(f"{where}: {e}") from e
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str):
@@ -146,12 +147,13 @@ def load_scenario(path) -> Scenario:
     csv_path = base / outputs.get("csv", f"{stem}_trajectory.csv")
     summary_path = base / outputs.get("summary", f"{stem}_summary.json")
 
-    sc = Scenario(path=path, n=n, hamiltonian=raw["hamiltonian"],
-                  structural=raw["structural"], observables=dict(observables),
-                  initial=pt, stepper=stepper, csv_path=csv_path,
-                  summary_path=summary_path)
-
     # parse the expressions now so a bad scenario fails at load time
-    sc.system()
-    sc.observable_fields()
-    return sc
+    system = StructuredSystem(n, _parse("hamiltonian", raw["hamiltonian"], n),
+                              _parse("structural", raw["structural"], n))
+    obs_fields = {name: _parse(f"observables.{name}", src, n)
+                  for name, src in observables.items()}
+    return Scenario(path=path, n=n, hamiltonian=raw["hamiltonian"],
+                    structural=raw["structural"], observables=dict(observables),
+                    initial=pt, stepper=stepper, csv_path=csv_path,
+                    summary_path=summary_path, _system=system,
+                    _observable_fields=obs_fields)

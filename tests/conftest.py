@@ -38,6 +38,22 @@ BASE_SCENARIO = {
 
 
 @pytest.fixture
+def coupled():
+    """A scenario of three coupled degrees with a small structural s."""
+    return {
+        "n": 3,
+        "hamiltonian": ("(q1^2 + p1^2 + q2^2 + p2^2 + q3^2 + p3^2) / 2"
+                        " + 0.031 * q1^2 * q2^2 - 0.027 * q2^2 * q3^2"
+                        " + 0.044 * q1 * q3 * p2^2 - 0.012 * p1^2 * p3^2"),
+        "structural": ("0.03 * q1 - 0.02 * p2 + 0.041 * q3 * p1"
+                       " - 0.015 * q2^2 + 0.05 * p3^3"),
+        "observables": {"zc": "z1 * conj(z2)", "r": "q1 * p3 + q2^2"},
+        "initial": {"q": [0.4, -0.3, 0.5], "p": [-0.2, 0.55, 0.1]},
+        "stepper": {"method": "rk4", "step": 1e-3, "t_end": 0.3},
+    }
+
+
+@pytest.fixture
 def write_scenario(tmp_path):
     """Write a scenario JSON file into tmp_path and return its path.
 

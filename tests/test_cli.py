@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gchs import DomainError, InvariantResult, Trajectory, fields
+from gchs import DomainError, InvariantResult, Trajectory, fields, integrate
 from gchs.cli import main, run_one_scenario, write_summary_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -216,22 +216,12 @@ def test_bracket_domain_error_exit_4(write_scenario, capsys):
     assert str(path) in err and "division by zero" in err
 
 
-def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, capsys):
-    # single-point jets of real-form fields come from their float code;
-    # with it removed every jet comes from the array code, and the files
-    # must not change a byte
+def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, capsys,
+                                                      coupled):
+    # the flow velocity and single-point jets of real-form fields come
+    # from float code; with it removed every jet comes from the array
+    # code, and the files must not change a byte
     paths = [Path(shutil.copy(src, tmp_path)) for src in sorted(SCENARIOS.glob("*.json"))]
-    coupled = {
-        "n": 3,
-        "hamiltonian": ("(q1^2 + p1^2 + q2^2 + p2^2 + q3^2 + p3^2) / 2"
-                        " + 0.031 * q1^2 * q2^2 - 0.027 * q2^2 * q3^2"
-                        " + 0.044 * q1 * q3 * p2^2 - 0.012 * p1^2 * p3^2"),
-        "structural": ("0.03 * q1 - 0.02 * p2 + 0.041 * q3 * p1"
-                       " - 0.015 * q2^2 + 0.05 * p3^3"),
-        "observables": {"zc": "z1 * conj(z2)", "r": "q1 * p3 + q2^2"},
-        "initial": {"q": [0.4, -0.3, 0.5], "p": [-0.2, 0.55, 0.1]},
-        "stepper": {"method": "rk4", "step": 1e-3, "t_end": 0.3},
-    }
     paths.append(tmp_path / "coupled.json")
     paths[-1].write_text(json.dumps(coupled))
 
@@ -244,9 +234,23 @@ def test_run_outputs_do_not_depend_on_the_scalar_walk(tmp_path, monkeypatch, cap
     float_jet = fields._float_jet
     monkeypatch.setattr(fields, "_float_jet",
                         lambda *args: walks.append(float_jet(*args)) or walks[-1])
+    velocity_kernel = integrate.velocity_kernel
+
+    def walked_kernel(sys):
+        fn = velocity_kernel(sys)
+
+        def kernel(*x):
+            # a velocity counts as a walk, a guard that fired as None
+            out = fn(*x)
+            walks.append(out if type(out) is tuple else None)
+            return out
+        return kernel if fn else None
+
+    monkeypatch.setattr(integrate, "velocity_kernel", walked_kernel)
     walked = outputs()
     assert any(jet is not None for jet in walks)
     monkeypatch.setattr(fields, "_float_jet", lambda *args: None)
+    monkeypatch.setattr(integrate, "velocity_kernel", lambda sys: None)
     arrays = outputs()
     capsys.readouterr()
     assert len(walked) == 2 * len(paths)

@@ -1,10 +1,13 @@
 """Flow integration: steppers against closed forms, monitors, failure modes."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from gchs import (BlowUpError, PhasePoint, StepperConfig, StructuredSystem,
-                  exponential_solution, integrate_equilibrium,
+                  Trajectory, exponential_solution, integrate_equilibrium,
                   integrate_perturbed, integrate_tghs, monitor_report,
                   parse_field)
 from gchs import integrate
@@ -349,3 +352,18 @@ def test_report_dictionary_shape(structured):
     assert set(doc) == {"flow", "samples", "t_final", "max_hh_residual",
                         "decay_law_max_dev", "max_conj_violation",
                         "energy_initial", "energy_final", "observables"}
+
+
+def test_report_folds_the_sign_of_zero():
+    # a real observable whose last value carries a negative zero imaginary
+    # part reads as 0.0, as the CSV prints it
+    traj = Trajectory("tghs", 1, np.array([0.0, 0.1]), np.zeros((2, 2)),
+                      energy=np.array([-0.0, 1.0]),
+                      observables={"r": np.array([1.0, complex(0.25, -0.0)])},
+                      residuals={"r": np.array([-0.0, 0.0])})
+    doc = monitor_report(traj).to_dict()
+    stats = doc["observables"]["r"]
+    assert math.copysign(1.0, stats["final_im"]) == 1.0
+    assert json.dumps(stats) == ('{"final_re": 0.25, "final_im": 0.0, '
+                                 '"residual_max": 0.0, "residual_mean": 0.0}')
+    assert json.dumps(doc["energy_initial"]) == "0.0"

@@ -73,36 +73,30 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.17g}"
 
 
-def _fmt_complex(v: complex) -> str:
-    return f"{v.real + 0.0:.17g}{v.imag + 0.0:+.17g}j"
-
-
 def write_trajectory_csv(path, traj: Trajectory):
     """Deterministic CSV: '.' decimals, ',' separators, '\\n' line ends,
     17 significant digits; complex columns as re+imj literals."""
     n = traj.n
     header = (["t"] + [f"q{j}" for j in range(1, n + 1)]
               + [f"p{j}" for j in range(1, n + 1)])
-    columns = [traj.times] + [traj.states[:, a] for a in range(2 * n)]
-    if traj.energy is not None:
-        header.append("H")
-        columns.append(traj.energy)
-    if traj.sdyn is not None:
-        header.append("w")
-        columns.append(traj.sdyn)
-    complex_cols = set()
+    columns = [traj.times, *traj.states.T]
+    for label, col in (("H", traj.energy), ("w", traj.sdyn)):
+        if col is not None:
+            header.append(label)
+            columns.append(col)
+    formats = ["%.17g"] * len(columns)
     for name in sorted(traj.observables):
-        header.append(name)
-        complex_cols.add(len(columns))
-        columns.append(traj.observables[name])
-        if name in traj.residuals:
-            header.append(f"{name}_residual")
-            complex_cols.add(len(columns))
-            columns.append(traj.residuals[name])
+        for label, col in ((name, traj.observables[name]),
+                           (f"{name}_residual", traj.residuals.get(name))):
+            if col is not None:
+                header.append(label)
+                columns += [col.real, col.imag]
+                formats.append("%.17g%+.17gj")
 
-    cells = [list(map(_fmt_complex if ci in complex_cols else _fmt, col.tolist()))
-             for ci, col in enumerate(columns)]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
+    # adding 0.0 folds negative zero, as _fmt does
+    table = np.column_stack(columns) + 0.0
+    row = ",".join(formats)
+    lines = [",".join(header), *[row % tuple(r) for r in table.tolist()]]
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -143,9 +137,11 @@ def run_one_scenario(path) -> tuple[int, str]:
 
 def cmd_run(args) -> int:
     paths = args.scenarios
-    if args.jobs > 1 and len(paths) > 1:
-        log.info("running %d scenarios on %d workers", len(paths), args.jobs)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork pool starts all its workers at once: no more than there are files
+    workers = min(args.jobs, len(paths))
+    if workers > 1:
+        log.info("running %d scenarios on %d workers", len(paths), workers)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_one_scenario, paths))
     else:
         outcomes = [run_one_scenario(p) for p in paths]
@@ -210,7 +206,8 @@ def _build_parser() -> _ArgumentParser:
     p_run = sub.add_parser("run", help="integrate scenarios and write outputs")
     p_run.add_argument("scenarios", nargs="+", help="scenario JSON file(s)")
     p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for several scenarios")
+                       help="worker processes for several scenarios "
+                            "(at least 1; capped at the number of files)")
 
     p_br = sub.add_parser("bracket", help="evaluate brackets at a point")
     p_br.add_argument("-f", required=True, help="left expression")
@@ -239,6 +236,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "check" and args.count < 1:
             parser.error(f"argument --count: must be at least 1, got {args.count}")
+        if args.command == "run" and args.jobs < 1:
+            parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

@@ -8,6 +8,8 @@ values and covariant residuals) are evaluated on the recorded samples
 in one batched pass after stepping, which is equivalent to recording
 them during the run since every monitor is a state function.
 
+Every right-hand side takes t and a sequence of 2n floats and returns
+2n floats; fixed-step RK4 marches on tuples of floats, RK45 on arrays.
 The right-hand side of the structural flow is the system's velocity
 kernel (dynamics.velocity_kernel), one compiled float function of the
 state that returns the floats the jets would.  Where the system has no
@@ -61,6 +63,8 @@ class StepperConfig:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and nonnegative")
+        if not self.t_end / self.step < math.inf:
+            raise ValueError("t_end / step must be finite")
         if type(self.stride) is not int or self.stride < 1:   # bool is no stride
             raise ValueError("stride must be a positive integer")
 
@@ -83,6 +87,7 @@ class Trajectory:
     observables: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
     w0: float | None = None
+    rhs_calls: int = 0         # 4 per RK4 step, 7 per RK45 attempt
 
     @property
     def samples(self) -> int:
@@ -107,7 +112,17 @@ def _check_norm(x: np.ndarray, t: float, max_norm: float):
         raise BlowUpError(norm, t)
 
 
+def _guard(x, t: float, max_norm: float):
+    # each test is False on NaN; only a failing state computes its norm
+    for v in x:
+        if not abs(v) <= max_norm:
+            _check_norm(np.array(x), t, max_norm)
+
+
 def _fixed_rk4(rhs, x0: np.ndarray, cfg: StepperConfig):
+    """Classic RK4 on a tuple of floats.  Each stage and the final sum do
+    the IEEE operations of the whole-array form in its order, so the
+    states equal that form's bit for bit."""
     h = cfg.step
     t_end = cfg.t_end
     nfull = int(np.floor(t_end / h + 1e-12))
@@ -115,36 +130,39 @@ def _fixed_rk4(rhs, x0: np.ndarray, cfg: StepperConfig):
     if rem < 1e-12 * max(1.0, t_end):
         rem = 0.0
 
-    times = [0.0]
-    states = [x0.copy()]
     _check_norm(x0, 0.0, cfg.max_norm)
-    x = x0.copy()
+    x = tuple(x0.tolist())
+    times = [0.0]
+    states = [x]
     steps = 0
 
     def advance(t, x, h):
+        hh = 0.5 * h
         k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs(t + h, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = rhs(t + hh, [a + hh * k for a, k in zip(x, k1)])
+        k3 = rhs(t + hh, [a + hh * k for a, k in zip(x, k2)])
+        k4 = rhs(t + h, [a + h * k for a, k in zip(x, k3)])
+        h6 = h / 6.0
+        return tuple([a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+                      for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
 
     for i in range(nfull):
         t = i * h
         x = advance(t, x, h)
         t_next = (i + 1) * h
-        _check_norm(x, t_next, cfg.max_norm)
+        _guard(x, t_next, cfg.max_norm)
         steps += 1
         if steps % cfg.stride == 0:
             times.append(t_next)
-            states.append(x.copy())
+            states.append(x)
     if rem > 0.0:
         x = advance(nfull * h, x, rem)
-        _check_norm(x, t_end, cfg.max_norm)
+        _guard(x, t_end, cfg.max_norm)
         steps += 1
     if abs(times[-1] - t_end) > 1e-12 * max(1.0, abs(t_end)):
         times.append(t_end)
-        states.append(x.copy())
-    return np.array(times), np.array(states)
+        states.append(x)
+    return np.array(times), np.array(states), 4 * steps
 
 
 # Dormand-Prince 5(4) tableau
@@ -169,7 +187,7 @@ def _adaptive_rk45(rhs, x0: np.ndarray, cfg: StepperConfig):
     states = [x0.copy()]
     _check_norm(x0, 0.0, cfg.max_norm)
     if t_end == 0.0:
-        return np.array(times), np.array(states)
+        return np.array(times), np.array(states), 0
 
     t = 0.0
     x = x0.copy()
@@ -186,10 +204,10 @@ def _adaptive_rk45(rhs, x0: np.ndarray, cfg: StepperConfig):
             raise StepUnderflowError(h, t)
 
         k = np.empty((7, x.size))
-        k[0] = rhs(t, x)
+        k[0] = rhs(t, x.tolist())
         for i in range(1, 7):
             xi = x + h * np.dot(_DP_A[i], k[:i])
-            k[i] = rhs(t + _DP_C[i] * h, xi)
+            k[i] = rhs(t + _DP_C[i] * h, xi.tolist())
         x5 = x + h * np.dot(_DP_B5, k)
         x4 = x + h * np.dot(_DP_B4, k)
 
@@ -217,10 +235,12 @@ def _adaptive_rk45(rhs, x0: np.ndarray, cfg: StepperConfig):
     if times[-1] != t:
         times.append(t)
         states.append(x.copy())
-    return np.array(times), np.array(states)
+    return np.array(times), np.array(states), 7 * (accepted + rejected)
 
 
 def _march(rhs, x0: np.ndarray, cfg: StepperConfig):
+    """times, states and the number of right-hand sides of one march; rhs
+    takes t and a sequence of 2n floats and returns 2n floats."""
     def timed_rhs(t, x):
         try:
             return rhs(t, x)
@@ -263,8 +283,8 @@ def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
             w0: float | None = None) -> Trajectory:
     """March rhs from pt0 and attach the monitors of the rate source: sys,
     or the constant rate w0 when sys is None."""
-    times, states = _march(rhs, pt0.flat(), cfg)
-    traj = Trajectory(flow, pt0.n, times, states, w0=w0)
+    times, states, rhs_calls = _march(rhs, pt0.flat(), cfg)
+    traj = Trajectory(flow, pt0.n, times, states, w0=w0, rhs_calls=rhs_calls)
     _attach_monitors(traj, sys, observables or {})
     return traj
 
@@ -282,12 +302,12 @@ def integrate_tghs(sys: StructuredSystem, z0, cfg: StepperConfig,
     def rhs(t, x):
         if kernel is not None:
             try:
-                v = kernel(*x.tolist())
+                v = kernel(*x)
             except _FLOAT_ERRORS:
                 v = None
             if type(v) is tuple:
-                return np.array(v)
-        return real_velocity_jets(*_state_jets(sys, x, n), n)[:, 0]
+                return v
+        return real_velocity_jets(*_state_jets(sys, np.array(x), n), n)[:, 0].tolist()
 
     return _finish("tghs", rhs, _initial_point(z0, sys), cfg, sys, observables)
 
@@ -327,15 +347,16 @@ def integrate_perturbed(w_source, z0, h, cfg: StepperConfig,
     w0 = None if sys is not None else float(w_source)
 
     def rhs(t, x):
+        x = np.array(x)
         w = w0 if sys is None else float(sdyn_jets(*_state_jets(sys, x, n), n)[0])
         if not h_fields:
-            return -w * x
+            return (-w * x).tolist()
         Q, P = x[:n, None], x[n:, None]
         # one evaluation per distinct field (fields hash by identity)
         vals = {hf: complex(eval_jet(hf, Q, P, order=0, time=t).val[0])
                 for hf in dict.fromkeys(h_fields)}
         hval = np.array([vals[hf] for hf in h_fields])
-        return -w * x + np.concatenate([hval.real, hval.imag])
+        return (-w * x + np.concatenate([hval.real, hval.imag])).tolist()
 
     flow = "perturbed" if h_fields else "equilibrium"
     return _finish(flow, rhs, pt0, cfg, sys, observables, w0)

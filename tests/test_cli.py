@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, file outputs, determinism."""
 
+import concurrent.futures
 import json
 import os
 import shutil
@@ -116,6 +117,12 @@ def test_run_infinite_horizon_exit_1(write_scenario, capsys):
     assert "stepper: t_end must be finite" in capsys.readouterr().err
 
 
+def test_run_step_count_overflow_exit_1(write_scenario, capsys):
+    path = write_scenario(stepper={"step": 1e-310, "t_end": 1e10})
+    assert main(["run", str(path)]) == 1
+    assert "stepper: t_end / step must be finite" in capsys.readouterr().err
+
+
 def test_run_blow_up_exit_2(write_scenario, capsys):
     path = write_scenario(
         hamiltonian="q1 * p1", structural="0",
@@ -155,6 +162,49 @@ def test_run_jobs_propagates_worst_exit_code(write_scenario, capsys):
     out = capsys.readouterr()
     assert str(good) in out.out      # success goes to stdout
     assert str(bad) in out.err       # failures go to stderr
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Put a recorder of max_workers in place of ProcessPoolExecutor; it
+    runs the work inline, so no test starts a pool of the asked size."""
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, files, sizes", [
+    ("100000", 2, [2]), ("3", 5, [3]), ("8", 1, []), ("1", 3, [])])
+def test_run_jobs_capped_at_the_file_count(write_scenario, capsys, pool_sizes,
+                                          jobs, files, sizes):
+    paths = [str(write_scenario(name=f"s{k}.json", stepper={"step": 0.1, "t_end": 0.2}))
+             for k in range(files)]
+    assert main(["run", "--jobs", jobs, *paths]) == 0
+    assert pool_sizes == sizes
+    assert capsys.readouterr().out.count("samples") == files
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_jobs_below_one_is_usage_error(write_scenario, capsys, pool_sizes, jobs):
+    path = write_scenario()
+    assert main(["run", "--jobs", jobs, str(path), str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "usage error: argument --jobs: must be at least 1")
+    assert pool_sizes == []
 
 
 def test_run_domain_error_at_start_exit_4(write_scenario, capsys):

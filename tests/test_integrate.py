@@ -42,6 +42,8 @@ def cfg(**kw):
     {"max_norm": np.inf},
     # a bool is an int to isinstance, and True would run with stride 1
     {"stride": True},
+    # finite and positive, but the step count overflows a float
+    {"step": 1e-310, "t_end": 1e10},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):

@@ -59,9 +59,11 @@ def _cases():
         q, p = rng.uniform(-0.5, 0.5, size=(2, n))
         yield (f"random_n{n}", random_system(rng, n), PhasePoint(q, p),
                StepperConfig(step=0.01, t_end=0.2))
-    # q1 stays on a negative zero, where the sign of a zero velocity shows
-    # in the states: an absent entry of dH or ds is still added as 0.0
-    for H, s in [("q1^2 / 2", "q1 * p1"), ("q1 * p1 + q1^2", "0")]:
+    # q1 starts on a negative zero, where the sign of a zero velocity shows
+    # in the states: an absent entry of dH or ds is still added as 0.0.
+    # In the last two q1 stays on -0.0 for the whole run
+    for H, s in [("q1^2 / 2", "q1 * p1"), ("q1 * p1 + q1^2", "0"),
+                 ("q1 * p1", "0"), ("q1 * p1", "p1")]:
         yield (f"{H}, {s}", StructuredSystem(1, parse_field(H, 1), parse_field(s, 1)),
                PhasePoint([-0.0], [0.5]), StepperConfig(step=0.1, t_end=0.3))
 
@@ -153,6 +155,7 @@ def test_rk4_run_calls_the_kernel_once_per_stage(monkeypatch):
                           StepperConfig(step=1e-3, t_end=0.1))
     assert traj.samples == 101
     assert len(outs) == 400 and all(type(v) is tuple for v in outs)
+    assert traj.rhs_calls == 4 * 100
     assert point_jets == []
 
 

@@ -19,7 +19,7 @@ it can only come from a derivative bug, never from user input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,8 +77,6 @@ class StructuredSystem:
     n: int
     hamiltonian: ScalarField
     structural: ScalarField
-    # the compiled flow velocity (see dynamics.velocity_kernel), built once
-    _velocity_code: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.hamiltonian.n != self.n or self.structural.n != self.n:

@@ -20,8 +20,8 @@ Jacobian needed for second rates is assembled from the Hessians of H
 and s, never from finite differences.
 
 The velocity alone, which the integrator needs at every stage, also
-has one compiled float function per system (velocity_kernel): the
-float code of H and of s emitted into one function that shares their
+has one compiled float function per pair of H and s (velocity_kernel):
+the float code of H and of s emitted into one function that shares their
 coordinate leaves and common subexpressions and returns (qdot, pdot).
 Each entry is summed as real_velocity_jets sums the complex batch, so
 the two return the same floats.  It applies where H and s both have
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -42,11 +43,14 @@ from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
                        _real_part, gspb_jets, pb_complex_jets, sdyn_jets,
                        unit_field)
 from .fields import (_Emitter, _NoFloatCode, ScalarField, _compiled,
-                     _guard_finite, _params, _source, point_jets,
+                     _STORE_SIZE, _guard_finite, _params, _source, point_jets,
                      wirtinger_split)
 from .phasespace import ComplexCoords, PhasePoint
 
 log = logging.getLogger(__name__)
+
+#: (H._code, s._code) -> velocity_kernel, least recently used first
+_KERNELS: dict[tuple, object] = {}
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,17 @@ def velocity_kernel(sys: StructuredSystem):
     returns the floats (qdot_1..qdot_n, pdot_1..pdot_n) of
     real_velocity_jets, or the index of a guard that fired (or raises
     one of fields._FLOAT_ERRORS); None where sys has no such function.
-    Built once and cached on sys."""
-    cache = sys._velocity_code
-    if "fn" not in cache:
-        cache["fn"] = _velocity_function(sys)
-    return cache["fn"]
+    Built once per pair of H and s texts (see fields.parse_field)."""
+    key = (sys.hamiltonian._code, sys.structural._code)
+    fn = _KERNELS.pop(key) if key in _KERNELS else _velocity_function(sys)
+    if len(_KERNELS) >= _STORE_SIZE:
+        del _KERNELS[next(iter(_KERNELS))]
+    _KERNELS[key] = fn
+    return fn
 
 
 def _velocity_function(sys: StructuredSystem):
+    t0 = perf_counter()
     n = sys.n
     em = _Emitter(n, 1, floats=True)
     jets = []
@@ -140,7 +147,10 @@ def _velocity_function(sys: StructuredSystem):
     outs = [rate(n + j) for j in range(n)] + [em.neg(rate(j)) for j in range(n)]
     _guard_finite(em, outs)
     # no t: H and s of a system do not depend on it
-    return _compiled(_source(em.tape, outs, _params(n)[:-1]), "float")
+    fn = _compiled(_source(em.tape, outs, _params(n)[:-1]), "float")
+    log.debug("velocity kernel for %s: %d statements, %.3f ms", sys,
+              len(em.tape), 1e3 * (perf_counter() - t0))
+    return fn
 
 
 def thorough_jets(fj, Hj, sj, n: int) -> np.ndarray:

@@ -18,10 +18,10 @@ All derivatives come from forward-mode jets over the 2n real
 coordinates; nothing is ever differentiated symbolically.  Wirtinger
 pairs are assembled from the real partials afterwards.
 
-Jets are computed by straight-line code generated once per field and
-order (see _Emitter): numpy calls on complex arrays over a batch of
-points, and for a single point of a real-form field, Python float code
-that returns the same values.
+Jets are computed by straight-line code generated once per parsed text
+(see parse_field) and order (see _Emitter): numpy calls on complex
+arrays over a batch of points, and for a single point of a real-form
+field, Python float code that returns the same values.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ import logging
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from time import perf_counter
 from typing import NamedTuple
 
@@ -862,6 +863,14 @@ class _Parser:
 # public field type and API
 
 
+class _FieldCode:
+    """A field's code by order: float code (None where it has none) and
+    array code.  The fields of one parsed text share one (see _parsed)."""
+
+    def __init__(self):
+        self.floats, self.arrays = {}, {}
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """An expression over an n-degree phase space, ready to evaluate and
@@ -871,9 +880,7 @@ class ScalarField:
     n: int
     uses_time: bool
     is_real_form: bool
-    # order -> its float code (None where it has none), and its array code
-    _float_code: dict = field(default_factory=dict, init=False, repr=False)
-    _array_code: dict = field(default_factory=dict, init=False, repr=False)
+    _code: _FieldCode = field(default_factory=_FieldCode, repr=False)
 
     def __str__(self):
         return self.root.fmt(_ADD)
@@ -883,23 +890,29 @@ class ScalarField:
 
 
 def _make_field(root: Node, n: int) -> ScalarField:
-    uses_time = False
-    real_form = True
-    for node in root.walk():
-        if isinstance(node, TimeVar):
-            uses_time = True
-        if isinstance(node, (ImagUnit, CoordZ)) or (
-                isinstance(node, Func) and node.name == "conj"):
-            real_form = False
+    nodes = list(root.walk())
+    uses_time = any(isinstance(x, TimeVar) for x in nodes)
+    real_form = not any(isinstance(x, (ImagUnit, CoordZ))
+                        or isinstance(x, Func) and x.name == "conj" for x in nodes)
     return ScalarField(root, n, uses_time, real_form)
 
 
+#: entries kept by _parsed and by dynamics.velocity_kernel (gchs check parses ~10 texts)
+_STORE_SIZE = 64
+
+
+@lru_cache(maxsize=_STORE_SIZE)
+def _parsed(text: str, n: int, allow_time: bool) -> ScalarField:
+    # the store: the fields of the texts last parsed (never a parse error)
+    return _make_field(_Parser(text, n, allow_time).parse(), n)
+
+
 def parse_field(text: str, n: int, allow_time: bool = False) -> ScalarField:
-    """Parse an expression string into a field over n degrees of freedom."""
+    """Parse an expression string into a field over n degrees of freedom: a
+    new field, sharing the tree and code of earlier ones of its text (_parsed)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    root = _Parser(text, n, allow_time).parse()
-    return _make_field(root, n)
+    return replace(_parsed(text, n, allow_time))
 
 
 def constant_field(c: float, n: int) -> ScalarField:
@@ -973,8 +986,8 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
 
 def _code_for(f: ScalarField, order: int, floats: bool) -> _Code | None:
     """f's float code (None where it has none) or array code at one
-    order, built once and cached on f."""
-    cache = f._float_code if floats else f._array_code
+    order, built once and cached in f._code."""
+    cache = f._code.floats if floats else f._code.arrays
     if order not in cache:
         try:
             code = _Code(f, order, floats)

@@ -67,12 +67,18 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str):
         raise ScenarioError(f"unknown {where} field(s): {', '.join(unknown)}")
 
 
+def _float(v) -> float:
+    if type(v) not in (int, float):   # a bool is an int; float() reads strings
+        raise TypeError(v)
+    return float(v)
+
+
 def _coords(raw, n: int, name: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != n:
         raise ScenarioError(f"initial.{name} must be a list of {n} numbers")
     try:
-        arr = np.array([float(v) for v in raw])
-    except (TypeError, ValueError):
+        arr = np.array([_float(v) for v in raw])
+    except (TypeError, OverflowError):
         raise ScenarioError(f"initial.{name} must contain only numbers") from None
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"initial.{name} must be finite")
@@ -130,8 +136,8 @@ def load_scenario(path) -> Scenario:
     for key in ("step", "abs_tol", "rel_tol", "t_end", "max_norm"):
         if key in kwargs:
             try:
-                kwargs[key] = float(kwargs[key])
-            except (TypeError, ValueError):
+                kwargs[key] = _float(kwargs[key])
+            except (TypeError, OverflowError):
                 raise ScenarioError(f"stepper.{key} must be a number") from None
     try:
         stepper = StepperConfig(**kwargs)

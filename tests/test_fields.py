@@ -109,6 +109,73 @@ def test_real_form_flag():
 
 
 # ---------------------------------------------------------------------------
+# the store of parsed fields: one tree and one generated code per text
+
+
+def test_each_parse_is_a_new_field_sharing_tree_and_code():
+    a, b = (parse_field("q1 * p2 + sin(q2)", 2) for _ in range(2))
+    assert a is not b
+    assert a.root is b.root and a._code is b._code
+    eval_jet(a, [[0.5], [0.25]], [[1.0], [2.0]], order=1)
+    assert b._code.floats[1] is a._code.floats[1] is not None
+    # fields that are not parsed keep code of their own
+    assert constant_field(1.0, 2)._code is not constant_field(1.0, 2)._code
+
+
+def test_store_key_separates_n_and_allow_time():
+    assert parse_field("q1", 1)._code is not parse_field("q1", 2)._code
+    timed = parse_field("q1", 1, allow_time=True)
+    assert timed._code is not parse_field("q1", 1)._code
+    parse_field("t + q2", 2, allow_time=True)
+    with pytest.raises(ExpressionError, match="only available in time-dependent"):
+        parse_field("t + q2", 2)
+    parse_field("q2", 2)
+    with pytest.raises(ExpressionError, match="q2 with n=1"):
+        parse_field("q2", 1)
+
+
+def test_bad_text_raises_the_same_error_every_time_and_is_not_stored():
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ExpressionError) as err:
+            parse_field("q1 + * p1", 1)
+        errors.append((str(err.value), err.value.line, err.value.column))
+    assert errors == [("line 1, column 6: unexpected '*'", 1, 6)] * 3
+    assert fields._parsed.cache_info().currsize == 0
+
+
+def _stored(text: str, n: int = 1) -> bool:
+    """Whether text is in the store; looking it up moves it to the front."""
+    misses = fields._parsed.cache_info().misses
+    parse_field(text, n)
+    return fields._parsed.cache_info().misses == misses
+
+
+def test_store_is_bounded_and_an_evicted_text_gets_the_same_code():
+    size = fields._STORE_SIZE
+    texts = [f"{k + 1} * q1 * p1^2" for k in range(size + 5)]
+    first = parse_field(texts[0], 1)
+    source = fields._code_for(first, 1, floats=True).source
+    for text in texts[1:]:
+        parse_field(text, 1)
+        assert fields._parsed.cache_info().currsize <= size
+    assert fields._parsed.cache_info().currsize == size
+    again = parse_field(texts[0], 1)   # evicted: parsed anew
+    assert again._code is not first._code
+    assert fields._code_for(again, 1, floats=True).source == source
+    assert not _stored(texts[1]) and _stored(texts[-1])
+
+
+def test_store_keeps_the_most_recently_used_texts():
+    parse_field("q1", 1)
+    for k in range(fields._STORE_SIZE - 1):
+        parse_field(f"{k} + q1", 1)
+        parse_field("q1", 1)   # used again: it stays
+    parse_field("p1", 1)
+    assert _stored("q1") and not _stored("0 + q1")
+
+
+# ---------------------------------------------------------------------------
 # printing
 
 
@@ -253,7 +320,7 @@ def test_scalar_walk_is_taken_on_real_form_fields(src):
     tval = np.array([0.7]) if f.uses_time else None
     for order in (0, 1, 2):
         jet = fields._float_jet(f, Q, P, order, tval)   # no fallback here
-        assert (f._float_code[order] is not None) == compiles
+        assert (f._code.floats[order] is not None) == compiles
         if compiles:
             assert jet is not None and jet.val.shape == (1,)
             assert jet.val.dtype == complex
@@ -417,7 +484,7 @@ def test_non_finite_literal_is_not_compiled():
         fields._Code(f, 0, True)
     for order in (0, 1, 2):
         out = _same_as_batch_column(f, [0.5], [0.25], order)
-        assert f._float_code[order] is None
+        assert f._code.floats[order] is None
         assert out.val[0].real == np.inf
 
 
@@ -435,7 +502,7 @@ def test_large_dense_field_compiles_and_matches_batch():
     Q = np.linspace(0.1, 0.9, 60)[:, None]
     P = np.linspace(-0.5, 0.5, 60)[:, None]
     single = eval_jet(f, Q, P, order=2)
-    assert f._float_code[2] is not None
+    assert f._code.floats[2] is not None
     batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), order=2)
     np.testing.assert_array_equal(single.val, batch.val[:1])
     np.testing.assert_array_equal(single.grad, batch.grad[:, :1])
@@ -474,7 +541,7 @@ def test_time_dependent_field_compiles_and_matches_batch():
             single = eval_jet(f, Q, P, order=order, time=time)
             batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1),
                              order=order, time=time)
-            assert f._float_code[order] is not None
+            assert f._code.floats[order] is not None
             np.testing.assert_array_equal(single.val, batch.val[:1])
             if order:
                 np.testing.assert_array_equal(single.grad, batch.grad[:, :1])

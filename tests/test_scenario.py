@@ -135,6 +135,41 @@ def test_boolean_stride(write_scenario):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("key", ["step", "abs_tol", "rel_tol", "t_end", "max_norm"])
+@pytest.mark.parametrize("value", [True, False, "0.01", "1"])
+def test_boolean_or_string_stepper_number(write_scenario, key, value):
+    # float() takes both, but JSON true and "0.01" are no numbers
+    path = write_scenario(stepper={key: value})
+    with pytest.raises(ScenarioError, match=f"^stepper.{key} must be a number$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("name", ["q", "p"])
+@pytest.mark.parametrize("value", [True, False, "0.25", "1"])
+def test_boolean_or_string_initial_coordinate(write_scenario, name, value):
+    initial = {"q": [0.5], "p": [0.5]}
+    initial[name] = [value]
+    with pytest.raises(ScenarioError,
+                       match=f"^initial.{name} must contain only numbers$"):
+        load_scenario(write_scenario(initial=initial))
+
+
+def test_integer_numbers_are_numbers(write_scenario):
+    sc = load_scenario(write_scenario(initial={"q": [1], "p": [0]},
+                                      stepper={"step": 1, "t_end": 2}))
+    assert sc.initial.q[0] == 1.0 and sc.stepper.step == 1.0
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"stepper": {"step": 10 ** 400}}, "^stepper.step must be a number$"),
+    ({"initial": {"q": [-10 ** 400], "p": [0.5]}}, "^initial.q must contain only numbers$"),
+])
+def test_integer_beyond_the_float_range_is_refused(write_scenario, doc, message):
+    # float() raises OverflowError on it
+    with pytest.raises(ScenarioError, match=message):
+        load_scenario(write_scenario(**doc))
+
+
 def test_bad_stepper_value(write_scenario):
     path = write_scenario(stepper={"step": -1.0})
     with pytest.raises(ScenarioError, match="stepper"):

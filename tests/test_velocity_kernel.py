@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from gchs import (DomainError, PhasePoint, StepperConfig, StructuredSystem,
-                  fields, integrate, integrate_tghs, load_scenario, parse_field)
+                  dynamics, fields, integrate, integrate_tghs, load_scenario,
+                  parse_field)
 from gchs.checks import random_system
-from gchs.cli import run_one_scenario
+from gchs.cli import main, run_one_scenario
 from gchs.dynamics import velocity_kernel
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -163,3 +164,59 @@ def test_kernel_is_built_once_per_system():
     sys = StructuredSystem(1, parse_field("(q1^2 + p1^2) / 2", 1), parse_field("q1", 1))
     assert velocity_kernel(sys) is velocity_kernel(sys) is not None
     assert velocity_kernel(sys)(1.0, 2.0) == (2.0, -3.5)
+
+
+def test_systems_of_the_same_texts_share_one_kernel():
+    def system(s):
+        return StructuredSystem(1, parse_field("(q1^2 + p1^2) / 2", 1), parse_field(s, 1))
+
+    assert velocity_kernel(system("q1")) is velocity_kernel(system("q1")) is not None
+    assert velocity_kernel(system("p1")) is not velocity_kernel(system("q1"))
+
+
+def test_kernel_build_is_logged_once_per_pair_of_texts(caplog):
+    with caplog.at_level("DEBUG", logger="gchs.dynamics"):
+        for _ in range(2):
+            velocity_kernel(StructuredSystem(1, parse_field("q1 * p1", 1),
+                                             parse_field("0.5 * q1", 1)))
+    builds = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("velocity kernel for")]
+    assert len(builds) == 1
+    assert "q1 * p1" in builds[0] and "statements" in builds[0] and "ms" in builds[0]
+
+
+def test_kernel_store_is_bounded():
+    size = fields._STORE_SIZE
+    for k in range(size + 3):
+        velocity_kernel(StructuredSystem(1, parse_field(f"q1 * p1 + {k}", 1),
+                                         parse_field("q1", 1)))
+        assert len(dynamics._KERNELS) <= size
+    assert len(dynamics._KERNELS) == size
+    # keyed on the code objects themselves, never on an id() of them
+    assert all(type(c) is fields._FieldCode for key in dynamics._KERNELS for c in key)
+
+
+def test_run_of_scenarios_sharing_H_and_s_builds_one_kernel(write_scenario, monkeypatch):
+    builds = []
+    build = dynamics._velocity_function
+    monkeypatch.setattr(dynamics, "_velocity_function",
+                        lambda sys: builds.append(sys) or build(sys))
+    stepper = {"method": "rk4", "step": 0.01, "t_end": 0.5}
+    paths = [write_scenario(name=f"{name}.json", stepper=stepper, initial=initial,
+                            observables={"r": "q1 * p1", "zz": "z1 * conj(z1)"})
+             for name, initial in [("a", {"q": [0.5], "p": [0.5]}),
+                                   ("b", {"q": [-0.25], "p": [0.75]})]]
+
+    def outputs(path):
+        sc = load_scenario(path)
+        return sc.csv_path.read_bytes(), sc.summary_path.read_bytes()
+
+    assert main(["run", *map(str, paths)]) == 0
+    assert len(builds) == 1
+    together = [outputs(path) for path in paths]
+    for path, want in zip(paths, together):
+        fields._parsed.cache_clear()
+        dynamics._KERNELS.clear()
+        assert main(["run", str(path)]) == 0
+        assert outputs(path) == want
+    assert len(builds) == 3

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import logging
 import os
 import sys
@@ -198,7 +197,6 @@ def cmd_check(args) -> int:
     return 0 if npass == len(results) else 3
 
 
-@functools.cache   # error() only raises, so one parser serves every main()
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="gchs",

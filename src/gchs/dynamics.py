@@ -43,14 +43,11 @@ from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
                        _real_part, gspb_jets, pb_complex_jets, sdyn_jets,
                        unit_field)
 from .fields import (_Emitter, _NoFloatCode, ScalarField, _compiled,
-                     _STORE_SIZE, _guard_finite, _params, _source, point_jets,
+                     _guard_finite, _params, _source, point_jets,
                      wirtinger_split)
 from .phasespace import ComplexCoords, PhasePoint
 
 log = logging.getLogger(__name__)
-
-#: (H._code, s._code) -> velocity_kernel, least recently used first
-_KERNELS: dict[tuple, object] = {}
 
 
 @dataclass(frozen=True)
@@ -113,13 +110,11 @@ def velocity_kernel(sys: StructuredSystem):
     returns the floats (qdot_1..qdot_n, pdot_1..pdot_n) of
     real_velocity_jets, or the index of a guard that fired (or raises
     one of fields._FLOAT_ERRORS); None where sys has no such function.
-    Built once per pair of H and s texts (see fields.parse_field)."""
-    key = (sys.hamiltonian._code, sys.structural._code)
-    fn = _KERNELS.pop(key) if key in _KERNELS else _velocity_function(sys)
-    if len(_KERNELS) >= _STORE_SIZE:
-        del _KERNELS[next(iter(_KERNELS))]
-    _KERNELS[key] = fn
-    return fn
+    Built once per pair of H's and s's code, and kept on H's (_FieldCode)."""
+    kernels, key = sys.hamiltonian._code.kernels, sys.structural._code
+    if key not in kernels:
+        kernels[key] = _velocity_function(sys)
+    return kernels[key]
 
 
 def _velocity_function(sys: StructuredSystem):

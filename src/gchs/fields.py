@@ -30,6 +30,7 @@ import logging
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
@@ -865,10 +866,13 @@ class _Parser:
 
 class _FieldCode:
     """A field's code by order: float code (None where it has none) and
-    array code.  The fields of one parsed text share one (see _parsed)."""
+    array code, and as H of a system, the velocity kernels by s's code
+    (dynamics.velocity_kernel; an entry goes when s's code does).  The
+    fields of one parsed text share one (see _parsed)."""
 
     def __init__(self):
         self.floats, self.arrays = {}, {}
+        self.kernels = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -890,14 +894,18 @@ class ScalarField:
 
 
 def _make_field(root: Node, n: int) -> ScalarField:
-    nodes = list(root.walk())
-    uses_time = any(isinstance(x, TimeVar) for x in nodes)
-    real_form = not any(isinstance(x, (ImagUnit, CoordZ))
-                        or isinstance(x, Func) and x.name == "conj" for x in nodes)
+    uses_time = False
+    real_form = True
+    for node in root.walk():
+        if isinstance(node, TimeVar):
+            uses_time = True
+        if isinstance(node, (ImagUnit, CoordZ)) or (
+                isinstance(node, Func) and node.name == "conj"):
+            real_form = False
     return ScalarField(root, n, uses_time, real_form)
 
 
-#: entries kept by _parsed and by dynamics.velocity_kernel (gchs check parses ~10 texts)
+#: texts kept by _parsed (gchs check parses 7)
 _STORE_SIZE = 64
 
 

@@ -5,18 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from gchs import PhasePoint, StructuredSystem, dynamics, fields, parse_field
+from gchs import PhasePoint, StructuredSystem, fields, parse_field
 
 
 @pytest.fixture(autouse=True)
 def fresh_store():
-    """Empty the process-wide store of parsed fields and the velocity
-    kernels keyed on it before each test, as in a new process.  A test
-    that checks a first build (its log line, tape then compile) or
+    """Empty the process-wide store of parsed fields (and so the velocity
+    kernels kept on their code) before each test, as in a new process.  A
+    test that checks a first build (its log line, tape then compile) or
     refuses compile() then neither sees nor leaves behind code that
     another test built from the same text."""
     fields._parsed.cache_clear()
-    dynamics._KERNELS.clear()
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gchs import DomainError, InvariantResult, Trajectory, fields, integrate
-from gchs.cli import _build_parser, main, run_one_scenario, write_summary_json
+from gchs.cli import main, run_one_scenario, write_summary_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -426,20 +426,6 @@ def test_no_arguments_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
-
-
-def test_one_parser_serves_every_call(write_scenario, capsys):
-    # the parser is built once; a usage error or a parse leaves nothing
-    # behind for the next call
-    assert _build_parser() is _build_parser()
-    assert main(["run", "--jobs", "0", "a.json"]) == 1
-    path = write_scenario(stepper={"step": 1e-2, "t_end": 0.1})
-    assert main(["run", str(path)]) == 0
-    assert _build_parser().parse_args(["run", "--jobs", "3", "a.json"]).jobs == 3
-    args = _build_parser().parse_args(["run", "b.json"])
-    assert args.jobs == 1 and args.scenarios == ["b.json"]
-    assert main(["check", "--count", "1", str(path)]) == 0
-    assert "usage error: argument --jobs" in capsys.readouterr().err
 
 
 def test_debug_logging_goes_to_stderr(write_scenario):

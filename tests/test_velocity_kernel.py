@@ -5,6 +5,7 @@ kernel and falls back to the order-1 jets of H and s.  Both routes must
 give the same floats, bit for bit, and the same errors."""
 
 import dataclasses
+import gc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from gchs import (DomainError, PhasePoint, StepperConfig, StructuredSystem,
                   dynamics, fields, integrate, integrate_tghs, load_scenario,
                   parse_field)
 from gchs.checks import random_system
+from gchs.fields import constant_field
 from gchs.cli import main, run_one_scenario
 from gchs.dynamics import velocity_kernel
 
@@ -185,15 +187,14 @@ def test_kernel_build_is_logged_once_per_pair_of_texts(caplog):
     assert "q1 * p1" in builds[0] and "statements" in builds[0] and "ms" in builds[0]
 
 
-def test_kernel_store_is_bounded():
-    size = fields._STORE_SIZE
-    for k in range(size + 3):
-        velocity_kernel(StructuredSystem(1, parse_field(f"q1 * p1 + {k}", 1),
-                                         parse_field("q1", 1)))
-        assert len(dynamics._KERNELS) <= size
-    assert len(dynamics._KERNELS) == size
-    # keyed on the code objects themselves, never on an id() of them
-    assert all(type(c) is fields._FieldCode for key in dynamics._KERNELS for c in key)
+def test_kernel_is_kept_on_H_code_until_s_code_goes():
+    H = parse_field("q1 * p1", 1)
+    s = constant_field(0.5, 1)   # not parsed: code of its own
+    assert velocity_kernel(StructuredSystem(1, H, s)) is not None
+    assert list(H._code.kernels) == [s._code]
+    del s
+    gc.collect()
+    assert len(H._code.kernels) == 0
 
 
 def test_run_of_scenarios_sharing_H_and_s_builds_one_kernel(write_scenario, monkeypatch):
@@ -216,7 +217,6 @@ def test_run_of_scenarios_sharing_H_and_s_builds_one_kernel(write_scenario, monk
     together = [outputs(path) for path in paths]
     for path, want in zip(paths, together):
         fields._parsed.cache_clear()
-        dynamics._KERNELS.clear()
         assert main(["run", str(path)]) == 0
         assert outputs(path) == want
     assert len(builds) == 3

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, RealnessError
-from .fields import (ScalarField, WirtingerGradient, constant_field,
+from .fields import (ScalarField, WirtingerGradient, parse_field,
                      point_jets, wirtinger_split)
 from .phasespace import PhasePoint
 
@@ -198,4 +198,4 @@ def geometrio(sys: StructuredSystem, pt: PhasePoint) -> tuple[np.ndarray, np.nda
 
 def unit_field(n: int) -> ScalarField:
     """The constant field 1, handy as the left slot of the structural bracket."""
-    return constant_field(1.0, n)
+    return parse_field("1", n)

@@ -23,8 +23,7 @@ from .brackets import (StructuredSystem, _amax, geobracket_jets, gspb_jets,
 from .dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
                        thorough_jets, tghs_zbardot_jets, tghs_zdot_jets,
                        total_rate_jets, _symmetrize)
-from .fields import (ScalarField, constant_field, conjugate_field,
-                     coordinate_field, eval_jet, linear_combination,
+from .fields import (ScalarField, eval_jet, linear_combination,
                      parse_field, wirtinger_split)
 from .integrate import StepperConfig, integrate_tghs, monitor_report
 from .phasespace import PhasePoint, real_from_wirtinger, wirtinger_from_real
@@ -206,16 +205,15 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
               - (a * gspb_jets(fj, gj, sj, n) + b * gspb_jets(frj, gj, sj, n))),
         1e-12)
 
-    zero_j = jets(constant_field(0.0, n))
+    zero_j = jets(parse_field("0", n))
     add("brackets.classical_reduction",
         _amax(gspb_jets(fj, gj, zero_j, n) - pb_complex_jets(fj, gj, n)), 0.0)
 
     add("brackets.real_complex_agreement",
         _amax(pb_complex_jets(fj, gj, n) - pb_real_jets(fj, gj, n)), 1e-10)
 
-    zj = [jets(coordinate_field("z", j, n)) for j in range(1, n + 1)]
-    zbj = [jets(conjugate_field(coordinate_field("z", j, n)))
-           for j in range(1, n + 1)]
+    zj = [jets(parse_field(f"z{j}", n)) for j in range(1, n + 1)]
+    zbj = [jets(parse_field(f"conj(z{j})", n)) for j in range(1, n + 1)]
     sz, szb = wirtinger_split(sj.grad, n)
 
     dev = max(_amax(pb_complex_jets(zj[j], zbj[j], n) + 2j) for j in range(n))

@@ -113,7 +113,11 @@ def velocity_kernel(sys: StructuredSystem):
     Built once per pair of H's and s's code, and kept on H's (_FieldCode)."""
     kernels, key = sys.hamiltonian._code.kernels, sys.structural._code
     if key not in kernels:
-        kernels[key] = _velocity_function(sys)
+        try:
+            kernels[key] = _velocity_function(sys)
+        except _NoFloatCode as e:
+            log.debug("no velocity kernel for %s: %s", sys, e)
+            kernels[key] = None
     return kernels[key]
 
 
@@ -122,16 +126,12 @@ def _velocity_function(sys: StructuredSystem):
     n = sys.n
     em = _Emitter(n, 1, floats=True)
     jets = []
-    try:
-        for f in (sys.hamiltonian, sys.structural):
-            # every guard of f's own float code, so the function returns
-            # where both of those would
-            val, grad, _ = em.tree(f.root)
-            _guard_finite(em, [val, *grad.values()])
-            jets.append((val, grad))
-    except _NoFloatCode as e:
-        log.debug("no velocity kernel for %s: %s", sys, e)
-        return None
+    for f in (sys.hamiltonian, sys.structural):
+        # every guard of f's own float code, so the function returns
+        # where both of those would
+        val, grad, _ = em.tree(f.root)
+        _guard_finite(em, [val, *grad.values()])
+        jets.append((val, grad))
     (Hval, GH), (_, Gs) = jets
 
     def rate(a):

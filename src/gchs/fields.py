@@ -18,10 +18,10 @@ All derivatives come from forward-mode jets over the 2n real
 coordinates; nothing is ever differentiated symbolically.  Wirtinger
 pairs are assembled from the real partials afterwards.
 
-Jets are computed by straight-line code generated once per parsed text
-(see parse_field) and order (see _Emitter): numpy calls on complex
-arrays over a batch of points, and for a single point of a real-form
-field, Python float code that returns the same values.
+Jets are computed by straight-line code generated and compiled once per
+parsed text (see parse_field) and order (see _Emitter, _Code): numpy
+calls on complex arrays over a batch of points, and for a single point
+of a real-form field, Python float code that returns the same values.
 """
 
 from __future__ import annotations
@@ -67,9 +67,14 @@ class Node:
         return ()
 
     def walk(self):
-        yield self
-        for c in self.children():
-            yield from c.walk()
+        """Every node of the tree, each before its subtrees, the right
+        subtree before the left one.  The walk keeps its own stack, since
+        a field may nest deeper than Python's recursion limit."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            todo.extend(node.children())
 
 
 @dataclass(frozen=True)
@@ -211,8 +216,6 @@ _CHAIN_LIMIT = 100
 
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
-# the operators of the generated code, by their names on the tape
-_OPERATORS = {**_FLOAT_OPS, "**": operator.pow, "neg": operator.neg}
 
 # outputs summed by one finiteness guard of the float code
 _GUARD_TERMS = 32
@@ -311,7 +314,7 @@ class _Emitter:
 
     def __init__(self, n: int, order: int, floats: bool):
         self.n, self.order, self.floats = n, order, floats
-        self.tape: list[tuple] = []       # (target or None, op, operands, source)
+        self.tape: list[tuple] = []       # (target or None, operands, source)
         self.locals: dict[str, str] = {}  # source -> the local holding it
         self.reasons: list[str] = []      # float guard index -> why it fires
 
@@ -324,7 +327,7 @@ class _Emitter:
         name = self.locals.get(text)
         if name is None:
             name = self.locals[text] = f"v{len(self.locals)}"
-            self.tape.append((name, op, args, text))
+            self.tape.append((name, args, text))
         return name
 
     def fold(self, fn, *args):
@@ -375,13 +378,13 @@ class _Emitter:
         test = f"not ({x} - {x} == 0.0)"
         if zero:
             test = f"{x} == 0.0 or {test}"
-        self.tape.append((None, "guard", (x,), f"if {test}: return {len(self.reasons)}"))
+        self.tape.append((None, (x,), f"if {test}: return {len(self.reasons)}"))
         self.reasons.append(reason)
 
     def refuse_zero(self, x, check: str):
         """Array code: raise the DomainError of check where x has a zero."""
         if isinstance(x, str) or x == 0:
-            self.tape.append((None, check, (x,), f"{check}({_src(x)})"))
+            self.tape.append((None, (x,), f"{check}({_src(x)})"))
 
     def array_only(self, what: str):
         if self.floats:
@@ -458,19 +461,13 @@ class _Emitter:
     # ---- nodes -----------------------------------------------------------
 
     def tree(self, root: Node):
-        """Emit root, children first.  The walk keeps its own stack, since a
-        field may nest deeper than Python's recursion limit."""
-        nodes, todo = [], [root]
-        while todo:   # root, then the right subtree before the left one
-            node = todo.pop()
-            kids = node.children()
-            nodes.append((node, len(kids)))
-            todo.extend(kids)
+        """Emit root, children first."""
         done: list = []
-        for node, k in reversed(nodes):   # left subtree, right subtree, root
+        for node in reversed(list(root.walk())):   # left subtree, right subtree, root
             rule = _EMIT_RULES.get(type(node))
             if rule is None:
                 raise _NoFloatCode(f"no rule for {type(node).__name__} nodes")
+            k = len(node.children())
             args = done[len(done) - k:]
             del done[len(done) - k:]
             done.append(rule(self, node, *args))
@@ -609,7 +606,7 @@ def _with_dels(tape: list, outs: list) -> list:
     """The tape with each local deleted after its last use, so the array
     code holds only the arrays it still needs."""
     last = {}   # local -> the statement that reads it last
-    for k, (_, _, args, _) in enumerate(tape):
+    for k, (_, args, _) in enumerate(tape):
         for x in args:
             if type(x) is str and x[0] == "v":
                 last[x] = k
@@ -622,7 +619,7 @@ def _with_dels(tape: list, outs: list) -> list:
     for k, statement in enumerate(tape):
         kept.append(statement)
         if k in dead:
-            kept.append((None, "del", dead[k], "del " + ", ".join(dead[k])))
+            kept.append((None, dead[k], "del " + ", ".join(dead[k])))
     return kept
 
 
@@ -633,14 +630,13 @@ def _compile(source: str, namespace: dict):
 
 
 def _compiled(source: str, kind: str):
-    """The function _jet of source in the namespace of back end kind, or
-    None where compile() refuses it."""
+    """The function _jet of source in the namespace of back end kind;
+    _NoFloatCode where compile() refuses it."""
     try:
         return _compile(source, _NAMESPACES[kind])
     except (RecursionError, MemoryError, SyntaxError) as e:
-        log.debug("compile() refuses %s code of %d lines: %s: %s", kind,
-                  source.count("\n"), type(e).__name__, e)
-        return None
+        raise _NoFloatCode(f"compile() refuses {kind} code of "
+                           f"{source.count(chr(10))} lines: {type(e).__name__}: {e}") from None
 
 
 def _guard_finite(em: _Emitter, outs: list):
@@ -656,22 +652,19 @@ def _guard_finite(em: _Emitter, outs: list):
 def _source(tape: list, outs: list, params: list[str]) -> str:
     """The function _jet(*params) that runs tape and returns outs."""
     lines = [text if target is None else f"{target} = {text}"
-             for target, _, _, text in tape]
+             for target, _, text in tape]
     lines.append(f"return ({', '.join(map(_src, outs))},)")
     return (f"def _jet({', '.join(params)}):\n"
             + "".join(f"    {line}\n" for line in lines))
 
 
 class _Code:
-    """The generated code of one field at one order: its tape, and its
-    source, a function _jet(x0, ..., x{2n-1}, t) that returns the outputs
-    (the float code returns the index of a guard that fired instead).
-
-    Float code is compiled at once (fn).  Array code (run) runs its tape
-    statement by statement at the first call and is compiled at the
-    second: many array jets are wanted once (the monitors of a run, the
-    invariant suite), and compile() costs about as much as such a run.
-    Array code that compile() refuses keeps running as a tape.
+    """The generated code of one field at one order, compiled when it is
+    built: fn(x0, ..., x{2n-1}, t) returns the outputs, which slots places
+    in a dense jet (the float code returns the index of a guard that
+    fired instead, and reasons says why it fired).  Raises _NoFloatCode
+    where the field has no code in this back end (see _Emitter) or
+    compile() refuses the code.
     """
 
     def __init__(self, f: ScalarField, order: int, floats: bool):
@@ -685,39 +678,13 @@ class _Code:
                                *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
         if floats:
             _guard_finite(em, outs)
-        self.tape = em.tape if floats else _with_dels(em.tape, outs)
-        self.outs, self.reasons, self.n = outs, em.reasons, f.n
-        self.source = _source(self.tape, outs, _params(f.n))
-        self.kind = "float" if floats else "array"
-        self.fn = self.compiled() if floats else None
-        self.calls = 0
-        log.debug("%s code for %s at order %d: %d statements, %.3f ms", self.kind,
-                  f, order, len(self.tape), 1e3 * (perf_counter() - t0))
-
-    def compiled(self):
-        """The compiled code, or None where compile() refuses it."""
-        return _compiled(self.source, self.kind)
-
-    def run(self, *args):
-        """The outputs of the array code at (x0, ..., x{2n-1}, t)."""
-        if self.fn is None and self.calls:
-            self.fn = self.compiled() or False
-        self.calls += 1
-        return self.fn(*args) if self.fn else self.taped(*args)
-
-    def taped(self, *args):
-        """The outputs of the array code, run statement by statement."""
-        env = dict(zip(_params(self.n), args))
-        for target, op, operands, _ in self.tape:
-            if op == "del":
-                for name in operands:
-                    del env[name]
-                continue
-            out = (_OPERATORS.get(op) or _NAMESPACES["array"][op])(
-                *(env[x] if isinstance(x, str) else x for x in operands))
-            if target is not None:
-                env[target] = out
-        return tuple(env[x] if isinstance(x, str) else x for x in self.outs)
+        tape = em.tape if floats else _with_dels(em.tape, outs)
+        self.reasons = em.reasons
+        self.source = _source(tape, outs, _params(f.n))
+        kind = "float" if floats else "array"
+        self.fn = _compiled(self.source, kind)
+        log.debug("%s code for %s at order %d: %d statements, %.3f ms", kind,
+                  f, order, len(tape), 1e3 * (perf_counter() - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +735,11 @@ class _Parser:
         raise ExpressionError(message, self.text, tok[2])
 
     def parse(self) -> Node:
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:   # each parenthesis is a few calls deeper
+            raise ExpressionError("expression nests too deeply", self.text,
+                                  self._peek()[2]) from None
         tok = self._peek()
         if tok[0] != "eof":
             self._error(f"unexpected {tok[1]!r}", tok)
@@ -905,7 +876,7 @@ def _make_field(root: Node, n: int) -> ScalarField:
     return ScalarField(root, n, uses_time, real_form)
 
 
-#: texts kept by _parsed (gchs check parses 7)
+#: texts kept by _parsed (gchs check parses 7, and 2n + 1 fixed fields)
 _STORE_SIZE = 64
 
 
@@ -985,7 +956,7 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
             return jet
     code = _code_for(f, order, floats=False)
     t = 0.0 if tval is None else tval.astype(complex)
-    out = code.run(*Q.astype(complex), *P.astype(complex), t)
+    out = code.fn(*Q.astype(complex), *P.astype(complex), t)
     buf = np.zeros((_size(f.n, order), m), dtype=complex)
     for slot, x in zip(code.slots, out):
         buf[slot] = x
@@ -1004,8 +975,6 @@ def _code_for(f: ScalarField, order: int, floats: bool) -> _Code | None:
                 raise TypeError(str(e)) from None
             log.debug("no float code for %s at order %d: %s", f, order, e)
             code = None
-        if floats and code is not None and code.fn is None:
-            code = None   # compile() refused the float code
         cache[order] = code
     return cache[order]
 

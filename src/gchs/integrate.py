@@ -57,6 +57,10 @@ class StepperConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("step", "abs_tol", "rel_tol", "t_end", "max_norm"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number")
         # each test is written so that NaN fails it
         for name in ("step", "abs_tol", "rel_tol", "max_norm"):
             if not 0 < getattr(self, name) < math.inf:

@@ -12,10 +12,24 @@ from gchs import PhasePoint, StructuredSystem, fields, parse_field
 def fresh_store():
     """Empty the process-wide store of parsed fields (and so the velocity
     kernels kept on their code) before each test, as in a new process.  A
-    test that checks a first build (its log line, tape then compile) or
+    test that checks a first build (its log line, its one compile()) or
     refuses compile() then neither sees nor leaves behind code that
     another test built from the same text."""
     fields._parsed.cache_clear()
+
+
+@pytest.fixture
+def code_builds(monkeypatch):
+    """The (field, order, floats) of every generated code built from now on."""
+    builds = []
+    init = fields._Code.__init__
+
+    def counted(self, f, order, floats):
+        builds.append((f, order, floats))
+        init(self, f, order, floats)
+
+    monkeypatch.setattr(fields._Code, "__init__", counted)
+    return builds
 
 
 @pytest.fixture

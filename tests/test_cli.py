@@ -104,6 +104,21 @@ def test_run_complex_structural_exit_1(write_scenario, capsys):
     assert "real-valued" in capsys.readouterr().err
 
 
+def test_run_hamiltonian_of_1100_terms(write_scenario, capsys):
+    terms = " + ".join(f"{k * 1e-6!r} * q1^2" for k in range(1, 1101))
+    path = write_scenario(hamiltonian=f"(q1^2 + p1^2) / 2 + {terms}",
+                          stepper={"step": 1e-2, "t_end": 0.1})
+    assert main(["run", str(path)]) == 0
+    assert "11 samples" in capsys.readouterr().out
+
+
+def test_run_deeply_nested_parentheses_exit_1(write_scenario, capsys):
+    path = write_scenario(hamiltonian="(" * 1200 + "q1" + ")" * 1200)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "hamiltonian: line 1, column" in err and "nests too deeply" in err
+
+
 def test_run_missing_file_exit_1(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
     assert "not found" in capsys.readouterr().err
@@ -386,6 +401,20 @@ def test_check_is_byte_deterministic(write_scenario, capsys):
         assert main(["check", "--seed", "42", "--count", "50", str(path)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+def test_second_check_builds_only_its_linear_combinations(write_scenario, capsys,
+                                                         code_builds):
+    # every other field of the suite comes from the store of parsed fields
+    path = write_scenario()
+    assert main(["check", "--seed", "7", "--count", "50", str(path)]) == 0
+    assert len(code_builds) > 2
+    code_builds.clear()
+    assert main(["check", "--seed", "7", "--count", "50", str(path)]) == 0
+    assert [(type(f.root), order, floats) for f, order, floats in code_builds] \
+        == [(fields.Add, 1, False)] * 2
+    assert all(type(f.root.left) is type(f.root.right) is fields.Mul
+               for f, _, _ in code_builds)
 
 
 def test_check_failure_exit_3(write_scenario, capsys, monkeypatch):

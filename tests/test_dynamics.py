@@ -31,6 +31,17 @@ def test_s_dynamics_vanishes_classically(oscillator, pt12):
     assert s_dynamics(oscillator, pt12) == 0.0
 
 
+def test_second_s_dynamics_builds_no_code(structured, pt12, code_builds):
+    # the unit field of its second route comes from the store, like H and s
+    first = s_dynamics(structured, pt12)
+    assert code_builds
+    code_builds.clear()
+    again = StructuredSystem(1, parse_field("(q1^2 + p1^2) / 2", 1),
+                             parse_field("q1", 1))   # the fixture's texts
+    assert s_dynamics(structured, pt12) == s_dynamics(again, pt12) == first
+    assert code_builds == []
+
+
 def test_velocity_reference(structured, pt12):
     v = tghs_velocity(structured, pt12)
     assert v[0] == pytest.approx(2.0 - 3.5j, abs=1e-14)

@@ -509,27 +509,93 @@ def test_large_dense_field_compiles_and_matches_batch():
     np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
 
 
-@pytest.mark.parametrize("error", [RecursionError, MemoryError, SyntaxError])
-def test_field_the_compiler_refuses_stays_batched(monkeypatch, error):
-    # without compile() the array code runs as a tape, statement by statement
-    def refuse(*args):
-        raise error("too large")
+def _refuse_floats(monkeypatch, error):
+    """Make compile() refuse the float code, and only the float code."""
+    compile_ = fields._compile
+
+    def refuse(source, namespace):
+        if namespace is fields._NAMESPACES["float"]:
+            raise error("too large")
+        return compile_(source, namespace)
 
     monkeypatch.setattr(fields, "_compile", refuse)
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError, SyntaxError])
+def test_field_the_compiler_refuses_stays_batched(monkeypatch, error):
+    # without float code a single point runs on the array code
+    _refuse_floats(monkeypatch, error)
     f = _dense_cubic(4)
     Q, P = np.array([[0.3], [0.1], [-0.2], [0.5]]), np.array([[0.4], [0.2], [0.7], [-0.1]])
     single = eval_jet(f, Q, P, order=2)
+    assert f._code.floats[2] is None
     batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), order=2)
     np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
     _equals_dense(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), 2)
 
 
+def _refuse(*args):
+    raise RecursionError("too deep")
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_array_code_the_compiler_refuses_is_a_type_error(monkeypatch, m):
+    # there is no other way to run it
+    monkeypatch.setattr(fields, "_compile", _refuse)
+    f = parse_field("q1 * p1 + sin(q1)", 1)
+    with pytest.raises(fields._NoFloatCode, match="compile\\(\\) refuses array code"):
+        fields._Code(f, 1, False)
+    with pytest.raises(TypeError, match="compile\\(\\) refuses array code .*too deep"):
+        eval_jet(f, np.full((1, m), 0.5), np.full((1, m), 2.0), order=1)
+
+
+def test_each_code_is_compiled_once_when_it_is_built(monkeypatch):
+    compiles = []
+    compile_ = fields._compile
+
+    def counted(source, namespace):
+        compiles.append(source)
+        return compile_(source, namespace)
+
+    monkeypatch.setattr(fields, "_compile", counted)
+    f = parse_field("q1^2 * p1 + sin(q1) / (2 + p1^2)", 1)
+    for floats in (True, False):
+        for order in (0, 1, 2):
+            code = fields._Code(f, order, floats)
+            assert compiles == [code.source]
+            compiles.clear()
+    # eval_jet builds each of f's six codes once, and then compiles nothing
+    for _ in range(3):
+        for m in (1, 2):
+            for order in (0, 1, 2):
+                eval_jet(f, np.full((1, m), 0.5), np.full((1, m), 2.0), order=order)
+    built = [*f._code.floats.values(), *f._code.arrays.values()]
+    assert len(built) == 6 and sorted(compiles) == sorted(c.source for c in built)
+
+
 def test_deep_field_stays_batched():
-    # a left-leaning sum deeper than a recursive walk could go: the
-    # emitter keeps its own stack
+    # a left-leaning sum deeper than a recursive walk could go: Node.walk
+    # keeps its own stack
     f = parse_field(" + ".join(["q1 * p1"] * 700), 1)
     jet = eval_jet(f, [[0.5]], [[2.0]], order=1)
     assert jet.val[0] == 700.0 and list(jet.grad[:, 0]) == [1400.0, 350.0]
+
+
+def test_sum_of_five_thousand_terms_evaluates():
+    f = parse_field(" + ".join(["q1 * p1"] * 5000), 1)
+    assert f.is_real_form and not f.uses_time
+    for m in (1, 3):
+        jet = eval_jet(f, np.full((1, m), 0.5), np.full((1, m), 2.0), order=1)
+        assert np.all(jet.val == 5000.0)
+        np.testing.assert_array_equal(jet.grad, np.full((2, m), [[10000.0], [2500.0]]))
+    assert f._code.floats[1] is not None
+
+
+def test_deep_nesting_is_an_expression_error():
+    text = "(" * 1200 + "q1" + ")" * 1200
+    with pytest.raises(ExpressionError, match="nests too deeply") as err:
+        parse_field(text, 1)
+    assert err.value.line == 1 and 1 < err.value.column < 1200
 
 
 def test_time_dependent_field_compiles_and_matches_batch():
@@ -578,7 +644,7 @@ def test_generated_source_has_no_builtins():
                         ("log(z1) / (1 + p1^2) + cos(q1)^-2 * conj(z1)", False)]:
         code = fields._Code(parse_field(src, 1), 2, floats)
         assert "import" not in code.source and "__" not in code.source
-        assert code.compiled().__globals__["__builtins__"] == {}
+        assert code.fn.__globals__["__builtins__"] == {}
 
 
 def test_float_code_logs_compiles_and_fallbacks(caplog):

@@ -42,6 +42,14 @@ def cfg(**kw):
     {"max_norm": np.inf},
     # a bool is an int to isinstance, and True would run with stride 1
     {"stride": True},
+    # a bool would run with h = 1, and nothing but a number compares
+    {"step": True, "t_end": True},
+    {"t_end": False},
+    {"abs_tol": True},
+    {"step": "0.01"},
+    {"rel_tol": "1e-9"},
+    {"t_end": None},
+    {"max_norm": None},
     # finite and positive, but the step count overflows a float
     {"step": 1e-310, "t_end": 1e10},
 ])

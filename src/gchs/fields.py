@@ -12,7 +12,8 @@ interface: one optional leading sign is allowed before the first term):
 Identifiers: coordinates q<j>, p<j>, the complex chart z<j> (= q<j> + i p<j>),
 the functions sin, cos, exp, log, conj, and the time variable t when the
 field is parsed with allow_time=True.  Indices are 1-based and checked
-against n.  Powers are integer-only.
+against n.  Powers are integer-only.  str(f) prints a field in this grammar
+at any length, and the text of a parsed field reparses to an equal tree.
 
 All derivatives come from forward-mode jets over the 2n real
 coordinates; nothing is ever differentiated symbolically.  Wirtinger
@@ -50,18 +51,8 @@ _ADD, _MUL, _POW, _ATOM = 1, 2, 3, 4
 
 
 class Node:
-    """Base expression node."""
-
-    PREC = _ATOM
-
-    def _raw(self) -> str:
-        raise NotImplementedError
-
-    def fmt(self, parent_prec: int = _ADD) -> str:
-        s = self._raw()
-        if self.PREC < parent_prec:
-            return f"({s})"
-        return s
+    """Base expression node; printing and emission are rules keyed by its
+    type (_PRINT_RULES, _EMIT_RULES), applied by fold."""
 
     def children(self):
         return ()
@@ -76,41 +67,36 @@ class Node:
             yield node
             todo.extend(node.children())
 
+    def fold(self, rule):
+        """rule(node, *the results of its children) at every node,
+        children first; the result at the root.  No recursion (see walk)."""
+        done: list = []
+        for node in reversed(list(self.walk())):   # left subtree, right subtree, root
+            k = len(node.children())
+            args = done[len(done) - k:]
+            del done[len(done) - k:]
+            done.append(rule(node, *args))
+        return done[0]
+
 
 @dataclass(frozen=True)
 class Num(Node):
     value: float
 
-    def _raw(self):
-        return repr(float(self.value))
 
-    def fmt(self, parent_prec: int = _ADD) -> str:
-        # a negative literal prints with its sign, so in any context
-        # tighter than a sum it needs parentheses to reparse
-        s = self._raw()
-        prec = _ADD if self.value < 0 else _ATOM
-        return f"({s})" if prec < parent_prec else s
-
-
+@dataclass(frozen=True)
 class ImagUnit(Node):
-    def _raw(self):
-        return "i"
+    pass
 
 
 @dataclass(frozen=True)
 class CoordQ(Node):
     j: int  # 1-based
 
-    def _raw(self):
-        return f"q{self.j}"
-
 
 @dataclass(frozen=True)
 class CoordP(Node):
     j: int
-
-    def _raw(self):
-        return f"p{self.j}"
 
 
 @dataclass(frozen=True)
@@ -119,22 +105,15 @@ class CoordZ(Node):
 
     j: int
 
-    def _raw(self):
-        return f"z{self.j}"
 
-
+@dataclass(frozen=True)
 class TimeVar(Node):
-    def _raw(self):
-        return "t"
+    pass
 
 
 @dataclass(frozen=True)
 class Neg(Node):
-    PREC = _ADD
     child: Node
-
-    def _raw(self):
-        return f"-{self.child.fmt(_MUL)}"
 
     def children(self):
         return (self.child,)
@@ -150,41 +129,25 @@ class _Binary(Node):
 
 
 class Add(_Binary):
-    PREC = _ADD
-
-    def _raw(self):
-        return f"{self.left.fmt(_ADD)} + {self.right.fmt(_MUL)}"
+    pass
 
 
 class Sub(_Binary):
-    PREC = _ADD
-
-    def _raw(self):
-        return f"{self.left.fmt(_ADD)} - {self.right.fmt(_MUL)}"
+    pass
 
 
 class Mul(_Binary):
-    PREC = _MUL
-
-    def _raw(self):
-        return f"{self.left.fmt(_MUL)} * {self.right.fmt(_POW)}"
+    pass
 
 
 class Div(_Binary):
-    PREC = _MUL
-
-    def _raw(self):
-        return f"{self.left.fmt(_MUL)} / {self.right.fmt(_POW)}"
+    pass
 
 
 @dataclass(frozen=True)
 class Pow(Node):
-    PREC = _POW
     base: Node
     exponent: int
-
-    def _raw(self):
-        return f"{self.base.fmt(_ATOM)}^{self.exponent}"
 
     def children(self):
         return (self.base,)
@@ -195,11 +158,41 @@ class Func(Node):
     name: str
     child: Node
 
-    def _raw(self):
-        return f"{self.name}({self.child.fmt(_ADD)})"
-
     def children(self):
         return (self.child,)
+
+
+def _operand(result, slot: int) -> str:
+    # the text of an operand, parenthesized where it binds looser than its slot
+    text, prec = result
+    return f"({text})" if prec < slot else text
+
+
+def _num_text(node):
+    # a literal printed with its sign (-0.0 too) is parenthesized as a sum is
+    text = repr(float(node.value))
+    return text, _ADD if text[0] == "-" else _ATOM
+
+
+def _infix(sym: str, prec: int):
+    # left-associative: the right operand binds one level tighter
+    return lambda node, a, b: (f"{_operand(a, prec)} {sym} {_operand(b, prec + 1)}", prec)
+
+
+# each rule gives a node's text and its precedence level
+_PRINT_RULES = {
+    Num: _num_text,
+    ImagUnit: lambda node: ("i", _ATOM),
+    CoordQ: lambda node: (f"q{node.j}", _ATOM),
+    CoordP: lambda node: (f"p{node.j}", _ATOM),
+    CoordZ: lambda node: (f"z{node.j}", _ATOM),
+    TimeVar: lambda node: ("t", _ATOM),
+    Neg: lambda node, x: (f"-{_operand(x, _MUL)}", _ADD),
+    Add: _infix("+", _ADD), Sub: _infix("-", _ADD),
+    Mul: _infix("*", _MUL), Div: _infix("/", _MUL),
+    Pow: lambda node, b: (f"{_operand(b, _ATOM)}^{node.exponent}", _POW),
+    Func: lambda node, x: (f"{node.name}({x[0]})", _ATOM),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -462,16 +455,12 @@ class _Emitter:
 
     def tree(self, root: Node):
         """Emit root, children first."""
-        done: list = []
-        for node in reversed(list(root.walk())):   # left subtree, right subtree, root
+        def emit(node, *args):
             rule = _EMIT_RULES.get(type(node))
             if rule is None:
                 raise _NoFloatCode(f"no rule for {type(node).__name__} nodes")
-            k = len(node.children())
-            args = done[len(done) - k:]
-            del done[len(done) - k:]
-            done.append(rule(self, node, *args))
-        return done[0]
+            return rule(self, node, *args)
+        return root.fold(emit)
 
     def num(self, node):
         value = float(node.value)
@@ -858,7 +847,7 @@ class ScalarField:
     _code: _FieldCode = field(default_factory=_FieldCode, repr=False)
 
     def __str__(self):
-        return self.root.fmt(_ADD)
+        return self.root.fold(lambda node, *args: _PRINT_RULES[type(node)](node, *args))[0]
 
     def __repr__(self):
         return f"ScalarField({str(self)!r}, n={self.n})"

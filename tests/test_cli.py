@@ -457,17 +457,31 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_debug_logging_goes_to_stderr(write_scenario):
-    path = write_scenario(stepper={"method": "rk45", "t_end": 0.5})
+def _run_with_debug_log(path):
     env = dict(os.environ, GCHS_LOG="debug")
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c",
          "import sys; from gchs.cli import main; sys.exit(main(sys.argv[1:]))",
          "run", str(path)],
         capture_output=True, text=True, env=env)
+
+
+def test_debug_logging_goes_to_stderr(write_scenario):
+    proc = _run_with_debug_log(write_scenario(stepper={"method": "rk45", "t_end": 0.5}))
     assert proc.returncode == 0
     assert "DEBUG" in proc.stderr
     assert "DEBUG" not in proc.stdout
+
+
+def test_debug_log_prints_hamiltonian_of_1100_terms(write_scenario):
+    # the debug lines print H, whose tree nests deeper than Python's recursion limit
+    terms = " + ".join(f"{k * 1e-6!r} * q1^2" for k in range(1, 1101))
+    path = write_scenario(hamiltonian=f"(q1^2 + p1^2) / 2 + {terms}",
+                          stepper={"step": 1e-2, "t_end": 0.1})
+    proc = _run_with_debug_log(path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    assert f"{1100 * 1e-6!r} * q1^2" in proc.stderr
 
 
 def test_module_entry_point_help():

@@ -189,16 +189,49 @@ def test_store_keeps_the_most_recently_used_texts():
 ])
 def test_print_round_trip(src):
     f = parse_field(src, 1)
+    fields._parsed.cache_clear()   # a new tree, not the one stored for src
     again = parse_field(str(f), 1)
+    assert again.root == f.root and again.root is not f.root
     pt = PhasePoint([0.7], [1.3])
     assert evaluate(again, pt) == evaluate(f, pt)
 
 
-def test_print_negative_literal_reparses():
-    f = linear_combination(-2.0, parse_field("q1", 1), 1.0,
-                           constant_field(-0.5, 1))
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: linear_combination(-2.0, parse_field("q1", 1), 1.0,
+                                            constant_field(-0.5, 1)),
+                 id="linear_combination"),
+    # -0.0 has the sign of a negative literal, though it is not below 0
+    pytest.param(lambda: linear_combination(1.0, parse_field("q1", 1), -0.0,
+                                            parse_field("p1", 1)),
+                 id="minus_zero_coefficient"),
+    pytest.param(lambda: fields._make_field(
+        fields.Mul(fields.CoordQ(1), fields.Num(-0.0)), 1), id="minus_zero_factor"),
+])
+def test_print_negative_literal_reparses(build):
+    f = build()
     again = parse_field(str(f), 1)
+    assert str(again) == str(f)
     assert evaluate(again, PT) == evaluate(f, PT)
+
+
+def test_print_sum_of_five_thousand_terms():
+    f = parse_field("-".join(f"{k}.25*q1^2*p1" for k in range(5000)), 1)
+    text = str(f)
+    assert text.startswith("0.25 * q1^2 * p1 - 1.25 * q1^2 * p1 - ")
+    again = parse_field(text, 1)
+    assert again.root is not f.root
+    # compared by text: a tree's == recurses as deep as the sum is long
+    assert str(again) == text
+    assert evaluate(again, PT) == evaluate(f, PT)
+
+
+def test_print_and_emit_rules_cover_every_node_type():
+    kinds = {cls for cls in vars(fields).values()
+             if isinstance(cls, type) and issubclass(cls, fields.Node)
+             and cls not in (fields.Node, fields._Binary)}
+    assert len(kinds) == 13
+    assert set(fields._EMIT_RULES) == kinds
+    assert set(fields._PRINT_RULES) == kinds
 
 
 def test_field_constructors():
@@ -616,10 +649,7 @@ def test_time_dependent_field_compiles_and_matches_batch():
 
 
 class _Shadow(fields.Node):
-    """q1 under a node type the generator has no rule for."""
-
-    def _raw(self):
-        return "q1"
+    """A leaf of a node type neither back end has a rule for."""
 
 
 def test_emitter_refuses_unknown_node_types():

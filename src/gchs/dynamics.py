@@ -26,9 +26,10 @@ coordinate leaves and common subexpressions and returns (qdot, pdot).
 Each entry is summed as real_velocity_jets sums the complex batch, so
 the two return the same floats.  It applies where H and s both have
 float code (no log, no exponent beyond numpy's multiply chain, no
-non-finite literal) and compile() takes the function; where one of
-their guards fires or a velocity is not finite it returns a guard's
-index, and the caller takes the jets instead.
+non-finite literal) and compile() takes the function.  Built by the
+compile step of fields, it never raises: where a guard of H or s fires,
+a velocity is not finite or Python raises, it returns an index, and the
+caller takes the jets instead.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
                        _real_part, gspb_jets, pb_complex_jets, sdyn_jets,
                        unit_field)
 from .fields import (_Emitter, _NoFloatCode, ScalarField, _compiled,
-                     _guard_finite, _params, _source, point_jets,
-                     wirtinger_split)
+                     point_jets, wirtinger_split)
 from .phasespace import ComplexCoords, PhasePoint
 
 log = logging.getLogger(__name__)
@@ -99,18 +99,15 @@ def tghs_zbardot_jets(Hj, sj, n: int) -> np.ndarray:
 
 def real_velocity_jets(Hj, sj, n: int) -> np.ndarray:
     """Flow velocities stacked (qdot, pdot), shape (2n, m), real."""
-    GH, Gs, Hval = Hj.grad, sj.grad, Hj.val
-    top = GH[n:] + Hval * Gs[n:]
-    bot = -(GH[:n] + Hval * Gs[:n])
-    return _real_part(np.concatenate([top, bot], axis=0), "flow velocity")
+    return _real_part(_J(Hj.grad + Hj.val * sj.grad, n), "flow velocity")
 
 
 def velocity_kernel(sys: StructuredSystem):
     """sys's velocity as one compiled float function of x0..x{2n-1} that
     returns the floats (qdot_1..qdot_n, pdot_1..pdot_n) of
-    real_velocity_jets, or the index of a guard that fired (or raises
-    one of fields._FLOAT_ERRORS); None where sys has no such function.
-    Built once per pair of H's and s's code, and kept on H's (_FieldCode)."""
+    real_velocity_jets, or an index where a guard fires or Python raises
+    (it never raises); None where sys has no such function.  Built once
+    per pair of H's and s's code, and kept on H's (_FieldCode)."""
     kernels, key = sys.hamiltonian._code.kernels, sys.structural._code
     if key not in kernels:
         try:
@@ -125,14 +122,8 @@ def _velocity_function(sys: StructuredSystem):
     t0 = perf_counter()
     n = sys.n
     em = _Emitter(n, 1, floats=True)
-    jets = []
-    for f in (sys.hamiltonian, sys.structural):
-        # every guard of f's own float code, so the function returns
-        # where both of those would
-        val, grad, _ = em.tree(f.root)
-        _guard_finite(em, [val, *grad.values()])
-        jets.append((val, grad))
-    (Hval, GH), (_, Gs) = jets
+    Hval, GH, _ = em.tree(sys.hamiltonian.root)
+    sval, Gs, _ = em.tree(sys.structural.root)
 
     def rate(a):
         # GH_a + H * Gs_a with a literal zero for an absent entry: the
@@ -140,9 +131,8 @@ def _velocity_function(sys: StructuredSystem):
         return em.op(GH.get(a, 0.0), "+", em.op(Hval, "*", Gs.get(a, 0.0)))
 
     outs = [rate(n + j) for j in range(n)] + [em.neg(rate(j)) for j in range(n)]
-    _guard_finite(em, outs)
-    # no t: H and s of a system do not depend on it
-    fn = _compiled(_source(em.tape, outs, _params(n)[:-1]), "float")
+    # H's and s's own finiteness guards too: it returns where either would
+    fn, _ = _compiled(em, outs, [Hval, *GH.values(), sval, *Gs.values(), *outs])
     log.debug("velocity kernel for %s: %d statements, %.3f ms", sys,
               len(em.tape), 1e3 * (perf_counter() - t0))
     return fn

@@ -23,6 +23,8 @@ Jets are computed by straight-line code generated and compiled once per
 parsed text (see parse_field) and order (see _Emitter, _Code): numpy
 calls on complex arrays over a batch of points, and for a single point
 of a real-form field, Python float code that returns the same values.
+All of it, dynamics' velocity kernel too, goes through one compile step
+(_compiled), and float code never raises: it returns a reason's index.
 """
 
 from __future__ import annotations
@@ -169,8 +171,9 @@ def _operand(result, slot: int) -> str:
 
 
 def _num_text(node):
-    # a literal printed with its sign (-0.0 too) is parenthesized as a sum is
-    text = repr(float(node.value))
+    # a literal printed with its sign (-0.0 too) is parenthesized as a sum
+    # is; an infinite one prints as 1e999, which reads back as inf
+    text = repr(float(node.value)).replace("inf", "1e999")
     return text, _ADD if text[0] == "-" else _ATOM
 
 
@@ -212,8 +215,6 @@ _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 
 # outputs summed by one finiteness guard of the float code
 _GUARD_TERMS = 32
-# what the float code may raise instead of returning a guard's index
-_FLOAT_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 
 
 def _refuse_zero(message: str):
@@ -233,7 +234,9 @@ def _outer(a, b):
 
 # the names the code of each back end reads
 _NAMESPACES = {
-    "float": {"sin": math.sin, "cos": math.cos, "exp": math.exp},
+    # float_errors: what the float code catches, to return a reason's index
+    "float": {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+              "float_errors": (OverflowError, ValueError, ZeroDivisionError)},
     "array": {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "conj": np.conj, "outer": _outer, "complex": complex,
               "inf": math.inf, "nan": math.nan,
@@ -301,8 +304,9 @@ class _Emitter:
       the outputs, except where a division, a negative power or
       sin/cos/exp could turn them back into a finite number or raise;
       each of those gets a guard, and the last guards check that every
-      output is finite.  A guard that fires returns its index, and
-      eval_jet runs the point on the array code instead.
+      output is finite.  A guard that fires returns its index, as the
+      code does where Python raises (math.exp overflows), and eval_jet
+      runs the point on the array code instead.
     """
 
     def __init__(self, n: int, order: int, floats: bool):
@@ -587,10 +591,6 @@ _EMIT_RULES = {
 }
 
 
-def _params(n: int) -> list[str]:
-    return [f"x{a}" for a in range(2 * n)] + ["t"]
-
-
 def _with_dels(tape: list, outs: list) -> list:
     """The tape with each local deleted after its last use, so the array
     code holds only the arrays it still needs."""
@@ -618,42 +618,45 @@ def _compile(source: str, namespace: dict):
     return namespace["_jet"]
 
 
-def _compiled(source: str, kind: str):
-    """The function _jet of source in the namespace of back end kind;
-    _NoFloatCode where compile() refuses it."""
+def _compiled(em: _Emitter, outs: list, finite: list | None = None):
+    """em's statements as the function _jet(x0, ..., x{2n-1}, t=0.0) that
+    returns outs: compiled, and its source.  The float code first guards
+    that each output of finite (default outs) is finite, in bounded sums
+    (NaN and inf reach the outputs, see _Emitter; compile() recurses on
+    a chain of +), and returns a reason's index where Python raises one
+    of float_errors.  _NoFloatCode where compile() refuses the code."""
+    kind = "float" if em.floats else "array"
+    if em.floats:
+        names = list(dict.fromkeys(x for x in (outs if finite is None else finite)
+                                   if isinstance(x, str)))
+        for k in range(0, len(names), _GUARD_TERMS):
+            em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
+                     "non-finite result")
+    else:
+        em.tape = _with_dels(em.tape, outs)
+    lines = [text if target is None else f"{target} = {text}"
+             for target, _, text in em.tape]
+    lines.append(f"return ({', '.join(map(_src, outs))},)")
+    if em.floats:
+        lines = ["try:", *(f"    {line}" for line in lines),
+                 f"except float_errors: return {len(em.reasons)}"]
+        em.reasons.append("Python raised OverflowError, ValueError or ZeroDivisionError")
+    params = "".join(f"x{a}, " for a in range(2 * em.n))
+    source = f"def _jet({params}t=0.0):\n" + "".join(f"    {line}\n" for line in lines)
     try:
-        return _compile(source, _NAMESPACES[kind])
+        return _compile(source, _NAMESPACES[kind]), source
     except (RecursionError, MemoryError, SyntaxError) as e:
         raise _NoFloatCode(f"compile() refuses {kind} code of "
                            f"{source.count(chr(10))} lines: {type(e).__name__}: {e}") from None
 
 
-def _guard_finite(em: _Emitter, outs: list):
-    """Float code: guard that every output is finite.  NaN and inf reach
-    the outputs (see _Emitter); a sum sees them all.  Each sum is
-    bounded: compile() recurses on a chain of +."""
-    names = list(dict.fromkeys(x for x in outs if isinstance(x, str)))
-    for k in range(0, len(names), _GUARD_TERMS):
-        em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
-                 "non-finite result")
-
-
-def _source(tape: list, outs: list, params: list[str]) -> str:
-    """The function _jet(*params) that runs tape and returns outs."""
-    lines = [text if target is None else f"{target} = {text}"
-             for target, _, text in tape]
-    lines.append(f"return ({', '.join(map(_src, outs))},)")
-    return (f"def _jet({', '.join(params)}):\n"
-            + "".join(f"    {line}\n" for line in lines))
-
-
 class _Code:
     """The generated code of one field at one order, compiled when it is
-    built: fn(x0, ..., x{2n-1}, t) returns the outputs, which slots places
-    in a dense jet (the float code returns the index of a guard that
-    fired instead, and reasons says why it fired).  Raises _NoFloatCode
-    where the field has no code in this back end (see _Emitter) or
-    compile() refuses the code.
+    built (_compiled): fn(x0, ..., x{2n-1}, t) returns the outputs, which
+    slots places in a dense jet (the float code returns instead the index
+    of a guard that fired or of Python raising; reasons says why).  Raises
+    _NoFloatCode where the field has no code in this back end (see
+    _Emitter) or compile() refuses the code.
     """
 
     def __init__(self, f: ScalarField, order: int, floats: bool):
@@ -665,15 +668,11 @@ class _Code:
         # the flat slot of each output in a dense (val, grad, hess) column
         self.slots = np.array([0, *(1 + a for a in grad),
                                *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
-        if floats:
-            _guard_finite(em, outs)
-        tape = em.tape if floats else _with_dels(em.tape, outs)
+        self.fn, self.source = _compiled(em, outs)
         self.reasons = em.reasons
-        self.source = _source(tape, outs, _params(f.n))
         kind = "float" if floats else "array"
-        self.fn = _compiled(self.source, kind)
         log.debug("%s code for %s at order %d: %d statements, %.3f ms", kind,
-                  f, order, len(tape), 1e3 * (perf_counter() - t0))
+                  f, order, len(em.tape), 1e3 * (perf_counter() - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -883,15 +882,21 @@ def parse_field(text: str, n: int, allow_time: bool = False) -> ScalarField:
     return replace(_parsed(text, n, allow_time))
 
 
+def _literal(c: float) -> Num:
+    if math.isnan(float(c)):   # the grammar has no NaN literal
+        raise ValueError("a field's coefficient must not be NaN")
+    return Num(float(c))
+
+
 def constant_field(c: float, n: int) -> ScalarField:
-    return _make_field(Num(float(c)), n)
+    return _make_field(_literal(c), n)
 
 
 def linear_combination(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:
     """The field a*f + b*g, used by the invariant suite."""
     if f.n != g.n:
         raise ValueError("fields must share the same n")
-    root = Add(Mul(Num(float(a)), f.root), Mul(Num(float(b)), g.root))
+    root = Add(Mul(_literal(a), f.root), Mul(_literal(b), g.root))
     return _make_field(root, f.n)
 
 
@@ -992,13 +997,10 @@ def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
     if code is None:
         return None
     t = 0.0 if tval is None else float(tval[0])
-    try:
-        out = code.fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
-    except _FLOAT_ERRORS as e:
-        out = f"{type(e).__name__}: {e}"
-    if type(out) is not tuple:
+    out = code.fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
+    if type(out) is int:
         log.debug("%s at order %d falls back to the array code: %s", f, order,
-                  code.reasons[out] if type(out) is int else out)
+                  code.reasons[out])
         return None
     buf = np.zeros(_size(f.n, order), dtype=complex)
     buf[code.slots] = out

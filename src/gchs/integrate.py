@@ -12,10 +12,10 @@ Every right-hand side takes t and a sequence of 2n floats and returns
 2n floats; fixed-step RK4 marches on tuples of floats, RK45 on arrays.
 The right-hand side of the structural flow is the system's velocity
 kernel (dynamics.velocity_kernel), one compiled float function of the
-state that returns the floats the jets would.  Where the system has no
-kernel, or a guard of the kernel fires or Python raises in it, that
-stage takes the order-1 jets of H and s and real_velocity_jets instead,
-whose guards raise the errors.
+state that returns the floats the jets would, or an index where a guard
+fires or Python raises in it.  Where the system has no kernel or it
+returns an index, that stage takes the order-1 jets of H and s and
+real_velocity_jets instead, whose guards raise the errors.
 
 Decay-law bookkeeping: along the structural flow dH/dt = -H w, so
 H(t) must track H(0) exp(-int w dt); along the equilibrium flow each
@@ -36,7 +36,7 @@ from .brackets import StructuredSystem, gspb_jets, sdyn_jets
 from .dynamics import (real_velocity_jets, tghs_zbardot_jets, tghs_zdot_jets,
                        velocity_kernel)
 from .errors import BlowUpError, DomainError, StepUnderflowError
-from .fields import _FLOAT_ERRORS, ScalarField, eval_jet
+from .fields import ScalarField, eval_jet
 from .phasespace import ComplexCoords, PhasePoint, from_complex
 
 log = logging.getLogger(__name__)
@@ -61,6 +61,10 @@ class StepperConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number")
+            try:
+                float(value)
+            except OverflowError:   # an int beyond the float range
+                raise ValueError(f"{name} must be within the float range") from None
         # each test is written so that NaN fails it
         for name in ("step", "abs_tol", "rel_tol", "max_norm"):
             if not 0 < getattr(self, name) < math.inf:
@@ -297,18 +301,15 @@ def integrate_tghs(sys: StructuredSystem, z0, cfg: StepperConfig,
                    observables: dict[str, ScalarField] | None = None) -> Trajectory:
     """March the structural Hamiltonian flow from z0.
 
-    The right-hand side is sys's velocity kernel where it has one and
-    returns; otherwise the order-1 jets of H and s, whose guards raise
-    the errors."""
+    The right-hand side is sys's velocity kernel where it has one and it
+    returns the velocity; otherwise the order-1 jets of H and s, whose
+    guards raise the errors."""
     n = sys.n
     kernel = velocity_kernel(sys)
 
     def rhs(t, x):
         if kernel is not None:
-            try:
-                v = kernel(*x)
-            except _FLOAT_ERRORS:
-                v = None
+            v = kernel(*x)
             if type(v) is tuple:
                 return v
         return real_velocity_jets(*_state_jets(sys, np.array(x), n), n)[:, 0].tolist()

@@ -114,11 +114,17 @@ def load_scenario(path) -> Scenario:
     observables = raw.get("observables", {})
     if not isinstance(observables, dict):
         raise ScenarioError("observables must be an object of name: expression")
+    csv_columns = {"t", "H", "w", *(f"{c}{j}" for c in "qp" for j in range(1, n + 1))}
     for name, src in observables.items():
         if not _NAME_RE.match(name):
             raise ScenarioError(f"observable name {name!r} is not an identifier")
         if not isinstance(src, str):
             raise ScenarioError(f"observables.{name} must be an expression string")
+        for column in (name, f"{name}_residual"):
+            if column in csv_columns:
+                raise ScenarioError(f"observable {name!r}: the CSV already has "
+                                    f"a column {column!r}")
+            csv_columns.add(column)
 
     initial = raw["initial"]
     if not isinstance(initial, dict):

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gchs import (DomainError, ExpressionError, PhasePoint, evaluate,
-                  gradient, parse_field, second_derivatives)
+from gchs import (DomainError, ExpressionError, PhasePoint, StructuredSystem,
+                  evaluate, gradient, parse_field, second_derivatives)
 from gchs import fields
 from gchs.checks import random_polynomial, random_smooth_field
+from gchs.dynamics import velocity_kernel
 from gchs.fields import (constant_field, conjugate_field, coordinate_field,
                          eval_jet, linear_combination, wirtinger_split)
 from dense_jet_reference import dense_eval
@@ -186,6 +187,8 @@ def test_store_keeps_the_most_recently_used_texts():
     "i * (z1 - conj(z1))",
     "2.5 * q1^-2 - 0.5",
     "q1 / p1 / (q1 - 3)",
+    # an infinite literal prints as 1e999, which reads back as inf
+    "1e400 * q1 + p1",
 ])
 def test_print_round_trip(src):
     f = parse_field(src, 1)
@@ -193,7 +196,9 @@ def test_print_round_trip(src):
     again = parse_field(str(f), 1)
     assert again.root == f.root and again.root is not f.root
     pt = PhasePoint([0.7], [1.3])
-    assert evaluate(again, pt) == evaluate(f, pt)
+    # by repr: inf * 0.7 in complex arithmetic has a NaN imaginary part
+    with np.errstate(all="ignore"):
+        assert repr(evaluate(again, pt)) == repr(evaluate(f, pt))
 
 
 @pytest.mark.parametrize("build", [
@@ -206,12 +211,25 @@ def test_print_round_trip(src):
                  id="minus_zero_coefficient"),
     pytest.param(lambda: fields._make_field(
         fields.Mul(fields.CoordQ(1), fields.Num(-0.0)), 1), id="minus_zero_factor"),
+    pytest.param(lambda: constant_field(np.inf, 1), id="inf_constant"),
+    pytest.param(lambda: constant_field(-np.inf, 1), id="minus_inf_constant"),
 ])
 def test_print_negative_literal_reparses(build):
     f = build()
     again = parse_field(str(f), 1)
     assert str(again) == str(f)
     assert evaluate(again, PT) == evaluate(f, PT)
+
+
+def test_nan_coefficient_is_refused():
+    # the grammar has no NaN literal to print it as
+    for build in (lambda c: constant_field(c, 1),
+                  lambda c: linear_combination(c, parse_field("q1", 1), 1.0,
+                                               parse_field("p1", 1)),
+                  lambda c: linear_combination(1.0, parse_field("q1", 1), c,
+                                               parse_field("p1", 1))):
+        with pytest.raises(ValueError, match="NaN"):
+            build(np.nan)
 
 
 def test_print_sum_of_five_thousand_terms():
@@ -408,6 +426,9 @@ def test_single_point_equals_batch_column(seed, n, smooth, data):
     p = data.draw(st.lists(_coord, min_size=n, max_size=n))
     for order in (0, 1, 2):
         _same_as_batch_column(f, q, p, order)
+        code = f._code.floats[order]
+        if code is not None:   # the float code returns, it never raises
+            assert type(code.fn(*q, *p, 0.0)) in (tuple, int)
 
 
 @pytest.mark.parametrize("src, q1, expect", [
@@ -675,6 +696,18 @@ def test_generated_source_has_no_builtins():
         code = fields._Code(parse_field(src, 1), 2, floats)
         assert "import" not in code.source and "__" not in code.source
         assert code.fn.__globals__["__builtins__"] == {}
+    # the velocity kernel comes from the same compile step
+    kernel = velocity_kernel(StructuredSystem(1, parse_field("q1 / (1 + p1^2)", 1),
+                                              parse_field("cos(q1)^-2", 1)))
+    assert kernel.__globals__["__builtins__"] == {}
+
+
+def test_float_code_returns_an_index_where_python_raises():
+    # math.exp overflows; the code returns a reason's index instead
+    code = fields._Code(parse_field("exp(q1)", 1), 0, True)
+    out = code.fn(800.0, 0.5)
+    assert type(out) is int and "OverflowError" in code.reasons[out]
+    assert code.fn(1.0, 0.5) == (np.e,)
 
 
 def test_float_code_logs_compiles_and_fallbacks(caplog):

@@ -52,6 +52,11 @@ def cfg(**kw):
     {"max_norm": None},
     # finite and positive, but the step count overflows a float
     {"step": 1e-310, "t_end": 1e10},
+    # an int beyond the float range, which float() cannot convert
+    {"step": 10 ** 400},
+    {"t_end": 10 ** 400},
+    {"max_norm": 10 ** 400},
+    {"abs_tol": 10 ** 400},
 ])
 def test_config_rejects_bad_values(kw):
     with pytest.raises(ValueError):

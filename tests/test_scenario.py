@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gchs import RealnessError, ScenarioError, load_scenario
+from gchs.cli import main
 
 
 def test_load_minimal(write_scenario):
@@ -101,6 +102,30 @@ def test_observable_error_names_observable(write_scenario):
     path = write_scenario(observables={"bad": "q9"})
     with pytest.raises(ScenarioError, match="observables.bad"):
         load_scenario(path)
+
+
+@pytest.mark.parametrize("observables, name, column", [
+    ({"t": "q1"}, "t", "t"),
+    ({"q1": "p1"}, "q1", "q1"),
+    ({"p1": "q1"}, "p1", "p1"),
+    ({"H": "q1"}, "H", "H"),
+    ({"w": "q1"}, "w", "w"),
+    ({"a": "q1", "a_residual": "p1"}, "a_residual", "a_residual"),
+    ({"a_residual": "q1", "a": "p1"}, "a", "a_residual"),
+])
+def test_observable_columns_must_not_repeat_a_csv_column(write_scenario, observables,
+                                                         name, column):
+    path = write_scenario(observables=observables)
+    with pytest.raises(ScenarioError, match=f"^observable '{name}': the CSV already "
+                                            f"has a column '{column}'$"):
+        load_scenario(path)
+    assert main(["run", str(path)]) == 1
+
+
+def test_observable_may_be_named_like_a_coordinate_beyond_n(write_scenario):
+    # n = 1: the CSV has no q2 column
+    sc = load_scenario(write_scenario(observables={"q2": "q1", "H_": "p1"}))
+    assert set(sc.observables) == {"q2", "H_"}
 
 
 def test_bad_observable_name(write_scenario):

@@ -128,7 +128,7 @@ def test_system_without_kernel_runs_on_the_jets(H, s, refuse, monkeypatch):
 ])
 def test_overflowing_velocity_is_a_domain_error(H, s, q1, write_scenario):
     sys = StructuredSystem(1, parse_field(H, 1), parse_field(s, 1))
-    assert velocity_kernel(sys) is not None
+    assert type(velocity_kernel(sys)(q1, 0.5)) is int   # it never raises
     with np.errstate(all="ignore"), \
             pytest.raises(DomainError, match="^flow velocity is not finite at t=0$"):
         integrate_tghs(sys, PhasePoint([q1], [0.5]), StepperConfig(step=0.1, t_end=1.0))

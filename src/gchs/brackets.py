@@ -13,7 +13,9 @@ structural function s:
 The same quantity has a second closed form in terms of the structural
 derivative Df/dz_j = df/dz_j + f * ds/dz_j.  Both routes are evaluated
 on every call and must agree; a mismatch raises ConsistencyError since
-it can only come from a derivative bug, never from user input.
+it can only come from a derivative bug, never from user input.  Each
+kernel reads its Wirtinger pairs from the jets it is handed (Jet.wirtinger),
+so a pair is derived once per jet however many routes read it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DomainError, RealnessError
-from .fields import (ScalarField, WirtingerGradient, parse_field,
-                     point_jets, wirtinger_split)
+from .fields import ScalarField, WirtingerGradient, parse_field, point_jets
 from .phasespace import PhasePoint
 
 #: tolerance for the dual-route agreement checks, scaled by magnitude
@@ -33,7 +34,7 @@ ROUTE_TOL = 1e-10
 
 
 def _amax(x: np.ndarray) -> float:
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def _exceeds(dev: float, tol: float, what: str, *mags: float) -> bool:
@@ -107,8 +108,8 @@ def pb_real_jets(fj, gj, n: int) -> np.ndarray:
 
 
 def pb_complex_jets(fj, gj, n: int) -> np.ndarray:
-    fz, fzb = wirtinger_split(fj.grad, n)
-    gz, gzb = wirtinger_split(gj.grad, n)
+    fz, fzb = fj.wirtinger
+    gz, gzb = gj.wirtinger
     return 2j * np.sum(fzb * gz - fz * gzb, axis=0)
 
 
@@ -120,9 +121,9 @@ def gspb_jets(fj, gj, sj, n: int) -> np.ndarray:
     direct = pb_complex_jets(fj, gj, n) + geobracket_jets(fj, gj, sj, n)
 
     # independent route through the structural derivatives
-    sz, szb = wirtinger_split(sj.grad, n)
-    fz, fzb = wirtinger_split(fj.grad, n)
-    gz, gzb = wirtinger_split(gj.grad, n)
+    sz, szb = sj.wirtinger
+    fz, fzb = fj.wirtinger
+    gz, gzb = gj.wirtinger
     Dfz, Dfzb = fz + fj.val * sz, fzb + fj.val * szb
     Dgz, Dgzb = gz + gj.val * sz, gzb + gj.val * szb
     expanded = 2j * np.sum(Dfzb * Dgz - Dfz * Dgzb, axis=0)
@@ -138,8 +139,8 @@ def sdyn_jets(Hj, sj, n: int) -> np.ndarray:
     w = pb_complex_jets(sj, Hj, n)
 
     # equivalent form through the structural derivative of H
-    sz, szb = wirtinger_split(sj.grad, n)
-    Hz, Hzb = wirtinger_split(Hj.grad, n)
+    sz, szb = sj.wirtinger
+    Hz, Hzb = Hj.wirtinger
     DHz, DHzb = Hz + Hj.val * sz, Hzb + Hj.val * szb
     alt = 2j * np.sum(DHz * szb - DHzb * sz, axis=0)
     cancel = _amax(Hj.val) * max(_amax(sz), _amax(szb)) ** 2 * n
@@ -168,10 +169,9 @@ def structural_derivative(f: ScalarField, sys: StructuredSystem,
     """The product-corrected gradient Df/dz_j = df/dz_j + f * ds/dz_j
     (and its conjugate-chart partner)."""
     fj, sj = point_jets(pt, f, sys.structural)
-    fz, fzb = wirtinger_split(fj.grad[:, 0], pt.n)
-    sz, szb = wirtinger_split(sj.grad[:, 0], pt.n)
+    (fz, fzb), (sz, szb) = fj.wirtinger, sj.wirtinger
     v = fj.val[0]
-    return WirtingerGradient(fz + v * sz, fzb + v * szb)
+    return WirtingerGradient(fz[:, 0] + v * sz[:, 0], fzb[:, 0] + v * szb[:, 0])
 
 
 def geobracket(f: ScalarField, g: ScalarField, sys: StructuredSystem,
@@ -192,8 +192,8 @@ def geometrio(sys: StructuredSystem, pt: PhasePoint) -> tuple[np.ndarray, np.nda
     """Brackets of the structural function with each chart coordinate:
     ({s,z_j}, {s,zbar_j}) = (2i ds/dzbar_j, -2i ds/dz_j) for all j."""
     (sj,) = point_jets(pt, sys.structural)
-    sz, szb = wirtinger_split(sj.grad[:, 0], pt.n)
-    return 2j * szb, -2j * sz
+    sz, szb = sj.wirtinger
+    return 2j * szb[:, 0], -2j * sz[:, 0]
 
 
 def unit_field(n: int) -> ScalarField:

@@ -22,9 +22,8 @@ from .brackets import (StructuredSystem, _amax, geobracket_jets, gspb_jets,
                        pb_complex_jets, pb_real_jets, sdyn_jets)
 from .dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
                        thorough_jets, tghs_zbardot_jets, tghs_zdot_jets,
-                       total_rate_jets, _symmetrize)
-from .fields import (ScalarField, eval_jet, linear_combination,
-                     parse_field, wirtinger_split)
+                       total_rate_jets)
+from .fields import ScalarField, eval_jet, linear_combination, parse_field
 from .integrate import StepperConfig, integrate_tghs, monitor_report
 from .phasespace import PhasePoint, real_from_wirtinger, wirtinger_from_real
 
@@ -148,7 +147,10 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
 
     The point-based identities run at `count` random points with random
     fields drawn from the same seed.  The flow checks integrate short
-    probe trajectories (the scenario's initial point if given).
+    probe trajectories (the scenario's initial point if given).  The
+    order-1 identities run in a helper of their own, so their jets, and
+    the arrays derived from them, are freed before the order-2 jets are
+    built.
     """
     rng = np.random.default_rng(seed)
     n = sys.n
@@ -161,6 +163,34 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     f = random_polynomial(rng, n, complex_ok=True)
     g = random_polynomial(rng, n, complex_ok=True)
     freal = random_polynomial(rng, n, complex_ok=False)
+    _first_order_checks(add, sys, rng, Q, P, f, g, freal)
+
+    # second-order identities need order-2 jets
+    fj2, Hj2, sj2 = (eval_jet(field, Q, P, order=2)
+                     for field in (f, sys.hamiltonian, sys.structural))
+
+    add("dynamics.beta_realness", _amax(beta_jets(Hj2, sj2, n).imag), 1e-10)
+
+    acc = acceleration_jets(fj2, Hj2, sj2, n)
+    oracle = _acceleration_operator_route(fj2, Hj2, sj2, n)
+    add("dynamics.acceleration_consistency", _amax(acc - oracle), 1e-8)
+
+    # bridge: both engines over fresh points
+    pts = [PhasePoint(Q[:, k], P[:, k]) for k in range(min(count, 200))]
+    rep = bridge.cross_check(f, g, sys, pts)
+    add("bridge.cross_engine", rep.max_dev, 1e-10)
+
+    if include_flow_checks:
+        results.extend(_flow_checks(sys, initial, freal))
+
+    return results
+
+
+def _first_order_checks(add, sys: StructuredSystem, rng: np.random.Generator,
+                        Q: np.ndarray, P: np.ndarray, f: ScalarField,
+                        g: ScalarField, freal: ScalarField):
+    """The identities between order-1 jets, each passed to add."""
+    n, count = sys.n, Q.shape[1]
     a, b = (float(v) for v in rng.uniform(-1.0, 1.0, size=2))
 
     def jets(field, order=1):
@@ -180,7 +210,7 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
         max(_amax(back_q - dq), _amax(back_p - dp)), 1e-14)
 
     frj = jets(freal)
-    rz, rzb = wirtinger_split(frj.grad, n)
+    rz, rzb = frj.wirtinger
     add("phasespace.conjugation", _amax(rzb - np.conj(rz)), 1e-14)
 
     # fields: linearity, realness, print round trip
@@ -214,7 +244,7 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
 
     zj = [jets(parse_field(f"z{j}", n)) for j in range(1, n + 1)]
     zbj = [jets(parse_field(f"conj(z{j})", n)) for j in range(1, n + 1)]
-    sz, szb = wirtinger_split(sj.grad, n)
+    sz, szb = sj.wirtinger
 
     dev = max(_amax(pb_complex_jets(zj[j], zbj[j], n) + 2j) for j in range(n))
     add("brackets.coordinate_pb", dev, 0.0)
@@ -245,7 +275,7 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
 
     zdot = tghs_zdot_jets(Hj, sj, n)
     zbardot = tghs_zbardot_jets(Hj, sj, n)
-    Hz, Hzb = wirtinger_split(Hj.grad, n)
+    Hz, Hzb = Hj.wirtinger
     DHz, DHzb = Hz + Hj.val * sz, Hzb + Hj.val * szb
     add("dynamics.velocity_identity",
         _amax(np.sum(zdot * DHz, axis=0) + np.sum(zbardot * DHzb, axis=0)), 1e-10)
@@ -260,27 +290,6 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
 
     add("dynamics.w_realness", _amax(pb_complex_jets(sj, Hj, n).imag), 1e-10)
 
-    # second-order identities need order-2 jets
-    fj2 = jets(f, order=2)
-    Hj2 = jets(sys.hamiltonian, order=2)
-    sj2 = jets(sys.structural, order=2)
-
-    add("dynamics.beta_realness", _amax(beta_jets(Hj2, sj2, n).imag), 1e-10)
-
-    acc = acceleration_jets(fj2, Hj2, sj2, n)
-    oracle = _acceleration_operator_route(fj2, Hj2, sj2, n)
-    add("dynamics.acceleration_consistency", _amax(acc - oracle), 1e-8)
-
-    # bridge: both engines over fresh points
-    pts = [PhasePoint(Q[:, k], P[:, k]) for k in range(min(count, 200))]
-    rep = bridge.cross_check(f, g, sys, pts)
-    add("bridge.cross_engine", rep.max_dev, 1e-10)
-
-    if include_flow_checks:
-        results.extend(_flow_checks(sys, initial, freal))
-
-    return results
-
 
 def _acceleration_operator_route(fj2, Hj2, sj2, n: int) -> np.ndarray:
     """Apply the covariant rate operator to the derived field Df/dt.
@@ -291,7 +300,7 @@ def _acceleration_operator_route(fj2, Hj2, sj2, n: int) -> np.ndarray:
     """
     V, dV, w, gw = flow_gradient_jets(Hj2, sj2, n)
     Gf = fj2.grad
-    Hf = _symmetrize(fj2.hess)
+    Hf = fj2.sym_hess
 
     df = np.sum(V * Gf, axis=0)
     g_val = df + fj2.val * w

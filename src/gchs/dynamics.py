@@ -43,8 +43,7 @@ import numpy as np
 from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
                        _real_part, gspb_jets, pb_complex_jets, sdyn_jets,
                        unit_field)
-from .fields import (_Emitter, _NoFloatCode, ScalarField, _compiled,
-                     point_jets, wirtinger_split)
+from .fields import _Emitter, _NoFloatCode, ScalarField, _compiled, point_jets
 from .phasespace import ComplexCoords, PhasePoint
 
 log = logging.getLogger(__name__)
@@ -86,15 +85,11 @@ def _time_free(f: ScalarField) -> ScalarField:
 
 
 def tghs_zdot_jets(Hj, sj, n: int) -> np.ndarray:
-    _, Hzb = wirtinger_split(Hj.grad, n)
-    _, szb = wirtinger_split(sj.grad, n)
-    return -2j * (Hzb + Hj.val * szb)
+    return -2j * (Hj.wirtinger[1] + Hj.val * sj.wirtinger[1])
 
 
 def tghs_zbardot_jets(Hj, sj, n: int) -> np.ndarray:
-    Hz, _ = wirtinger_split(Hj.grad, n)
-    sz, _ = wirtinger_split(sj.grad, n)
-    return 2j * (Hz + Hj.val * sz)
+    return 2j * (Hj.wirtinger[0] + Hj.val * sj.wirtinger[0])
 
 
 def real_velocity_jets(Hj, sj, n: int) -> np.ndarray:
@@ -142,7 +137,7 @@ def thorough_jets(fj, Hj, sj, n: int) -> np.ndarray:
     """Plain flow derivative df/dt along the structural flow."""
     zdot = tghs_zdot_jets(Hj, sj, n)
     zbardot = tghs_zbardot_jets(Hj, sj, n)
-    fz, fzb = wirtinger_split(fj.grad, n)
+    fz, fzb = fj.wirtinger
     chain = np.sum(zbardot * fzb + zdot * fz, axis=0)
 
     # bracket form of the same derivative
@@ -163,18 +158,14 @@ def total_rate_jets(fj, Hj, sj, n: int):
     # chain rule through the structural derivative of f
     zdot = tghs_zdot_jets(Hj, sj, n)
     zbardot = tghs_zbardot_jets(Hj, sj, n)
-    sz, szb = wirtinger_split(sj.grad, n)
-    fz, fzb = wirtinger_split(fj.grad, n)
+    sz, szb = sj.wirtinger
+    fz, fzb = fj.wirtinger
     Dfz, Dfzb = fz + fj.val * sz, fzb + fj.val * szb
     alt = np.sum(zbardot * Dfzb + zdot * Dfz, axis=0)
 
     cancel = (_amax(zdot) * (_amax(fj.grad) + _amax(fj.val) * _amax(sj.grad)) * n)
     _check_routes(total, alt, "covariant total rate", cancel)
     return th, w, total
-
-
-def _symmetrize(h: np.ndarray) -> np.ndarray:
-    return 0.5 * (h + np.swapaxes(h, 0, 1))
 
 
 def _J(x: np.ndarray, n: int) -> np.ndarray:
@@ -186,10 +177,10 @@ def flow_gradient_jets(Hj2, sj2, n: int):
     """Velocities V, their spatial Jacobian dV[a, b] = d V_a / d x_b,
     w = {s,H} and its real-coordinate gradient gw.
 
-    Requires order-2 jets of H and s; each Hessian is symmetrized once."""
+    Requires order-2 jets of H and s, whose symmetrized Hessians
+    (Jet.sym_hess) are computed once per jet."""
     GH, Gs, Hval = Hj2.grad, sj2.grad, Hj2.val
-    HH = _symmetrize(Hj2.hess)
-    Hs = _symmetrize(sj2.hess)
+    HH, Hs = Hj2.sym_hess, sj2.sym_hess
     M = HH + np.einsum("c...,b...->cb...", Gs, GH) + Hval * Hs
     V = _J(GH + Hval * Gs, n)
     dV = _J(M, n)
@@ -212,7 +203,7 @@ def acceleration_jets(fj2, Hj2, sj2, n: int) -> np.ndarray:
     """Second covariant rate d2f/dt2 + 2 w df/dt + f * beta."""
     V, dV, w, gw = flow_gradient_jets(Hj2, sj2, n)
     Gf = fj2.grad
-    Hf = _symmetrize(fj2.hess)
+    Hf = fj2.sym_hess
 
     df = np.sum(V * Gf, axis=0)
     adv = np.einsum("ab...,b...->a...", dV, V)

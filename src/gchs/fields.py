@@ -17,7 +17,8 @@ at any length, and the text of a parsed field reparses to an equal tree.
 
 All derivatives come from forward-mode jets over the 2n real
 coordinates; nothing is ever differentiated symbolically.  Wirtinger
-pairs are assembled from the real partials afterwards.
+pairs are assembled from the real partials afterwards, once per jet
+(Jet.wirtinger).
 
 Jets are computed by straight-line code generated and compiled once per
 parsed text (see parse_field) and order (see _Emitter, _Code): numpy
@@ -37,7 +38,6 @@ import weakref
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -296,8 +296,10 @@ class _Emitter:
     - "float" runs a field without i, z_j, conj, log or exponents beyond
       numpy's multiply chain on the Python floats of one point.  With
       every imaginary part zero, numpy's complex arithmetic rounds like
-      the float operation below it: a + b, a * b, sin, cos and exp
-      exactly; a / b as a * (1 / b); integer powers through numpy's
+      the float operation below it: a + b, a * b, sin and cos exactly,
+      exp up to an argument of 709 (above it numpy's complex exp scales
+      the argument and may round another way, so a guard hands the point
+      on); a / b as a * (1 / b); integer powers through numpy's
       binary-exponentiation chain.  So the float code returns the array
       code's numbers while every value stays finite, up to the sign of an
       exact zero.  Overflow and NaN carry through its operations up to
@@ -305,8 +307,8 @@ class _Emitter:
       sin/cos/exp could turn them back into a finite number or raise;
       each of those gets a guard, and the last guards check that every
       output is finite.  A guard that fires returns its index, as the
-      code does where Python raises (math.exp overflows), and eval_jet
-      runs the point on the array code instead.
+      code does where Python raises, and eval_jet runs the point on the
+      array code instead.
     """
 
     def __init__(self, n: int, order: int, floats: bool):
@@ -365,14 +367,14 @@ class _Emitter:
             return self._local(name, x)
         return self.fold(_NAMESPACES["float" if self.floats else "array"][name], x)
 
-    def guard(self, x, reason: str, zero: bool = False):
+    def guard(self, x, reason: str, zero: bool = False, most: float | None = None):
         """Float code: return the guard's index where x is not finite, or
-        where zero and x == 0."""
+        where zero and x == 0; or, given most, where not x <= most."""
         if not isinstance(x, str):
-            if not math.isfinite(x) or (zero and x == 0.0):
+            if not math.isfinite(x) or (zero and x == 0.0) or (most is not None and x > most):
                 raise _NoFloatCode(reason)
             return
-        test = f"not ({x} - {x} == 0.0)"
+        test = f"not ({x} - {x} == 0.0)" if most is None else f"not ({x} <= {most!r})"
         if zero:
             test = f"{x} == 0.0 or {test}"
         self.tape.append((None, (x,), f"if {test}: return {len(self.reasons)}"))
@@ -565,6 +567,10 @@ class _Emitter:
                     {ij: self.call(name, d) for ij, d in h.items()})
         if self.floats:
             self.guard(x, f"non-finite argument of {name}")
+            if name == "exp":
+                # numpy's complex exp scales a larger argument and then
+                # rounds unlike math.exp in the last bit
+                self.guard(x, "argument of exp above 709", most=709.0)
         if name == "log":
             self.refuse_zero(x, "log_arg")
         val = self.call(name, x)
@@ -912,14 +918,34 @@ def conjugate_field(f: ScalarField) -> ScalarField:
     return _make_field(Func("conj", f.root), f.n)
 
 
-class Jet(NamedTuple):
+class Jet:
     """A field's value and real partials over a batch of m points, complex
     and dense: val (m,), grad (2n, m) and hess (2n, 2n, m), the last two
-    None above the order asked for."""
+    None above the order asked for.
 
-    val: np.ndarray
-    grad: np.ndarray | None = None
-    hess: np.ndarray | None = None
+    The arrays every kernel derives from them are computed on first
+    access and kept as long as the jet: wirtinger, the pair
+    (df/dz, df/dzbar) of (n, m) arrays, and sym_hess, the Hessian
+    symmetrized pairwise, (h + h^T) / 2 entry by entry."""
+
+    __slots__ = ("val", "grad", "hess", "_wirtinger", "_sym_hess")
+
+    def __init__(self, val, grad=None, hess=None):
+        self.val, self.grad, self.hess = val, grad, hess
+        self._wirtinger = self._sym_hess = None
+
+    @property
+    def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._wirtinger is None:
+            n = len(self.grad) // 2
+            self._wirtinger = wirtinger_from_real(self.grad[:n], self.grad[n:])
+        return self._wirtinger
+
+    @property
+    def sym_hess(self) -> np.ndarray:
+        if self._sym_hess is None:
+            self._sym_hess = 0.5 * (self.hess + np.swapaxes(self.hess, 0, 1))
+        return self._sym_hess
 
 
 def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
@@ -1046,16 +1072,11 @@ class SecondDerivatives:
         return self.matrix.shape[0] // 2
 
 
-def wirtinger_split(grad: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Turn a stacked real gradient (2n, ...) into (df/dz, df/dzbar) arrays."""
-    return wirtinger_from_real(grad[:n], grad[n:])
-
-
 def gradient(f: ScalarField, pt: PhasePoint, time=None) -> WirtingerGradient:
     """All first Wirtinger derivatives of the field at a point."""
     (jet,) = point_jets(pt, f, order=1, time=time)
-    dz, dzbar = wirtinger_split(jet.grad[:, 0], f.n)
-    return WirtingerGradient(dz, dzbar)
+    dz, dzbar = jet.wirtinger
+    return WirtingerGradient(dz[:, 0], dzbar[:, 0])
 
 
 def second_derivatives(f: ScalarField, pt: PhasePoint, time=None) -> SecondDerivatives:
@@ -1065,5 +1086,4 @@ def second_derivatives(f: ScalarField, pt: PhasePoint, time=None) -> SecondDeriv
     matrix satisfies matrix[a, b] == matrix[b, a] exactly.
     """
     (jet,) = point_jets(pt, f, order=2, time=time)
-    h = jet.hess[:, :, 0]
-    return SecondDerivatives(0.5 * (h + h.T))
+    return SecondDerivatives(jet.sym_hess[:, :, 0])

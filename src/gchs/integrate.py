@@ -115,7 +115,7 @@ class Trajectory:
 
 def _check_norm(x: np.ndarray, t: float, max_norm: float):
     # a NaN state has a NaN norm: it counts as blow-up as well
-    norm = float(np.max(np.abs(x)))
+    norm = float(np.abs(x).max())
     if not (norm <= max_norm):
         raise BlowUpError(norm, t)
 

@@ -33,6 +33,21 @@ def code_builds(monkeypatch):
 
 
 @pytest.fixture
+def wirtinger_splits(monkeypatch):
+    """The real gradients' q halves, one per Wirtinger pair that fields
+    derives from now on (a call of fields.wirtinger_from_real)."""
+    splits = []
+    split = fields.wirtinger_from_real
+
+    def counted(dq, dp):
+        splits.append(dq)
+        return split(dq, dp)
+
+    monkeypatch.setattr(fields, "wirtinger_from_real", counted)
+    return splits
+
+
+@pytest.fixture
 def oscillator():
     """Classical harmonic oscillator: H = (q^2 + p^2)/2, no structure."""
     return StructuredSystem(1, parse_field("(q1^2 + p1^2) / 2", 1),

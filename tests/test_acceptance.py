@@ -15,8 +15,7 @@ from gchs.brackets import gspb_jets, pb_complex_jets, pb_real_jets, sdyn_jets
 from gchs.checks import (_acceleration_operator_route, random_points,
                          random_polynomial, random_smooth_field)
 from gchs.dynamics import acceleration_jets, total_rate_jets
-from gchs.fields import (constant_field, conjugate_field, coordinate_field,
-                         eval_jet, wirtinger_split)
+from gchs.fields import constant_field, conjugate_field, coordinate_field, eval_jet
 from gchs.cli import main
 from fd_reference import fd_first, fd_second
 
@@ -80,7 +79,7 @@ def test_3_coordinate_brackets():
     Q, P = random_points(rng, n, 500)
     s = random_polynomial(rng, n)
     sj = eval_jet(s, Q, P, order=1)
-    sz, szb = wirtinger_split(sj.grad, n)
+    sz, szb = sj.wirtinger
 
     exact = 0.0
     dev = 0.0

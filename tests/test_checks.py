@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gchs import PhasePoint, StructuredSystem, parse_field, run_invariant_suite
+from gchs import bridge, checks, fields
 from gchs.checks import (random_points, random_polynomial, random_smooth_field,
                          random_system)
 from gchs.fields import eval_jet
@@ -34,6 +35,23 @@ def test_suite_is_deterministic(structured):
                             include_flow_checks=False)
     assert [(r.name, r.max_dev, r.tol) for r in a] == \
            [(r.name, r.max_dev, r.tol) for r in b]
+
+
+def test_suite_splits_each_order_1_jet_at_most_once(structured, wirtinger_splits,
+                                                   monkeypatch):
+    # every kernel reads the pair its jets keep instead of splitting again
+    order_1 = []
+    eval_jet = fields.eval_jet
+
+    def counted(f, Q, P, order=0, time=None):
+        if order == 1:
+            order_1.append(f)
+        return eval_jet(f, Q, P, order=order, time=time)
+
+    for mod in (fields, checks, bridge):
+        monkeypatch.setattr(mod, "eval_jet", counted)
+    run_invariant_suite(structured, 42, 200, include_flow_checks=False)
+    assert 0 < len(wirtinger_splits) <= len(order_1)
 
 
 def test_suite_covers_every_module(structured):

@@ -5,6 +5,8 @@ differences computed here from plain evaluations, so the two sides share
 no derivative code.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,11 @@ from hypothesis import strategies as st
 
 from gchs import (DomainError, ExpressionError, PhasePoint, StructuredSystem,
                   evaluate, gradient, parse_field, second_derivatives)
-from gchs import fields
+from gchs import fields, wirtinger_from_real
 from gchs.checks import random_polynomial, random_smooth_field
 from gchs.dynamics import velocity_kernel
 from gchs.fields import (constant_field, conjugate_field, coordinate_field,
-                         eval_jet, linear_combination, wirtinger_split)
+                         eval_jet, linear_combination)
 from dense_jet_reference import dense_eval
 from fd_reference import fd_first, fd_second
 
@@ -443,6 +445,8 @@ def test_single_point_equals_batch_column(seed, n, smooth, data):
     # the derivative of the constant 1e-160^-1 overflows, but a constant
     # has no gradient to multiply it by: q1's gradient is the true 1e160
     ("1e-160^-1 * q1", 0.5, "finite"),
+    # above 709 numpy's complex exp rounds unlike math.exp in the last bit
+    ("exp(q1)", 709.05, 8.639774222573399e+307),
 ])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_single_point_edge_cases_match_batch(src, q1, expect, order):
@@ -452,9 +456,19 @@ def test_single_point_edge_cases_match_batch(src, q1, expect, order):
         assert isinstance(out, DomainError)
     elif expect == "nonfinite":
         assert not np.all(np.isfinite(out.val))
+    elif isinstance(expect, float):
+        assert out.val[0] == expect
     else:
         assert out.val[0] == 0.5 / 1e-160
         assert order == 0 or out.grad[0, 0] == 1 / 1e-160
+
+
+def test_single_point_matches_batch_where_exp_nears_overflow():
+    # this field takes exp of about 709.3 at the point, where math.exp and
+    # numpy's complex exp round differently
+    f = random_smooth_field(np.random.default_rng(439), 1)
+    for order in (0, 1, 2):
+        _same_as_batch_column(f, [0.0], [1458.0], order)
 
 
 # ---------------------------------------------------------------------------
@@ -702,11 +716,24 @@ def test_generated_source_has_no_builtins():
     assert kernel.__globals__["__builtins__"] == {}
 
 
-def test_float_code_returns_an_index_where_python_raises():
-    # math.exp overflows; the code returns a reason's index instead
+def test_float_code_returns_an_index_where_python_raises(monkeypatch):
+    # an exp that raises below the guard's bound: the code returns a
+    # reason's index instead
+    def exp(x):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(fields._NAMESPACES["float"], "exp", exp)
     code = fields._Code(parse_field("exp(q1)", 1), 0, True)
-    out = code.fn(800.0, 0.5)
+    out = code.fn(1.0, 0.5)
     assert type(out) is int and "OverflowError" in code.reasons[out]
+
+
+def test_float_code_hands_exp_above_709_to_the_array_code():
+    code = fields._Code(parse_field("exp(q1)", 1), 0, True)
+    for x in (709.05, 800.0):
+        out = code.fn(x, 0.5)
+        assert type(out) is int and "exp above 709" in code.reasons[out]
+    assert code.fn(709.0, 0.5) == (math.exp(709.0),)
     assert code.fn(1.0, 0.5) == (np.e,)
 
 
@@ -758,11 +785,31 @@ def test_second_derivatives_match_finite_differences(src):
     assert float(rel.max()) < 1e-4
 
 
-def test_wirtinger_split_matches_gradient():
+def test_jet_wirtinger_matches_gradient():
     f = parse_field("q1 * p1^2", 1)
     pt = PhasePoint([0.6], [1.4])
     j = eval_jet(f, pt.q[:, None], pt.p[:, None], order=1)
-    dz, dzbar = wirtinger_split(j.grad, 1)
+    dz, dzbar = j.wirtinger
     g = gradient(f, pt)
     assert dz[0, 0] == g.dz[0]
     assert dzbar[0, 0] == g.dzbar[0]
+
+
+@pytest.mark.parametrize("src", ["sin(q1) * p2^3 + exp(0.5 * q2) / (2 + p1^2)",
+                                 "z1 * conj(z2) + i * q1^2 * exp(p2)"])
+@pytest.mark.parametrize("m", [1, 7])
+def test_jet_derived_arrays_are_computed_once_as_numpy_computes_them(src, m):
+    Q, P = np.random.default_rng(5).uniform(-1.0, 1.0, size=(2, 2, m))
+    Q[0, -1] = np.inf   # the last point's partials are not all finite
+    with np.errstate(all="ignore"):
+        j = eval_jet(parse_field(src, 2), Q, P, order=2)
+        want_dz, want_dzbar = wirtinger_from_real(j.grad[:2], j.grad[2:])
+        want_sym = 0.5 * (j.hess + j.hess.swapaxes(0, 1))
+        (dz, dzbar), sym = j.wirtinger, j.sym_hess
+    assert not np.all(np.isfinite(j.grad))
+    np.testing.assert_array_equal(dz, want_dz)
+    np.testing.assert_array_equal(dzbar, want_dzbar)
+    np.testing.assert_array_equal(sym, want_sym)
+    np.testing.assert_array_equal(sym, sym.swapaxes(0, 1))
+    assert j.wirtinger[0] is dz and j.wirtinger[1] is dzbar
+    assert j.sym_hess is sym

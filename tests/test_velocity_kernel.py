@@ -124,7 +124,7 @@ def test_system_without_kernel_runs_on_the_jets(H, s, refuse, monkeypatch):
 
 @pytest.mark.parametrize("H, s, q1", [
     ("1e300 * (1 + q1^2)", "1e10 * p1", 0.5),   # H and s finite, H * ds not
-    ("p1^2 / 2 + exp(q1)", "0.1 * q1", 800.0),  # math.exp raises
+    ("p1^2 / 2 + exp(q1)", "0.1 * q1", 800.0),  # exp's argument is above 709
 ])
 def test_overflowing_velocity_is_a_domain_error(H, s, q1, write_scenario):
     sys = StructuredSystem(1, parse_field(H, 1), parse_field(s, 1))
@@ -136,6 +136,15 @@ def test_overflowing_velocity_is_a_domain_error(H, s, q1, write_scenario):
                           initial={"q": [q1], "p": [0.5]})
     assert run_one_scenario(path) == (
         4, f"{path}: error: flow velocity is not finite at t=0")
+
+
+def test_kernel_hands_exp_above_709_to_the_jets():
+    # numpy's complex exp rounds unlike math.exp there, though the
+    # velocity is finite
+    sys = StructuredSystem(1, parse_field("p1^2 / 2 + exp(q1)", 1),
+                           parse_field("0.1 * q1", 1))
+    assert type(velocity_kernel(sys)(709.05, 0.5)) is int
+    assert type(velocity_kernel(sys)(709.0, 0.5)) is tuple
 
 
 def test_guard_that_fires_mid_run_gives_the_jets_error(monkeypatch):

@@ -11,11 +11,12 @@ structural function s:
     {f,g}_s = {f,g} + f*{s,g} - g*{s,f}
 
 The same quantity has a second closed form in terms of the structural
-derivative Df/dz_j = df/dz_j + f * ds/dz_j.  Both routes are evaluated
-on every call and must agree; a mismatch raises ConsistencyError since
-it can only come from a derivative bug, never from user input.  Each
-kernel reads its Wirtinger pairs from the jets it is handed (Jet.wirtinger),
-so a pair is derived once per jet however many routes read it.
+derivative Df/dz_j = df/dz_j + f * ds/dz_j, written once in
+structural_derivative_jets.  Both routes are evaluated on every call and
+must agree; a mismatch raises ConsistencyError since it can only come
+from a derivative bug, never from user input.  The kernels (*_jets) take
+order-1 jets sharing one batch, and nothing else: n comes from the jets,
+and each Wirtinger pair is derived once per jet (Jet.wirtinger).
 """
 
 from __future__ import annotations
@@ -98,52 +99,54 @@ def _check_routes(a: np.ndarray, b: np.ndarray, what: str, extra_scale: float = 
 
 
 # ---------------------------------------------------------------------------
-# batched cores: all take order-1 jets sharing one batch
+# batched cores: all take order-1 jets sharing one batch; n comes from the jets
 
 
-def pb_real_jets(fj, gj, n: int) -> np.ndarray:
-    fq, fp = fj.grad[:n], fj.grad[n:]
-    gq, gp = gj.grad[:n], gj.grad[n:]
-    return np.sum(fq * gp - fp * gq, axis=0)
+def pb_real_jets(fj, gj) -> np.ndarray:
+    n = fj.n
+    return np.sum(fj.grad[:n] * gj.grad[n:] - fj.grad[n:] * gj.grad[:n], axis=0)
 
 
-def pb_complex_jets(fj, gj, n: int) -> np.ndarray:
+def pb_complex_jets(fj, gj) -> np.ndarray:
     fz, fzb = fj.wirtinger
     gz, gzb = gj.wirtinger
     return 2j * np.sum(fzb * gz - fz * gzb, axis=0)
 
 
-def geobracket_jets(fj, gj, sj, n: int) -> np.ndarray:
-    return fj.val * pb_complex_jets(sj, gj, n) - gj.val * pb_complex_jets(sj, fj, n)
+def structural_derivative_jets(fj, sj) -> tuple[np.ndarray, np.ndarray]:
+    """(Df/dz, Df/dzbar) = (df/dz + f * ds/dz, df/dzbar + f * ds/dzbar),
+    (n, m) each: the one place the structural derivative is written."""
+    (fz, fzb), (sz, szb) = fj.wirtinger, sj.wirtinger
+    return fz + fj.val * sz, fzb + fj.val * szb
 
 
-def gspb_jets(fj, gj, sj, n: int) -> np.ndarray:
-    direct = pb_complex_jets(fj, gj, n) + geobracket_jets(fj, gj, sj, n)
+def geobracket_jets(fj, gj, sj) -> np.ndarray:
+    return fj.val * pb_complex_jets(sj, gj) - gj.val * pb_complex_jets(sj, fj)
+
+
+def gspb_jets(fj, gj, sj) -> np.ndarray:
+    direct = pb_complex_jets(fj, gj) + geobracket_jets(fj, gj, sj)
 
     # independent route through the structural derivatives
-    sz, szb = sj.wirtinger
-    fz, fzb = fj.wirtinger
-    gz, gzb = gj.wirtinger
-    Dfz, Dfzb = fz + fj.val * sz, fzb + fj.val * szb
-    Dgz, Dgzb = gz + gj.val * sz, gzb + gj.val * szb
+    Dfz, Dfzb = structural_derivative_jets(fj, sj)
+    Dgz, Dgzb = structural_derivative_jets(gj, sj)
     expanded = 2j * np.sum(Dfzb * Dgz - Dfz * Dgzb, axis=0)
 
     cancel = (_amax(fj.val) * _amax(gj.val)
-              * max(_amax(sz), _amax(szb)) ** 2 * n)
+              * max(map(_amax, sj.wirtinger)) ** 2 * fj.n)
     _check_routes(direct, expanded, "structural bracket", cancel)
     return direct
 
 
-def sdyn_jets(Hj, sj, n: int) -> np.ndarray:
+def sdyn_jets(Hj, sj) -> np.ndarray:
     """Structural flow rate w = {s,H} as a real batch; asserts realness."""
-    w = pb_complex_jets(sj, Hj, n)
+    w = pb_complex_jets(sj, Hj)
 
     # equivalent form through the structural derivative of H
     sz, szb = sj.wirtinger
-    Hz, Hzb = Hj.wirtinger
-    DHz, DHzb = Hz + Hj.val * sz, Hzb + Hj.val * szb
+    DHz, DHzb = structural_derivative_jets(Hj, sj)
     alt = 2j * np.sum(DHz * szb - DHzb * sz, axis=0)
-    cancel = _amax(Hj.val) * max(_amax(sz), _amax(szb)) ** 2 * n
+    cancel = _amax(Hj.val) * max(_amax(sz), _amax(szb)) ** 2 * Hj.n
     _check_routes(w, alt, "structural flow rate", cancel)
     return _real_part(w, "structural flow rate")
 
@@ -152,40 +155,45 @@ def sdyn_jets(Hj, sj, n: int) -> np.ndarray:
 # public single-point operations
 
 
+def _time_free(f: ScalarField) -> ScalarField:
+    if f.uses_time:
+        raise ValueError("brackets and rates are defined for time-independent fields")
+    return f
+
+
 def pb_real(f: ScalarField, g: ScalarField, pt: PhasePoint) -> complex:
     """Classical bracket from the real partials."""
-    fj, gj = point_jets(pt, f, g)
-    return complex(pb_real_jets(fj, gj, pt.n)[0])
+    fj, gj = point_jets(pt, _time_free(f), _time_free(g))
+    return complex(pb_real_jets(fj, gj)[0])
 
 
 def pb_complex(f: ScalarField, g: ScalarField, pt: PhasePoint) -> complex:
     """Classical bracket from the Wirtinger pairs; equal to pb_real."""
-    fj, gj = point_jets(pt, f, g)
-    return complex(pb_complex_jets(fj, gj, pt.n)[0])
+    fj, gj = point_jets(pt, _time_free(f), _time_free(g))
+    return complex(pb_complex_jets(fj, gj)[0])
 
 
 def structural_derivative(f: ScalarField, sys: StructuredSystem,
                           pt: PhasePoint) -> WirtingerGradient:
     """The product-corrected gradient Df/dz_j = df/dz_j + f * ds/dz_j
     (and its conjugate-chart partner)."""
-    fj, sj = point_jets(pt, f, sys.structural)
-    (fz, fzb), (sz, szb) = fj.wirtinger, sj.wirtinger
-    v = fj.val[0]
-    return WirtingerGradient(fz[:, 0] + v * sz[:, 0], fzb[:, 0] + v * szb[:, 0])
+    Dfz, Dfzb = structural_derivative_jets(
+        *point_jets(pt, _time_free(f), sys.structural))
+    return WirtingerGradient(Dfz[:, 0], Dfzb[:, 0])
 
 
 def geobracket(f: ScalarField, g: ScalarField, sys: StructuredSystem,
                pt: PhasePoint) -> complex:
     """The structural correction f*{s,g} - g*{s,f}."""
-    fj, gj, sj = point_jets(pt, f, g, sys.structural)
-    return complex(geobracket_jets(fj, gj, sj, pt.n)[0])
+    fj, gj, sj = point_jets(pt, _time_free(f), _time_free(g), sys.structural)
+    return complex(geobracket_jets(fj, gj, sj)[0])
 
 
 def gspb(f: ScalarField, g: ScalarField, sys: StructuredSystem,
          pt: PhasePoint) -> complex:
     """The full structural bracket {f,g} + f*{s,g} - g*{s,f}."""
-    fj, gj, sj = point_jets(pt, f, g, sys.structural)
-    return complex(gspb_jets(fj, gj, sj, pt.n)[0])
+    fj, gj, sj = point_jets(pt, _time_free(f), _time_free(g), sys.structural)
+    return complex(gspb_jets(fj, gj, sj)[0])
 
 
 def geometrio(sys: StructuredSystem, pt: PhasePoint) -> tuple[np.ndarray, np.ndarray]:

@@ -12,38 +12,40 @@ from typing import Sequence
 
 import numpy as np
 
-from .brackets import StructuredSystem, _real_part, gspb_jets, pb_real_jets
+from .brackets import (StructuredSystem, _real_part, _time_free, gspb_jets,
+                       pb_real_jets)
 from .dynamics import CovariantRate, total_rate_jets
 from .fields import ScalarField, eval_jet, point_jets
 from .phasespace import PhasePoint
 
 
-def _w_real(Hj, sj, n: int) -> np.ndarray:
-    return _real_part(pb_real_jets(sj, Hj, n),
-                      "structural flow rate in the real-chart engine")
+def gspb_real_jets(fj, gj, sj) -> np.ndarray:
+    return (pb_real_jets(fj, gj)
+            + fj.val * pb_real_jets(sj, gj)
+            - gj.val * pb_real_jets(sj, fj))
 
 
-def gspb_real_jets(fj, gj, sj, n: int) -> np.ndarray:
-    return (pb_real_jets(fj, gj, n)
-            + fj.val * pb_real_jets(sj, gj, n)
-            - gj.val * pb_real_jets(sj, fj, n))
+def _real_rate_jets(fj, Hj, sj):
+    """(thorough, w, total) from the real partials alone, the twin of
+    dynamics.total_rate_jets; total is (pb(f,H) - H * pb(s,f)) + f * w."""
+    w = _real_part(pb_real_jets(sj, Hj),
+                   "structural flow rate in the real-chart engine")
+    thorough = pb_real_jets(fj, Hj) - Hj.val * pb_real_jets(sj, fj)
+    return thorough, w, thorough + fj.val * w
 
 
 def gspb_real(f: ScalarField, g: ScalarField, sys: StructuredSystem,
               pt: PhasePoint) -> complex:
     """The structural bracket assembled purely from real partials."""
-    fj, gj, sj = point_jets(pt, f, g, sys.structural)
-    return complex(gspb_real_jets(fj, gj, sj, sys.n)[0])
+    fj, gj, sj = point_jets(pt, _time_free(f), _time_free(g), sys.structural)
+    return complex(gspb_real_jets(fj, gj, sj)[0])
 
 
 def gchs_real_rate(f: ScalarField, sys: StructuredSystem,
                    pt: PhasePoint) -> CovariantRate:
     """Covariant total rate from the real-chart engine."""
-    fj, Hj, sj = point_jets(pt, f, sys.hamiltonian, sys.structural)
-    n = sys.n
-    w = _w_real(Hj, sj, n)
-    thorough = pb_real_jets(fj, Hj, n) - Hj.val * pb_real_jets(sj, fj, n)
-    total = thorough + fj.val * w
+    fj, Hj, sj = point_jets(pt, _time_free(f), sys.hamiltonian, sys.structural)
+    thorough, w, total = _real_rate_jets(fj, Hj, sj)
     return CovariantRate(value=complex(fj.val[0]), thorough=complex(thorough[0]),
                          sdyn=float(w[0]), total=complex(total[0]))
 
@@ -70,18 +72,15 @@ def cross_check(f: ScalarField, g: ScalarField, sys: StructuredSystem,
         raise ValueError("need at least one point")
     Q = np.stack([pt.q for pt in pts], axis=1)
     P = np.stack([pt.p for pt in pts], axis=1)
-    n = sys.n
 
     fj, gj, Hj, sj = (eval_jet(field, Q, P, order=1)
                       for field in (f, g, sys.hamiltonian, sys.structural))
 
-    gspb_c = gspb_jets(fj, gj, sj, n)
-    gspb_r = gspb_real_jets(fj, gj, sj, n)
+    gspb_c = gspb_jets(fj, gj, sj)
+    gspb_r = gspb_real_jets(fj, gj, sj)
 
-    _, w_c, total_c = total_rate_jets(fj, Hj, sj, n)
-    w_r = _w_real(Hj, sj, n)
-    total_r = (pb_real_jets(fj, Hj, n) - Hj.val * pb_real_jets(sj, fj, n)
-               + fj.val * w_r)
+    _, w_c, total_c = total_rate_jets(fj, Hj, sj)
+    _, w_r, total_r = _real_rate_jets(fj, Hj, sj)
 
     return CrossCheckReport(
         points=len(pts),

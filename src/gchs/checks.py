@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bridge
-from .brackets import (StructuredSystem, _amax, geobracket_jets, gspb_jets,
-                       pb_complex_jets, pb_real_jets, sdyn_jets)
+from .brackets import (StructuredSystem, _amax, gspb_jets, pb_complex_jets,
+                       pb_real_jets, structural_derivative_jets)
 from .dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
-                       thorough_jets, tghs_zbardot_jets, tghs_zdot_jets,
-                       total_rate_jets)
+                       tghs_zbardot_jets, tghs_zdot_jets, total_rate_jets)
 from .fields import ScalarField, eval_jet, linear_combination, parse_field
 from .integrate import StepperConfig, integrate_tghs, monitor_report
 from .phasespace import PhasePoint, real_from_wirtinger, wirtinger_from_real
@@ -169,10 +168,10 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     fj2, Hj2, sj2 = (eval_jet(field, Q, P, order=2)
                      for field in (f, sys.hamiltonian, sys.structural))
 
-    add("dynamics.beta_realness", _amax(beta_jets(Hj2, sj2, n).imag), 1e-10)
+    add("dynamics.beta_realness", _amax(beta_jets(Hj2, sj2).imag), 1e-10)
 
-    acc = acceleration_jets(fj2, Hj2, sj2, n)
-    oracle = _acceleration_operator_route(fj2, Hj2, sj2, n)
+    acc = acceleration_jets(fj2, Hj2, sj2)
+    oracle = _acceleration_operator_route(fj2, Hj2, sj2)
     add("dynamics.acceleration_consistency", _amax(acc - oracle), 1e-8)
 
     # bridge: both engines over fresh points
@@ -227,78 +226,76 @@ def _first_order_checks(add, sys: StructuredSystem, rng: np.random.Generator,
 
     # brackets
     add("brackets.antisymmetry",
-        _amax(gspb_jets(fj, gj, sj, n) + gspb_jets(gj, fj, sj, n)), 1e-12)
+        _amax(gspb_jets(fj, gj, sj) + gspb_jets(gj, fj, sj)), 1e-12)
 
     combo = jets(linear_combination(a, f, b, freal))
     add("brackets.bilinearity",
-        _amax(gspb_jets(combo, gj, sj, n)
-              - (a * gspb_jets(fj, gj, sj, n) + b * gspb_jets(frj, gj, sj, n))),
+        _amax(gspb_jets(combo, gj, sj)
+              - (a * gspb_jets(fj, gj, sj) + b * gspb_jets(frj, gj, sj))),
         1e-12)
 
     zero_j = jets(parse_field("0", n))
     add("brackets.classical_reduction",
-        _amax(gspb_jets(fj, gj, zero_j, n) - pb_complex_jets(fj, gj, n)), 0.0)
+        _amax(gspb_jets(fj, gj, zero_j) - pb_complex_jets(fj, gj)), 0.0)
 
     add("brackets.real_complex_agreement",
-        _amax(pb_complex_jets(fj, gj, n) - pb_real_jets(fj, gj, n)), 1e-10)
+        _amax(pb_complex_jets(fj, gj) - pb_real_jets(fj, gj)), 1e-10)
 
     zj = [jets(parse_field(f"z{j}", n)) for j in range(1, n + 1)]
     zbj = [jets(parse_field(f"conj(z{j})", n)) for j in range(1, n + 1)]
     sz, szb = sj.wirtinger
 
-    dev = max(_amax(pb_complex_jets(zj[j], zbj[j], n) + 2j) for j in range(n))
+    dev = max(_amax(pb_complex_jets(zj[j], zbj[j]) + 2j) for j in range(n))
     add("brackets.coordinate_pb", dev, 0.0)
 
     dev = 0.0
     for j in range(n):
         want = -2j * (1.0 + zj[j].val * sz[j] + zbj[j].val * szb[j])
-        dev = max(dev, _amax(gspb_jets(zj[j], zbj[j], sj, n) - want))
+        dev = max(dev, _amax(gspb_jets(zj[j], zbj[j], sj) - want))
     add("brackets.coordinate_gspb", dev, 1e-12)
 
-    dev = max(max(_amax(gspb_jets(zj[j], zj[j], sj, n)),
-                  _amax(gspb_jets(zbj[j], zbj[j], sj, n))) for j in range(n))
+    dev = max(max(_amax(gspb_jets(zj[j], zj[j], sj)),
+                  _amax(gspb_jets(zbj[j], zbj[j], sj))) for j in range(n))
     add("brackets.coordinate_self", dev, 1e-12)
 
     dev = 0.0
     for j in range(n):
-        dev = max(dev, _amax(2j * szb[j] - pb_complex_jets(sj, zj[j], n)))
-        dev = max(dev, _amax(-2j * sz[j] - pb_complex_jets(sj, zbj[j], n)))
+        dev = max(dev, _amax(2j * szb[j] - pb_complex_jets(sj, zj[j])))
+        dev = max(dev, _amax(-2j * sz[j] - pb_complex_jets(sj, zbj[j])))
     add("brackets.geometrio", dev, 1e-12)
 
     # dynamics
-    w = sdyn_jets(Hj, sj, n)
-    _, _, total = total_rate_jets(fj, Hj, sj, n)
-    add("dynamics.decomposition", _amax(gspb_jets(fj, Hj, sj, n) - total), 1e-10)
+    _, w, total = total_rate_jets(fj, Hj, sj)
+    add("dynamics.decomposition", _amax(gspb_jets(fj, Hj, sj) - total), 1e-10)
 
-    _, _, totalH = total_rate_jets(Hj, Hj, sj, n)
+    _, _, totalH = total_rate_jets(Hj, Hj, sj)
     add("dynamics.conservation", _amax(totalH), 1e-10)
 
-    zdot = tghs_zdot_jets(Hj, sj, n)
-    zbardot = tghs_zbardot_jets(Hj, sj, n)
-    Hz, Hzb = Hj.wirtinger
-    DHz, DHzb = Hz + Hj.val * sz, Hzb + Hj.val * szb
+    zdot = tghs_zdot_jets(Hj, sj)
+    zbardot = tghs_zbardot_jets(Hj, sj)
+    DHz, DHzb = structural_derivative_jets(Hj, sj)
     add("dynamics.velocity_identity",
         _amax(np.sum(zdot * DHz, axis=0) + np.sum(zbardot * DHzb, axis=0)), 1e-10)
 
     add("dynamics.conjugate_pairing", _amax(zbardot - np.conj(zdot)), 1e-12)
 
     add("dynamics.structural_rate",
-        _amax(gspb_jets(sj, Hj, sj, n) - (1.0 + sj.val) * w), 1e-10)
+        _amax(gspb_jets(sj, Hj, sj) - (1.0 + sj.val) * w), 1e-10)
 
     add("dynamics.sdyn_chain_rule",
         _amax(np.sum(zbardot * szb + zdot * sz, axis=0) - w), 1e-10)
 
-    add("dynamics.w_realness", _amax(pb_complex_jets(sj, Hj, n).imag), 1e-10)
+    add("dynamics.w_realness", _amax(pb_complex_jets(sj, Hj).imag), 1e-10)
 
 
-def _acceleration_operator_route(fj2, Hj2, sj2, n: int) -> np.ndarray:
+def _acceleration_operator_route(fj2, Hj2, sj2) -> np.ndarray:
     """Apply the covariant rate operator to the derived field Df/dt.
 
     This recomputes the second covariant rate without using the closed
     formula: the rate field g = df/dt + f w is differentiated through
     the Hessians, then D g/dt = dg/dt + g w.
     """
-    V, dV, w, gw = flow_gradient_jets(Hj2, sj2, n)
+    V, dV, w, gw = flow_gradient_jets(Hj2, sj2)
     Gf = fj2.grad
     Hf = fj2.sym_hess
 
@@ -343,9 +340,7 @@ def _flow_checks(sys: StructuredSystem, initial: PhasePoint | None,
     fj = eval_jet(probe, Q, P, order=1)
     Hj = eval_jet(sys.hamiltonian, Q, P, order=1)
     sj = eval_jet(sys.structural, Q, P, order=1)
-    th = thorough_jets(fj, Hj, sj, n)
-    _, _, total = total_rate_jets(fj, Hj, sj, n)
-    w = sdyn_jets(Hj, sj, n)
+    th, w, total = total_rate_jets(fj, Hj, sj)
 
     cdiff = (vals[2:] - vals[:-2]) / (t[2:] - t[:-2])
     results.append(InvariantResult(

@@ -236,6 +236,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "check" and args.count < 1:
             parser.error(f"argument --count: must be at least 1, got {args.count}")
+        if args.command == "check" and args.seed < 0:
+            parser.error(f"argument --seed: must be at least 0, got {args.seed}")
         if args.command == "run" and args.jobs < 1:
             parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     except _UsageError as e:

@@ -40,9 +40,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .brackets import (ROUTE_TOL, StructuredSystem, _amax, _check_routes,
-                       _real_part, gspb_jets, pb_complex_jets, sdyn_jets,
-                       unit_field)
+from .brackets import (StructuredSystem, _amax, _check_routes, _real_part,
+                       _time_free, gspb_jets, pb_complex_jets, sdyn_jets,
+                       structural_derivative_jets, unit_field)
 from .fields import _Emitter, _NoFloatCode, ScalarField, _compiled, point_jets
 from .phasespace import ComplexCoords, PhasePoint
 
@@ -74,27 +74,21 @@ class EquilibriumReport:
     decay_term: complex
 
 
-def _time_free(f: ScalarField) -> ScalarField:
-    if f.uses_time:
-        raise ValueError("rates are defined for time-independent fields")
-    return f
-
-
 # ---------------------------------------------------------------------------
-# batched cores
+# batched cores: jets in, arrays out; n comes from the jets
 
 
-def tghs_zdot_jets(Hj, sj, n: int) -> np.ndarray:
+def tghs_zdot_jets(Hj, sj) -> np.ndarray:
     return -2j * (Hj.wirtinger[1] + Hj.val * sj.wirtinger[1])
 
 
-def tghs_zbardot_jets(Hj, sj, n: int) -> np.ndarray:
+def tghs_zbardot_jets(Hj, sj) -> np.ndarray:
     return 2j * (Hj.wirtinger[0] + Hj.val * sj.wirtinger[0])
 
 
-def real_velocity_jets(Hj, sj, n: int) -> np.ndarray:
+def real_velocity_jets(Hj, sj) -> np.ndarray:
     """Flow velocities stacked (qdot, pdot), shape (2n, m), real."""
-    return _real_part(_J(Hj.grad + Hj.val * sj.grad, n), "flow velocity")
+    return _real_part(_J(Hj.grad + Hj.val * sj.grad), "flow velocity")
 
 
 def velocity_kernel(sys: StructuredSystem):
@@ -133,47 +127,45 @@ def _velocity_function(sys: StructuredSystem):
     return fn
 
 
-def thorough_jets(fj, Hj, sj, n: int) -> np.ndarray:
+def thorough_jets(fj, Hj, sj) -> np.ndarray:
     """Plain flow derivative df/dt along the structural flow."""
-    zdot = tghs_zdot_jets(Hj, sj, n)
-    zbardot = tghs_zbardot_jets(Hj, sj, n)
+    zdot = tghs_zdot_jets(Hj, sj)
+    zbardot = tghs_zbardot_jets(Hj, sj)
     fz, fzb = fj.wirtinger
     chain = np.sum(zbardot * fzb + zdot * fz, axis=0)
 
     # bracket form of the same derivative
-    bracket = (pb_complex_jets(fj, Hj, n)
-               - Hj.val * pb_complex_jets(sj, fj, n))
+    bracket = pb_complex_jets(fj, Hj) - Hj.val * pb_complex_jets(sj, fj)
     cancel = ((_amax(Hj.val) * _amax(sj.grad) + _amax(Hj.grad))
-              * _amax(fj.grad) * n)
+              * _amax(fj.grad) * fj.n)
     _check_routes(chain, bracket, "flow derivative", cancel)
     return chain
 
 
-def total_rate_jets(fj, Hj, sj, n: int):
+def total_rate_jets(fj, Hj, sj):
     """(thorough, w, total) batches with the chain-rule cross-check."""
-    w = sdyn_jets(Hj, sj, n)
-    th = thorough_jets(fj, Hj, sj, n)
+    w = sdyn_jets(Hj, sj)
+    th = thorough_jets(fj, Hj, sj)
     total = th + fj.val * w
 
     # chain rule through the structural derivative of f
-    zdot = tghs_zdot_jets(Hj, sj, n)
-    zbardot = tghs_zbardot_jets(Hj, sj, n)
-    sz, szb = sj.wirtinger
-    fz, fzb = fj.wirtinger
-    Dfz, Dfzb = fz + fj.val * sz, fzb + fj.val * szb
+    zdot = tghs_zdot_jets(Hj, sj)
+    zbardot = tghs_zbardot_jets(Hj, sj)
+    Dfz, Dfzb = structural_derivative_jets(fj, sj)
     alt = np.sum(zbardot * Dfzb + zdot * Dfz, axis=0)
 
-    cancel = (_amax(zdot) * (_amax(fj.grad) + _amax(fj.val) * _amax(sj.grad)) * n)
+    cancel = _amax(zdot) * (_amax(fj.grad) + _amax(fj.val) * _amax(sj.grad)) * fj.n
     _check_routes(total, alt, "covariant total rate", cancel)
     return th, w, total
 
 
-def _J(x: np.ndarray, n: int) -> np.ndarray:
+def _J(x: np.ndarray) -> np.ndarray:
     """Canonical symplectic rotation of a stacked (2n, ...) array."""
+    n = len(x) // 2
     return np.concatenate([x[n:], -x[:n]], axis=0)
 
 
-def flow_gradient_jets(Hj2, sj2, n: int):
+def flow_gradient_jets(Hj2, sj2):
     """Velocities V, their spatial Jacobian dV[a, b] = d V_a / d x_b,
     w = {s,H} and its real-coordinate gradient gw.
 
@@ -182,26 +174,26 @@ def flow_gradient_jets(Hj2, sj2, n: int):
     GH, Gs, Hval = Hj2.grad, sj2.grad, Hj2.val
     HH, Hs = Hj2.sym_hess, sj2.sym_hess
     M = HH + np.einsum("c...,b...->cb...", Gs, GH) + Hval * Hs
-    V = _J(GH + Hval * Gs, n)
-    dV = _J(M, n)
-    JGH = _J(GH, n)
-    JGs = _J(Gs, n)
+    V = _J(GH + Hval * Gs)
+    dV = _J(M)
+    JGH = _J(GH)
+    JGs = _J(Gs)
     w = np.sum(Gs * JGH, axis=0)
     gw = (np.einsum("ab...,b...->a...", Hs, JGH)
           - np.einsum("ab...,b...->a...", HH, JGs))
     return V, dV, w, gw
 
 
-def beta_jets(Hj2, sj2, n: int) -> np.ndarray:
+def beta_jets(Hj2, sj2) -> np.ndarray:
     """Acceleration coefficient dw/dt + w^2 along the flow."""
-    V, _, w, gw = flow_gradient_jets(Hj2, sj2, n)
+    V, _, w, gw = flow_gradient_jets(Hj2, sj2)
     dwdt = np.sum(V * gw, axis=0)
     return dwdt + w * w
 
 
-def acceleration_jets(fj2, Hj2, sj2, n: int) -> np.ndarray:
+def acceleration_jets(fj2, Hj2, sj2) -> np.ndarray:
     """Second covariant rate d2f/dt2 + 2 w df/dt + f * beta."""
-    V, dV, w, gw = flow_gradient_jets(Hj2, sj2, n)
+    V, dV, w, gw = flow_gradient_jets(Hj2, sj2)
     Gf = fj2.grad
     Hf = fj2.sym_hess
 
@@ -219,25 +211,24 @@ def acceleration_jets(fj2, Hj2, sj2, n: int) -> np.ndarray:
 def tghs_velocity(sys: StructuredSystem, pt: PhasePoint) -> np.ndarray:
     """dz_j/dt for all j at one point."""
     Hj, sj = point_jets(pt, sys.hamiltonian, sys.structural)
-    return tghs_zdot_jets(Hj, sj, sys.n)[:, 0]
+    return tghs_zdot_jets(Hj, sj)[:, 0]
 
 
 def tghs_velocity_pair(sys: StructuredSystem, pt: PhasePoint):
     """(dz_j/dt, dzbar_j/dt); the second comes from its own closed form
     and equals the conjugate of the first for real H and s."""
     Hj, sj = point_jets(pt, sys.hamiltonian, sys.structural)
-    return (tghs_zdot_jets(Hj, sj, sys.n)[:, 0],
-            tghs_zbardot_jets(Hj, sj, sys.n)[:, 0])
+    return tghs_zdot_jets(Hj, sj)[:, 0], tghs_zbardot_jets(Hj, sj)[:, 0]
 
 
 def s_dynamics(sys: StructuredSystem, pt: PhasePoint) -> float:
     """The structural flow rate w = {s,H} at one point, always real."""
     Hj, sj, onej = point_jets(pt, sys.hamiltonian, sys.structural,
                               unit_field(sys.n))
-    w = sdyn_jets(Hj, sj, sys.n)
+    w = sdyn_jets(Hj, sj)
 
     # the same number must fall out of the structural bracket with 1
-    via_unit = gspb_jets(onej, Hj, sj, sys.n)
+    via_unit = gspb_jets(onej, Hj, sj)
     _check_routes(w.astype(complex), via_unit, "structural flow rate (unit slot)")
     return float(w[0])
 
@@ -245,13 +236,13 @@ def s_dynamics(sys: StructuredSystem, pt: PhasePoint) -> float:
 def thorough_rate(f: ScalarField, sys: StructuredSystem, pt: PhasePoint) -> complex:
     """Plain flow derivative df/dt at one point."""
     fj, Hj, sj = point_jets(pt, _time_free(f), sys.hamiltonian, sys.structural)
-    return complex(thorough_jets(fj, Hj, sj, sys.n)[0])
+    return complex(thorough_jets(fj, Hj, sj)[0])
 
 
 def gchs_rate(f: ScalarField, sys: StructuredSystem, pt: PhasePoint) -> CovariantRate:
     """Covariant total rate Df/dt = df/dt + f * w with its parts."""
     fj, Hj, sj = point_jets(pt, _time_free(f), sys.hamiltonian, sys.structural)
-    th, w, total = total_rate_jets(fj, Hj, sj, sys.n)
+    th, w, total = total_rate_jets(fj, Hj, sj)
     return CovariantRate(value=complex(fj.val[0]), thorough=complex(th[0]),
                          sdyn=float(w[0]), total=complex(total[0]))
 
@@ -259,7 +250,7 @@ def gchs_rate(f: ScalarField, sys: StructuredSystem, pt: PhasePoint) -> Covarian
 def beta(sys: StructuredSystem, pt: PhasePoint) -> float:
     """Acceleration coefficient dw/dt + w^2 at one point."""
     Hj2, sj2 = point_jets(pt, sys.hamiltonian, sys.structural, order=2)
-    b = beta_jets(Hj2, sj2, sys.n)
+    b = beta_jets(Hj2, sj2)
     return float(_real_part(b, "acceleration coefficient")[0])
 
 
@@ -268,18 +259,17 @@ def covariant_acceleration(f: ScalarField, sys: StructuredSystem,
     """Second covariant rate D(Df/dt)/dt = d2f/dt2 + 2 w df/dt + f * beta."""
     fj2, Hj2, sj2 = point_jets(pt, _time_free(f), sys.hamiltonian,
                                sys.structural, order=2)
-    return complex(acceleration_jets(fj2, Hj2, sj2, sys.n)[0])
+    return complex(acceleration_jets(fj2, Hj2, sj2)[0])
 
 
 def equilibrium_residual(f: ScalarField, sys: StructuredSystem,
                          pt: PhasePoint) -> EquilibriumReport:
     """Covariant residual {f,H}_s with its decomposition diagnostics."""
     fj, Hj, sj = point_jets(pt, _time_free(f), sys.hamiltonian, sys.structural)
-    n = sys.n
-    residual = complex(gspb_jets(fj, Hj, sj, n)[0])
-    classical = complex(pb_complex_jets(fj, Hj, n)[0])
-    structural = complex((Hj.val * pb_complex_jets(sj, fj, n))[0])
-    w = sdyn_jets(Hj, sj, n)
+    residual = complex(gspb_jets(fj, Hj, sj)[0])
+    classical = complex(pb_complex_jets(fj, Hj)[0])
+    structural = complex((Hj.val * pb_complex_jets(sj, fj))[0])
+    w = sdyn_jets(Hj, sj)
     decay = complex((-fj.val * w)[0])
     return EquilibriumReport(residual=residual, classical=classical,
                              structural_term=structural, decay_term=decay)

@@ -935,9 +935,14 @@ class Jet:
         self._wirtinger = self._sym_hess = None
 
     @property
+    def n(self) -> int:
+        """Degrees of freedom, read off the gradient (order 1 and up)."""
+        return len(self.grad) // 2
+
+    @property
     def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
         if self._wirtinger is None:
-            n = len(self.grad) // 2
+            n = self.n
             self._wirtinger = wirtinger_from_real(self.grad[:n], self.grad[n:])
         return self._wirtinger
 

@@ -278,9 +278,9 @@ def _initial_point(z0, sys: StructuredSystem | None) -> PhasePoint:
     return pt0
 
 
-def _state_jets(sys: StructuredSystem, x: np.ndarray, n: int):
+def _state_jets(sys: StructuredSystem, x: np.ndarray):
     """Order-1 jets of H and s at one flat state, as batches of size one."""
-    Q, P = x[:n, None], x[n:, None]
+    Q, P = x[:sys.n, None], x[sys.n:, None]
     return (eval_jet(sys.hamiltonian, Q, P, order=1),
             eval_jet(sys.structural, Q, P, order=1))
 
@@ -304,7 +304,6 @@ def integrate_tghs(sys: StructuredSystem, z0, cfg: StepperConfig,
     The right-hand side is sys's velocity kernel where it has one and it
     returns the velocity; otherwise the order-1 jets of H and s, whose
     guards raise the errors."""
-    n = sys.n
     kernel = velocity_kernel(sys)
 
     def rhs(t, x):
@@ -312,7 +311,7 @@ def integrate_tghs(sys: StructuredSystem, z0, cfg: StepperConfig,
             v = kernel(*x)
             if type(v) is tuple:
                 return v
-        return real_velocity_jets(*_state_jets(sys, np.array(x), n), n)[:, 0].tolist()
+        return real_velocity_jets(*_state_jets(sys, np.array(x)))[:, 0].tolist()
 
     return _finish("tghs", rhs, _initial_point(z0, sys), cfg, sys, observables)
 
@@ -353,7 +352,7 @@ def integrate_perturbed(w_source, z0, h, cfg: StepperConfig,
 
     def rhs(t, x):
         x = np.array(x)
-        w = w0 if sys is None else float(sdyn_jets(*_state_jets(sys, x, n), n)[0])
+        w = w0 if sys is None else float(sdyn_jets(*_state_jets(sys, x))[0])
         if not h_fields:
             return (-w * x).tolist()
         Q, P = x[:n, None], x[n:, None]
@@ -388,17 +387,17 @@ def _attach_monitors(traj: Trajectory, sys: StructuredSystem | None,
     sj = eval_jet(sys.structural, Q, P, order=1)
 
     traj.energy = Hj.val.real
-    traj.sdyn = sdyn_jets(Hj, sj, n)
-    traj.hh_residual = np.abs(gspb_jets(Hj, Hj, sj, n))
+    traj.sdyn = sdyn_jets(Hj, sj)
+    traj.hh_residual = np.abs(gspb_jets(Hj, Hj, sj))
 
-    zdot = tghs_zdot_jets(Hj, sj, n)
-    zbardot = tghs_zbardot_jets(Hj, sj, n)
+    zdot = tghs_zdot_jets(Hj, sj)
+    zbardot = tghs_zbardot_jets(Hj, sj)
     traj.conj_violation = np.max(np.abs(zbardot - np.conj(zdot)), axis=0)
 
     for name, f in observables.items():
         fj = eval_jet(f, Q, P, order=1)
         traj.observables[name] = fj.val
-        traj.residuals[name] = gspb_jets(fj, Hj, sj, n)
+        traj.residuals[name] = gspb_jets(fj, Hj, sj)
 
 
 def _cum_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -45,9 +45,9 @@ def test_1_classical_reduction():
         fj, gj, Hj = (eval_jet(x, Q, P, order=1) for x in (f, g, H))
         zj = eval_jet(constant_field(0.0, n), Q, P, order=1)
 
-        dev = max(dev, amax(gspb_jets(fj, gj, zj, n) - pb_complex_jets(fj, gj, n)))
-        _, w, total = total_rate_jets(fj, Hj, zj, n)
-        dev = max(dev, amax(total - pb_complex_jets(fj, Hj, n)))
+        dev = max(dev, amax(gspb_jets(fj, gj, zj) - pb_complex_jets(fj, gj)))
+        _, w, total = total_rate_jets(fj, Hj, zj)
+        dev = max(dev, amax(total - pb_complex_jets(fj, Hj)))
         dev = max(dev, amax(w))
     verdict(1, "classical reduction at s=0 (n=1,2,3)", dev, 1e-12)
 
@@ -64,7 +64,7 @@ def test_2_real_complex_compatibility():
     sys = StructuredSystem(n, H, s)
 
     fj, gj = eval_jet(f, Q, P, order=1), eval_jet(g, Q, P, order=1)
-    dev = amax(pb_complex_jets(fj, gj, n) - pb_real_jets(fj, gj, n))
+    dev = amax(pb_complex_jets(fj, gj) - pb_real_jets(fj, gj))
 
     pts = [PhasePoint(Q[:, k], P[:, k]) for k in range(Q.shape[1])]
     rep = cross_check(f, g, sys, pts)
@@ -87,11 +87,11 @@ def test_3_coordinate_brackets():
         zf = coordinate_field("z", j, n)
         zj = eval_jet(zf, Q, P, order=1)
         zbj = eval_jet(conjugate_field(zf), Q, P, order=1)
-        exact = max(exact, amax(pb_complex_jets(zj, zbj, n) + 2j))
+        exact = max(exact, amax(pb_complex_jets(zj, zbj) + 2j))
         want = -2j * (1.0 + zj.val * sz[j - 1] + zbj.val * szb[j - 1])
-        dev = max(dev, amax(gspb_jets(zj, zbj, sj, n) - want))
-        dev = max(dev, amax(gspb_jets(zj, zj, sj, n)))
-        dev = max(dev, amax(gspb_jets(zbj, zbj, sj, n)))
+        dev = max(dev, amax(gspb_jets(zj, zbj, sj) - want))
+        dev = max(dev, amax(gspb_jets(zj, zj, sj)))
+        dev = max(dev, amax(gspb_jets(zbj, zbj, sj)))
     assert exact == 0.0, f"{{z, zbar}} deviated from -2i by {exact:.3e}"
     verdict(3, "coordinate brackets ({z,zbar} exact)", dev, 1e-12)
 
@@ -109,11 +109,11 @@ def test_4_decomposition_and_conservation():
     Hj = eval_jet(H, Q, P, order=1)
     sj = eval_jet(s, Q, P, order=1)
 
-    w = sdyn_jets(Hj, sj, n)
-    _, _, total = total_rate_jets(fj, Hj, sj, n)
-    dev = amax(gspb_jets(fj, Hj, sj, n) - total)
-    dev = max(dev, amax(gspb_jets(Hj, Hj, sj, n)))
-    dev = max(dev, amax(gspb_jets(sj, Hj, sj, n) - (1.0 + sj.val) * w))
+    w = sdyn_jets(Hj, sj)
+    _, _, total = total_rate_jets(fj, Hj, sj)
+    dev = amax(gspb_jets(fj, Hj, sj) - total)
+    dev = max(dev, amax(gspb_jets(Hj, Hj, sj)))
+    dev = max(dev, amax(gspb_jets(sj, Hj, sj) - (1.0 + sj.val) * w))
     verdict(4, "rate decomposition and conservation", dev, 1e-10)
 
 
@@ -167,15 +167,15 @@ def test_7_acceleration_identity():
     fj2 = eval_jet(f, Q, P, order=2)
     Hj2 = eval_jet(H, Q, P, order=2)
     sj2 = eval_jet(s, Q, P, order=2)
-    dev = amax(acceleration_jets(fj2, Hj2, sj2, n)
-               - _acceleration_operator_route(fj2, Hj2, sj2, n))
+    dev = amax(acceleration_jets(fj2, Hj2, sj2)
+               - _acceleration_operator_route(fj2, Hj2, sj2))
 
     # classical limit: for the oscillator, D^2 q/dt^2 + q = 0 pointwise
     Q1, P1 = random_points(np.random.default_rng(708), 1, 200)
     qj2 = eval_jet(coordinate_field("q", 1, 1), Q1, P1, order=2)
     Hosc = eval_jet(parse_field("(q1^2 + p1^2) / 2", 1), Q1, P1, order=2)
     zj2 = eval_jet(constant_field(0.0, 1), Q1, P1, order=2)
-    classical = amax(acceleration_jets(qj2, Hosc, zj2, 1) + Q1[0])
+    classical = amax(acceleration_jets(qj2, Hosc, zj2) + Q1[0])
     dev = max(dev, classical)
     verdict(7, "second covariant rate identity", dev, 1e-8)
 

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gchs import (DomainError, PhasePoint, RealnessError, StructuredSystem,
-                  geobracket, geometrio, gspb, parse_field, pb_complex, pb_real,
+                  gchs_rate, gchs_real_rate, geobracket, geometrio, gspb,
+                  gspb_real, parse_field, pb_complex, pb_real,
                   structural_derivative)
-from gchs.brackets import _check_routes, _exceeds, _real_part
+from gchs.brackets import (_check_routes, _exceeds, _real_part,
+                           structural_derivative_jets)
+from gchs.checks import random_points
+from gchs.fields import eval_jet, point_jets
 
 Q1 = parse_field("q1", 1)
 P1 = parse_field("p1", 1)
@@ -99,6 +103,59 @@ def test_geometrio_reference(structured, pt12):
     with_z, with_zbar = geometrio(structured, pt12)
     assert with_z[0] == pytest.approx(1.0j, abs=1e-15)
     assert with_zbar[0] == pytest.approx(-1.0j, abs=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("src", ["sin(q1) * p2 + q2^2", "z1 * conj(z2) - i * p1"])
+def test_structural_derivative_jets_is_the_product_corrected_gradient(src, m):
+    f, s = parse_field(src, 2), parse_field("q1 * p2 + exp(p1)", 2)
+    Q, P = random_points(np.random.default_rng(m), 2, m)
+    fj, sj = eval_jet(f, Q, P, order=1), eval_jet(s, Q, P, order=1)
+    (fz, fzb), (sz, szb) = fj.wirtinger, sj.wirtinger
+    Dfz, Dfzb = structural_derivative_jets(fj, sj)
+    np.testing.assert_array_equal(Dfz, fz + fj.val * sz)
+    np.testing.assert_array_equal(Dfzb, fzb + fj.val * szb)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_structural_derivative_is_its_jets_at_one_point(n):
+    rng = np.random.default_rng(n)
+    f = parse_field(f"z{n} * conj(z1) + i * sin(q1)", n)
+    sys = StructuredSystem(n, parse_field(f"q1^2 + p{n}^2", n),
+                           parse_field(f"q1 * p{n} + cos(q{n})", n))
+    for _ in range(10):
+        pt = PhasePoint(rng.uniform(-1, 1, n), rng.uniform(-1, 1, n))
+        d = structural_derivative(f, sys, pt)
+        Dfz, Dfzb = structural_derivative_jets(*point_jets(pt, f, sys.structural))
+        assert d.dz.tobytes() == Dfz[:, 0].tobytes()
+        assert d.dzbar.tobytes() == Dfzb[:, 0].tobytes()
+
+
+TIMED = parse_field("q1 * t", 1, allow_time=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys, pt: pb_real(TIMED, Q1, pt),
+    lambda sys, pt: pb_real(Q1, TIMED, pt),
+    lambda sys, pt: pb_complex(TIMED, Q1, pt),
+    lambda sys, pt: pb_complex(Q1, TIMED, pt),
+    lambda sys, pt: geobracket(TIMED, Q1, sys, pt),
+    lambda sys, pt: geobracket(Q1, TIMED, sys, pt),
+    lambda sys, pt: gspb(TIMED, Q1, sys, pt),
+    lambda sys, pt: gspb(Q1, TIMED, sys, pt),
+    lambda sys, pt: structural_derivative(TIMED, sys, pt),
+    lambda sys, pt: gspb_real(TIMED, Q1, sys, pt),
+    lambda sys, pt: gspb_real(Q1, TIMED, sys, pt),
+    lambda sys, pt: gchs_real_rate(TIMED, sys, pt),
+    lambda sys, pt: gchs_rate(TIMED, sys, pt),
+], ids=["pb_real-f", "pb_real-g", "pb_complex-f", "pb_complex-g",
+        "geobracket-f", "geobracket-g", "gspb-f", "gspb-g",
+        "structural_derivative", "gspb_real-f", "gspb_real-g",
+        "gchs_real_rate", "gchs_rate"])
+def test_time_dependent_fields_are_refused_with_one_message(structured, pt12, call):
+    with pytest.raises(ValueError, match="^brackets and rates are defined for "
+                                         "time-independent fields$"):
+        call(structured, pt12)
 
 
 def test_gspb_coordinate_formula(structured):

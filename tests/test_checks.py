@@ -1,7 +1,6 @@
 """The seeded invariant suite: it passes, and it is deterministic."""
 
 import numpy as np
-import pytest
 
 from gchs import PhasePoint, StructuredSystem, parse_field, run_invariant_suite
 from gchs import bridge, checks, fields

@@ -437,6 +437,13 @@ def test_check_count_below_one_is_usage_error(write_scenario, capsys, count):
     assert err.startswith("usage error: argument --count: must be at least 1")
 
 
+def test_check_negative_seed_is_usage_error(write_scenario, capsys):
+    path = write_scenario()
+    assert main(["check", "--seed", "-1", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: argument --seed: must be at least 0, got -1\n"
+
+
 def test_check_complex_structural_exit_1(write_scenario, capsys):
     path = write_scenario(structural="i * q1")
     assert main(["check", str(path)]) == 1

@@ -813,3 +813,12 @@ def test_jet_derived_arrays_are_computed_once_as_numpy_computes_them(src, m):
     np.testing.assert_array_equal(sym, sym.swapaxes(0, 1))
     assert j.wirtinger[0] is dz and j.wirtinger[1] is dzbar
     assert j.sym_hess is sym
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("n", [1, 3])
+def test_jet_n_is_the_fields_n(n, m, order):
+    f = parse_field(f"q1 * p{n}^2 + z{n}", n)
+    Q, P = np.random.default_rng(n).uniform(-1.0, 1.0, size=(2, n, m))
+    assert eval_jet(f, Q, P, order=order).n == f.n == n

@@ -104,13 +104,13 @@ def _check_routes(a: np.ndarray, b: np.ndarray, what: str, extra_scale: float = 
 
 def pb_real_jets(fj, gj) -> np.ndarray:
     n = fj.n
-    return np.sum(fj.grad[:n] * gj.grad[n:] - fj.grad[n:] * gj.grad[:n], axis=0)
+    return (fj.grad[:n] * gj.grad[n:] - fj.grad[n:] * gj.grad[:n]).sum(axis=0)
 
 
 def pb_complex_jets(fj, gj) -> np.ndarray:
     fz, fzb = fj.wirtinger
     gz, gzb = gj.wirtinger
-    return 2j * np.sum(fzb * gz - fz * gzb, axis=0)
+    return 2j * (fzb * gz - fz * gzb).sum(axis=0)
 
 
 def structural_derivative_jets(fj, sj) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +130,7 @@ def gspb_jets(fj, gj, sj) -> np.ndarray:
     # independent route through the structural derivatives
     Dfz, Dfzb = structural_derivative_jets(fj, sj)
     Dgz, Dgzb = structural_derivative_jets(gj, sj)
-    expanded = 2j * np.sum(Dfzb * Dgz - Dfz * Dgzb, axis=0)
+    expanded = 2j * (Dfzb * Dgz - Dfz * Dgzb).sum(axis=0)
 
     cancel = (_amax(fj.val) * _amax(gj.val)
               * max(map(_amax, sj.wirtinger)) ** 2 * fj.n)
@@ -145,7 +145,7 @@ def sdyn_jets(Hj, sj) -> np.ndarray:
     # equivalent form through the structural derivative of H
     sz, szb = sj.wirtinger
     DHz, DHzb = structural_derivative_jets(Hj, sj)
-    alt = 2j * np.sum(DHz * szb - DHzb * sz, axis=0)
+    alt = 2j * (DHz * szb - DHzb * sz).sum(axis=0)
     cancel = _amax(Hj.val) * max(_amax(sz), _amax(szb)) ** 2 * Hj.n
     _check_routes(w, alt, "structural flow rate", cancel)
     return _real_part(w, "structural flow rate")

@@ -74,7 +74,8 @@ def cross_check(f: ScalarField, g: ScalarField, sys: StructuredSystem,
     P = np.stack([pt.p for pt in pts], axis=1)
 
     fj, gj, Hj, sj = (eval_jet(field, Q, P, order=1)
-                      for field in (f, g, sys.hamiltonian, sys.structural))
+                      for field in (_time_free(f), _time_free(g),
+                                    sys.hamiltonian, sys.structural))
 
     gspb_c = gspb_jets(fj, gj, sj)
     gspb_r = gspb_real_jets(fj, gj, sj)

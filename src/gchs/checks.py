@@ -275,7 +275,7 @@ def _first_order_checks(add, sys: StructuredSystem, rng: np.random.Generator,
     zbardot = tghs_zbardot_jets(Hj, sj)
     DHz, DHzb = structural_derivative_jets(Hj, sj)
     add("dynamics.velocity_identity",
-        _amax(np.sum(zdot * DHz, axis=0) + np.sum(zbardot * DHzb, axis=0)), 1e-10)
+        _amax((zdot * DHz).sum(axis=0) + (zbardot * DHzb).sum(axis=0)), 1e-10)
 
     add("dynamics.conjugate_pairing", _amax(zbardot - np.conj(zdot)), 1e-12)
 
@@ -283,7 +283,7 @@ def _first_order_checks(add, sys: StructuredSystem, rng: np.random.Generator,
         _amax(gspb_jets(sj, Hj, sj) - (1.0 + sj.val) * w), 1e-10)
 
     add("dynamics.sdyn_chain_rule",
-        _amax(np.sum(zbardot * szb + zdot * sz, axis=0) - w), 1e-10)
+        _amax((zbardot * szb + zdot * sz).sum(axis=0) - w), 1e-10)
 
     add("dynamics.w_realness", _amax(pb_complex_jets(sj, Hj).imag), 1e-10)
 
@@ -299,13 +299,13 @@ def _acceleration_operator_route(fj2, Hj2, sj2) -> np.ndarray:
     Gf = fj2.grad
     Hf = fj2.sym_hess
 
-    df = np.sum(V * Gf, axis=0)
+    df = (V * Gf).sum(axis=0)
     g_val = df + fj2.val * w
     g_grad = (np.einsum("ab...,a...->b...", dV, Gf)
               + np.einsum("a...,ab...->b...", V, Hf)
               + Gf * w
               + fj2.val * gw)
-    return np.sum(V * g_grad, axis=0) + g_val * w
+    return (V * g_grad).sum(axis=0) + g_val * w
 
 
 def _flow_checks(sys: StructuredSystem, initial: PhasePoint | None,

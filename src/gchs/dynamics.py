@@ -132,7 +132,7 @@ def thorough_jets(fj, Hj, sj) -> np.ndarray:
     zdot = tghs_zdot_jets(Hj, sj)
     zbardot = tghs_zbardot_jets(Hj, sj)
     fz, fzb = fj.wirtinger
-    chain = np.sum(zbardot * fzb + zdot * fz, axis=0)
+    chain = (zbardot * fzb + zdot * fz).sum(axis=0)
 
     # bracket form of the same derivative
     bracket = pb_complex_jets(fj, Hj) - Hj.val * pb_complex_jets(sj, fj)
@@ -152,7 +152,7 @@ def total_rate_jets(fj, Hj, sj):
     zdot = tghs_zdot_jets(Hj, sj)
     zbardot = tghs_zbardot_jets(Hj, sj)
     Dfz, Dfzb = structural_derivative_jets(fj, sj)
-    alt = np.sum(zbardot * Dfzb + zdot * Dfz, axis=0)
+    alt = (zbardot * Dfzb + zdot * Dfz).sum(axis=0)
 
     cancel = _amax(zdot) * (_amax(fj.grad) + _amax(fj.val) * _amax(sj.grad)) * fj.n
     _check_routes(total, alt, "covariant total rate", cancel)
@@ -170,7 +170,17 @@ def flow_gradient_jets(Hj2, sj2):
     w = {s,H} and its real-coordinate gradient gw.
 
     Requires order-2 jets of H and s, whose symmetrized Hessians
-    (Jet.sym_hess) are computed once per jet."""
+    (Jet.sym_hess) are computed once per jet.  The four arrays are
+    computed once per pair of jets and kept on H's jet (Jet._flow) with
+    s's jet; a call with another s jet computes them again and keeps
+    those.  Callers share the arrays and must not write into them."""
+    memo = Hj2._flow
+    if memo is None or memo[0] is not sj2:
+        memo = Hj2._flow = (sj2, _flow_gradient(Hj2, sj2))
+    return memo[1]
+
+
+def _flow_gradient(Hj2, sj2):
     GH, Gs, Hval = Hj2.grad, sj2.grad, Hj2.val
     HH, Hs = Hj2.sym_hess, sj2.sym_hess
     M = HH + np.einsum("c...,b...->cb...", Gs, GH) + Hval * Hs
@@ -178,7 +188,7 @@ def flow_gradient_jets(Hj2, sj2):
     dV = _J(M)
     JGH = _J(GH)
     JGs = _J(Gs)
-    w = np.sum(Gs * JGH, axis=0)
+    w = (Gs * JGH).sum(axis=0)
     gw = (np.einsum("ab...,b...->a...", Hs, JGH)
           - np.einsum("ab...,b...->a...", HH, JGs))
     return V, dV, w, gw
@@ -187,21 +197,20 @@ def flow_gradient_jets(Hj2, sj2):
 def beta_jets(Hj2, sj2) -> np.ndarray:
     """Acceleration coefficient dw/dt + w^2 along the flow."""
     V, _, w, gw = flow_gradient_jets(Hj2, sj2)
-    dwdt = np.sum(V * gw, axis=0)
+    dwdt = (V * gw).sum(axis=0)
     return dwdt + w * w
 
 
 def acceleration_jets(fj2, Hj2, sj2) -> np.ndarray:
     """Second covariant rate d2f/dt2 + 2 w df/dt + f * beta."""
-    V, dV, w, gw = flow_gradient_jets(Hj2, sj2)
+    V, dV, w, _ = flow_gradient_jets(Hj2, sj2)
     Gf = fj2.grad
     Hf = fj2.sym_hess
 
-    df = np.sum(V * Gf, axis=0)
+    df = (V * Gf).sum(axis=0)
     adv = np.einsum("ab...,b...->a...", dV, V)
-    d2f = np.sum(adv * Gf, axis=0) + np.einsum("a...,ab...,b...->...", V, Hf, V)
-    beta_v = np.sum(V * gw, axis=0) + w * w
-    return d2f + 2.0 * w * df + fj2.val * beta_v
+    d2f = (adv * Gf).sum(axis=0) + np.einsum("a...,ab...,b...->...", V, Hf, V)
+    return d2f + 2.0 * w * df + fj2.val * beta_jets(Hj2, sj2)
 
 
 # ---------------------------------------------------------------------------

@@ -926,13 +926,15 @@ class Jet:
     The arrays every kernel derives from them are computed on first
     access and kept as long as the jet: wirtinger, the pair
     (df/dz, df/dzbar) of (n, m) arrays, and sym_hess, the Hessian
-    symmetrized pairwise, (h + h^T) / 2 entry by entry."""
+    symmetrized pairwise, (h + h^T) / 2 entry by entry.  _flow is
+    filled by dynamics.flow_gradient_jets on an order-2 jet of H: the
+    pair (s's jet, (V, dV, w, gw)) of the last s jet it was called with."""
 
-    __slots__ = ("val", "grad", "hess", "_wirtinger", "_sym_hess")
+    __slots__ = ("val", "grad", "hess", "_wirtinger", "_sym_hess", "_flow")
 
     def __init__(self, val, grad=None, hess=None):
         self.val, self.grad, self.hess = val, grad, hess
-        self._wirtinger = self._sym_hess = None
+        self._wirtinger = self._sym_hess = self._flow = None
 
     @property
     def n(self) -> int:

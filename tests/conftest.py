@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gchs import PhasePoint, StructuredSystem, fields, parse_field
+from gchs import PhasePoint, StructuredSystem, dynamics, fields, parse_field
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +45,22 @@ def wirtinger_splits(monkeypatch):
 
     monkeypatch.setattr(fields, "wirtinger_from_real", counted)
     return splits
+
+
+@pytest.fixture
+def flow_builds(monkeypatch):
+    """The (H jet, s jet) of every flow gradient that dynamics computes
+    from now on (a call of dynamics._flow_gradient, which the memo on H's
+    jet skips)."""
+    builds = []
+    build = dynamics._flow_gradient
+
+    def counted(Hj2, sj2):
+        builds.append((Hj2, sj2))
+        return build(Hj2, sj2)
+
+    monkeypatch.setattr(dynamics, "_flow_gradient", counted)
+    return builds
 
 
 @pytest.fixture

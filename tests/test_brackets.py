@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gchs import (DomainError, PhasePoint, RealnessError, StructuredSystem,
+                  covariant_acceleration, cross_check, equilibrium_residual,
                   gchs_rate, gchs_real_rate, geobracket, geometrio, gspb,
                   gspb_real, parse_field, pb_complex, pb_real,
-                  structural_derivative)
+                  structural_derivative, thorough_rate)
 from gchs.brackets import (_check_routes, _exceeds, _real_part,
                            structural_derivative_jets)
 from gchs.checks import random_points
@@ -148,10 +149,16 @@ TIMED = parse_field("q1 * t", 1, allow_time=True)
     lambda sys, pt: gspb_real(Q1, TIMED, sys, pt),
     lambda sys, pt: gchs_real_rate(TIMED, sys, pt),
     lambda sys, pt: gchs_rate(TIMED, sys, pt),
+    lambda sys, pt: cross_check(TIMED, Q1, sys, [pt]),
+    lambda sys, pt: cross_check(Q1, TIMED, sys, [pt]),
+    lambda sys, pt: thorough_rate(TIMED, sys, pt),
+    lambda sys, pt: equilibrium_residual(TIMED, sys, pt),
+    lambda sys, pt: covariant_acceleration(TIMED, sys, pt),
 ], ids=["pb_real-f", "pb_real-g", "pb_complex-f", "pb_complex-g",
         "geobracket-f", "geobracket-g", "gspb-f", "gspb-g",
         "structural_derivative", "gspb_real-f", "gspb_real-g",
-        "gchs_real_rate", "gchs_rate"])
+        "gchs_real_rate", "gchs_rate", "cross_check-f", "cross_check-g",
+        "thorough_rate", "equilibrium_residual", "covariant_acceleration"])
 def test_time_dependent_fields_are_refused_with_one_message(structured, pt12, call):
     with pytest.raises(ValueError, match="^brackets and rates are defined for "
                                          "time-independent fields$"):

@@ -53,6 +53,14 @@ def test_suite_splits_each_order_1_jet_at_most_once(structured, wirtinger_splits
     assert 0 < len(wirtinger_splits) <= len(order_1)
 
 
+def test_suite_computes_the_flow_gradient_once(flow_builds):
+    # beta's realness, the closed-form acceleration and its operator route
+    # all read the one (V, dV, w, gw) kept on H's order-2 jet
+    sys = random_system(np.random.default_rng(11), 2, max_degree=3)
+    run_invariant_suite(sys, 42, 40, include_flow_checks=False)
+    assert len(flow_builds) == 1
+
+
 def test_suite_covers_every_module(structured):
     results = run_invariant_suite(structured, seed=1, count=20,
                                   initial=PhasePoint([0.5], [0.5]))

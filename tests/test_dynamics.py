@@ -17,6 +17,10 @@ from gchs import (PhasePoint, StructuredSystem, beta, covariant_acceleration,
                   equilibrium_residual, evaluate, exponential_solution,
                   gchs_rate, gspb, parse_field, s_dynamics, thorough_rate,
                   tghs_velocity, tghs_velocity_pair)
+from gchs.checks import random_points, random_system
+from gchs.dynamics import (_flow_gradient, acceleration_jets, beta_jets,
+                           flow_gradient_jets)
+from gchs.fields import eval_jet
 
 Z1 = parse_field("z1", 1)
 Q1 = parse_field("q1", 1)
@@ -194,3 +198,59 @@ def test_order_two_rates_do_not_depend_on_the_float_code(monkeypatch):
     assert H._code.floats[2] is not None and s._code.floats[2] is not None
     monkeypatch.setattr(fields, "_float_jet", lambda *args: None)
     assert values() == compiled
+
+
+def _order_2_jets(sys, *extra, m=9):
+    Q, P = random_points(np.random.default_rng(4), sys.n, m)
+    return [eval_jet(f, Q, P, order=2)
+            for f in (sys.hamiltonian, sys.structural, *extra)]
+
+
+def test_flow_gradient_is_kept_per_s_jet(flow_builds):
+    sys = random_system(np.random.default_rng(8), 2, max_degree=3)
+    other_s = parse_field("q1 * p2 - 0.4 * p1^3", 2)
+    Hj2, sj2, other_sj2 = _order_2_jets(sys, other_s)
+    first = flow_gradient_jets(Hj2, sj2)
+    assert flow_gradient_jets(Hj2, sj2) is first
+    assert len(flow_builds) == 1
+
+    # another s jet, even of the same field, is another key
+    _, again_sj2 = _order_2_jets(sys)
+    for sj in (other_sj2, again_sj2, sj2):
+        fresh = flow_gradient_jets(Hj2, sj)
+        assert fresh is not first
+        assert flow_gradient_jets(Hj2, sj) is fresh
+    assert [s for _, s in flow_builds] == [sj2, other_sj2, again_sj2, sj2]
+    assert all(H is Hj2 for H, _ in flow_builds)
+
+
+def test_kept_flow_gradient_is_bit_identical_to_a_fresh_one():
+    sys = random_system(np.random.default_rng(12), 3, max_degree=4)
+    f = parse_field("z1 * conj(z2) - i * q3 * p1^2 + p2", 3)
+    Hj2, sj2, fj2 = _order_2_jets(sys, f)
+    b = beta_jets(Hj2, sj2)
+    acc = acceleration_jets(fj2, Hj2, sj2)
+    kept = flow_gradient_jets(Hj2, sj2)
+
+    # the same arrays from fresh jets, and the acceleration written out
+    # with its own beta, as it was before beta was shared
+    freshH, fresh_s, fresh_f = _order_2_jets(sys, f)
+    V, dV, w, gw = _flow_gradient(freshH, fresh_s)
+    for a, want in zip(kept, (V, dV, w, gw)):
+        assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
+    Gf, Hf = fresh_f.grad, fresh_f.sym_hess
+    df = (V * Gf).sum(axis=0)
+    d2f = ((np.einsum("ab...,b...->a...", dV, V) * Gf).sum(axis=0)
+           + np.einsum("a...,ab...,b...->...", V, Hf, V))
+    beta_v = (V * gw).sum(axis=0) + w * w
+    assert b.tobytes() == beta_v.tobytes()
+    assert acc.tobytes() == (d2f + 2.0 * w * df + fresh_f.val * beta_v).tobytes()
+
+
+def test_each_second_rate_computes_the_flow_gradient_once(structured, pt12,
+                                                          flow_builds):
+    f = parse_field("q1 * p1", 1)
+    beta(structured, pt12)
+    assert len(flow_builds) == 1
+    covariant_acceleration(f, structured, pt12)
+    assert len(flow_builds) == 2

@@ -9,7 +9,8 @@ in one batched pass after stepping, which is equivalent to recording
 them during the run since every monitor is a state function.
 
 Every right-hand side takes t and a sequence of 2n floats and returns
-2n floats; fixed-step RK4 marches on tuples of floats, RK45 on arrays.
+2n floats.  Both steppers march on floats in one loop (_march), which
+counts the right-hand sides, checks each state and records the samples.
 The right-hand side of the structural flow is the system's velocity
 kernel (dynamics.velocity_kernel), one compiled float function of the
 state that returns the floats the jets would, or an index where a guard
@@ -29,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -95,7 +97,7 @@ class Trajectory:
     observables: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
     w0: float | None = None
-    rhs_calls: int = 0         # 4 per RK4 step, 7 per RK45 attempt
+    rhs_calls: int = 0         # right-hand sides the march called
 
     @property
     def samples(self) -> int:
@@ -113,36 +115,13 @@ class Trajectory:
 # steppers
 
 
-def _check_norm(x: np.ndarray, t: float, max_norm: float):
-    # a NaN state has a NaN norm: it counts as blow-up as well
-    norm = float(np.abs(x).max())
-    if not (norm <= max_norm):
-        raise BlowUpError(norm, t)
-
-
-def _guard(x, t: float, max_norm: float):
-    # each test is False on NaN; only a failing state computes its norm
-    for v in x:
-        if not abs(v) <= max_norm:
-            _check_norm(np.array(x), t, max_norm)
-
-
-def _fixed_rk4(rhs, x0: np.ndarray, cfg: StepperConfig):
-    """Classic RK4 on a tuple of floats.  Each stage and the final sum do
-    the IEEE operations of the whole-array form in its order, so the
-    states equal that form's bit for bit."""
+def _rk4(rhs, x, cfg: StepperConfig, near: float):
+    """Classic RK4 on a tuple of floats, yielding each step's (t, x).  Each
+    stage and the final sum do the IEEE operations of the whole-array form
+    in its order, so the states equal that form's bit for bit.  A
+    remainder shorter than near is no step."""
     h = cfg.step
-    t_end = cfg.t_end
-    nfull = int(np.floor(t_end / h + 1e-12))
-    rem = t_end - nfull * h
-    if rem < 1e-12 * max(1.0, t_end):
-        rem = 0.0
-
-    _check_norm(x0, 0.0, cfg.max_norm)
-    x = tuple(x0.tolist())
-    times = [0.0]
-    states = [x]
-    steps = 0
+    nfull = math.floor(cfg.t_end / h + 1e-12)
 
     def advance(t, x, h):
         hh = 0.5 * h
@@ -155,109 +134,123 @@ def _fixed_rk4(rhs, x0: np.ndarray, cfg: StepperConfig):
                       for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
 
     for i in range(nfull):
-        t = i * h
-        x = advance(t, x, h)
-        t_next = (i + 1) * h
-        _guard(x, t_next, cfg.max_norm)
-        steps += 1
-        if steps % cfg.stride == 0:
-            times.append(t_next)
-            states.append(x)
-    if rem > 0.0:
-        x = advance(nfull * h, x, rem)
-        _guard(x, t_end, cfg.max_norm)
-        steps += 1
-    if abs(times[-1] - t_end) > 1e-12 * max(1.0, abs(t_end)):
-        times.append(t_end)
-        states.append(x)
-    return np.array(times), np.array(states), 4 * steps
+        x = advance(i * h, x, h)
+        yield (i + 1) * h, x
+    rem = cfg.t_end - nfull * h
+    if rem >= near:
+        yield cfg.t_end, advance(nfull * h, x, rem)
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+# Dormand-Prince 5(4): the nodes and rows of stages 2..7, then the
+# fourth-order weights.  The last row is the fifth-order weights.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+          187 / 2100, 1 / 40)
 
 
-def _adaptive_rk45(rhs, x0: np.ndarray, cfg: StepperConfig):
+def _dp_point(x, h, row, k):
+    """x + h*(row[0]*k[0] + row[1]*k[1] + ...) per component, the sum left
+    to right over the nonzero entries of row."""
+    (a0, k0), *rest = [(a, kj) for a, kj in zip(row, k) if a != 0.0]
+    out = []
+    for i, xi in enumerate(x):
+        s = a0 * k0[i]
+        for a, kj in rest:
+            s += a * kj[i]
+        out.append(xi + h * s)
+    return out
+
+
+def _rk45(rhs, x, cfg: StepperConfig, near: float):
+    """Dormand-Prince 5(4) on floats with a PI step-size controller
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5; Gustafsson, ACM
+    TOMS 17, 1991), yielding each accepted step's (t, x).
+
+    Stage j's point is x + h*(a_j1*k1 + a_j2*k2 + ...) per component, the
+    sum taken left to right in tableau order.  A zero entry of the tableau
+    (the second weight of the last row and of b4) is left out of its sum,
+    not added as 0.0*k, which could only flip the sign of a zero sum or
+    make NaN of an infinite stage.  The last row is the fifth-order
+    weights, so the new state is the last stage's point.  The error is the
+    root mean square of (x5 - x4) / (abs_tol + rel_tol*max(|x|, |x5|)),
+    its squares summed left to right.  The last step is cut to land on
+    t_end exactly."""
     t_end = cfg.t_end
-    times = [0.0]
-    states = [x0.copy()]
-    _check_norm(x0, 0.0, cfg.max_norm)
-    if t_end == 0.0:
-        return np.array(times), np.array(states), 0
-
     t = 0.0
-    x = x0.copy()
     h = min(t_end, max(1e-6, t_end / 100.0))
     err_prev = 1.0
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
-    accepted = 0
-    rejected = 0
-
-    while t < t_end:
+    while t_end - t > near:
         capped = h >= t_end - t
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepUnderflowError(h, t)
 
-        k = np.empty((7, x.size))
-        k[0] = rhs(t, x.tolist())
-        for i in range(1, 7):
-            xi = x + h * np.dot(_DP_A[i], k[:i])
-            k[i] = rhs(t + _DP_C[i] * h, xi.tolist())
-        x5 = x + h * np.dot(_DP_B5, k)
-        x4 = x + h * np.dot(_DP_B4, k)
-
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(x), np.abs(x5))
-        err = float(np.sqrt(np.mean(((x5 - x4) / scale) ** 2)))
+        k = [rhs(t, x)]
+        for c, row in zip(_DP_C, _DP_A):
+            x5 = _dp_point(x, h, row, k)
+            k.append(rhs(t + c * h, x5))
+        x4 = _dp_point(x, h, _DP_B4, k)
+        squares = 0.0
+        for a, b5, b4 in zip(x, x5, x4):
+            r = (b5 - b4) / (cfg.abs_tol + cfg.rel_tol * max(abs(a), abs(b5)))
+            squares += r * r
+        err = math.sqrt(squares / len(x))
 
         if err <= 1.0:
-            # land exactly on the horizon when this was the capped last step
             t = t_end if capped else t + h
             x = x5
-            _check_norm(x, t, cfg.max_norm)
-            accepted += 1
-            if accepted % cfg.stride == 0:
-                times.append(t)
-                states.append(x.copy())
+            yield t, x
             e = max(err, 1e-10)
             factor = safety * e ** -0.14 * err_prev ** 0.08
             err_prev = e
         else:
-            rejected += 1
             factor = safety * max(err, 1e-10) ** -0.2
         h = h * min(fac_max, max(fac_min, factor))
-
-    log.debug("rk45: %d accepted, %d rejected steps", accepted, rejected)
-    if times[-1] != t:
-        times.append(t)
-        states.append(x.copy())
-    return np.array(times), np.array(states), 7 * (accepted + rejected)
 
 
 def _march(rhs, x0: np.ndarray, cfg: StepperConfig):
     """times, states and the number of right-hand sides of one march; rhs
-    takes t and a sequence of 2n floats and returns 2n floats."""
-    def timed_rhs(t, x):
+    takes t and a sequence of 2n floats and returns 2n floats.
+
+    The method yields each accepted step's (t, x).  The loop checks x0 and
+    every step against max_norm, records x0 and every stride-th step, and
+    ends the record on t_end.  For both methods a time within
+    1e-12*max(1, t_end) of t_end is the horizon."""
+    calls = 0
+
+    def counted_rhs(t, x):
+        nonlocal calls
+        calls += 1
         try:
             return rhs(t, x)
         except DomainError as e:
             raise DomainError(f"{e} at t={t:.6g}") from None
 
-    if cfg.method == "rk4":
-        return _fixed_rk4(timed_rhs, x0, cfg)
-    return _adaptive_rk45(timed_rhs, x0, cfg)
+    near = 1e-12 * max(1.0, cfg.t_end)
+    x = tuple(x0.tolist())
+    method = _rk4 if cfg.method == "rk4" else _rk45
+    times, states = [], []
+    for steps, (t, x) in enumerate(chain([(0.0, x)], method(counted_rhs, x, cfg, near))):
+        for v in x:
+            if not abs(v) <= cfg.max_norm:   # False on NaN; a NaN state's norm is NaN
+                raise BlowUpError(float(np.max(np.abs(x))), t)
+        if steps % cfg.stride == 0:
+            times.append(t)
+            states.append(x)
+    if abs(times[-1] - cfg.t_end) > near:
+        times.append(cfg.t_end)
+        states.append(x)
+    log.debug("%s: %d steps, %d right-hand sides", cfg.method, steps, calls)
+    return np.array(times), np.array(states), calls
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,17 @@ def test_run_jobs_below_one_is_usage_error(write_scenario, capsys, pool_sizes, j
     assert pool_sizes == []
 
 
+def test_run_step_underflow_exit_2_names_t(write_scenario, capsys):
+    # dq/dt = 1/q from q = 1 reaches the singularity q = sqrt(1 - 2t) at
+    # t = 0.5, where the adaptive step shrinks below its floor
+    path = write_scenario(hamiltonian="-p1/q1", structural="0",
+                          initial={"q": [1.0], "p": [0.0]},
+                          stepper={"method": "rk45", "t_end": 1.0})
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "adaptive step size underflowed" in err and err.endswith("at t=0.5\n")
+
+
 def test_run_domain_error_at_start_exit_4(write_scenario, capsys):
     path = write_scenario(hamiltonian="p1^2/2 + 1/q1", structural="0",
                           initial={"q": [0.0], "p": [1.0]})

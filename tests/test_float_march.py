@@ -1,16 +1,19 @@
-"""The RK4 march on floats against the array march it replaces.
+"""The float march against the array marches it replaces.
 
-gchs.integrate marches fixed-step RK4 on tuples of Python floats with
-the IEEE operations of the array form in the same order.  The array form
-is kept in rk4_reference.py; both must give the same times and states
-bit for bit, the same BlowUpError and the same DomainError message."""
+gchs.integrate marches RK4 and RK45 on Python floats, in one loop, with
+the IEEE operations of the array forms in the same order.  The array
+forms are kept in rk4_reference.py and rk45_reference.py; both must give
+the same times and states bit for bit, the same BlowUpError and the same
+DomainError message."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 import rk4_reference
+import rk45_reference
 
 from gchs import (BlowUpError, DomainError, PhasePoint, StepperConfig,
                   StructuredSystem, integrate, integrate_equilibrium,
@@ -21,14 +24,21 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def _reference_march(rhs, x0, cfg):
-    # the float right-hand side, seen through arrays as the array march saw it
+    # the float right-hand side, seen through arrays as the array march saw
+    # it, with the stage time added to a DomainError as integrate._march does
     calls = []
 
     def array_rhs(t, x):
         calls.append(t)
-        return np.array(rhs(t, x.tolist()))
+        try:
+            return np.array(rhs(t, x.tolist()))
+        except DomainError as e:
+            raise DomainError(f"{e} at t={t:.6g}") from None
 
-    times, states = rk4_reference.fixed_rk4(array_rhs, x0, cfg)
+    if cfg.method == "rk4":
+        times, states = rk4_reference.fixed_rk4(array_rhs, x0, cfg)
+    else:
+        times, states, _, _ = rk45_reference.adaptive_rk45(array_rhs, x0, cfg)
     return times, states, len(calls)
 
 
@@ -49,6 +59,19 @@ def _tghs_cases():
     yield "remainder", sys, PhasePoint(q, p), StepperConfig(step=0.01, t_end=0.205)
 
 
+def _rk45_cases():
+    for name, sys, pt0, cfg in _tghs_cases():
+        yield f"{name}-rk45", sys, pt0, dataclasses.replace(cfg, method="rk45")
+    # 6 accepted steps, the last cut to land on t_end: stride 1 records it,
+    # and at stride 5 the loop appends it as the horizon
+    rng = np.random.default_rng(5)
+    sys = random_system(rng, 3)
+    q, p = rng.uniform(-0.5, 0.5, size=(2, 3))
+    for stride in (1, 5):
+        yield (f"capped-stride{stride}-rk45", sys, PhasePoint(q, p),
+               StepperConfig(method="rk45", t_end=0.3, stride=stride))
+
+
 def _negative_zero_runs():
     # q1 stays on -0.0: its velocity is -0.0 at every stage, and
     # -0.0 + (-0.0) is the only sum of zeros that keeps the sign
@@ -62,7 +85,7 @@ def _negative_zero_runs():
 def _both(run, monkeypatch):
     """run() with the float march, then with the array march."""
     with monkeypatch.context() as m:
-        m.setattr(integrate, "_fixed_rk4", _reference_march)
+        m.setattr(integrate, "_march", _reference_march)
         reference = run()
     return run(), reference
 
@@ -72,7 +95,7 @@ def _bits(traj):
             traj.states.dtype, traj.states.shape, traj.states.tobytes())
 
 
-@pytest.mark.parametrize("name, sys, pt0, cfg", list(_tghs_cases()),
+@pytest.mark.parametrize("name, sys, pt0, cfg", [*_tghs_cases(), *_rk45_cases()],
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_structural_flow_states_equal_the_array_march(name, sys, pt0, cfg, monkeypatch):
     floats, arrays = _both(lambda: integrate_tghs(sys, pt0, cfg), monkeypatch)
@@ -100,9 +123,12 @@ def test_jets_fallback_states_equal_the_array_march(monkeypatch):
     assert _bits(floats) == _bits(arrays)
 
 
-@pytest.mark.parametrize("flow", ["equilibrium", "constant", "perturbed"])
-def test_other_flows_equal_the_array_march(flow, structured, monkeypatch):
-    pt0, cfg = PhasePoint([0.5], [0.25]), StepperConfig(step=0.01, t_end=0.155)
+@pytest.mark.parametrize("flow, method", [
+    pytest.param(flow, method, id=flow if method == "rk4" else f"{flow}-{method}")
+    for method in ("rk4", "rk45") for flow in ("equilibrium", "constant", "perturbed")])
+def test_other_flows_equal_the_array_march(flow, method, structured, monkeypatch):
+    pt0 = PhasePoint([0.5], [0.25])
+    cfg = StepperConfig(method=method, step=0.01, t_end=0.155)
     runs = {
         "equilibrium": lambda: integrate_equilibrium(pt0, structured, cfg),
         "constant": lambda: integrate_equilibrium(pt0, -0.7, cfg),
@@ -122,7 +148,7 @@ def test_bad_stage_raises_the_same_blow_up(bad):
     cfg = StepperConfig(step=0.25, t_end=1.0, max_norm=1e12)
     x0 = np.array([0.5, -0.25])
     with pytest.raises(BlowUpError) as floats:
-        integrate._fixed_rk4(rhs, x0, cfg)
+        integrate._march(rhs, x0, cfg)
     with pytest.raises(BlowUpError) as arrays:
         _reference_march(rhs, x0, cfg)
     assert floats.value.t == arrays.value.t == 0.5
@@ -140,7 +166,7 @@ def test_domain_error_mid_stage_names_the_stage_time(monkeypatch):
     x0 = np.array([0.5, -0.25])
     with pytest.raises(DomainError, match=r"^division by zero at t=0\.375$"):
         integrate._march(rhs, x0, cfg)
-    monkeypatch.setattr(integrate, "_fixed_rk4", _reference_march)
+    monkeypatch.setattr(integrate, "_march", _reference_march)
     with pytest.raises(DomainError, match=r"^division by zero at t=0\.375$"):
         integrate._march(rhs, x0, cfg)
 
@@ -161,3 +187,19 @@ def test_rhs_calls_count_every_right_hand_side(method, t_end):
     else:
         assert rhs_calls % 7 == 0 and rhs_calls >= 7 * (times.size - 1)
 
+
+
+def test_rk45_rejected_steps_equal_the_array_march():
+    # at tolerances of 1e-12 the controller overshoots twice; each rejected
+    # attempt costs its 7 right-hand sides and moves neither t nor x
+    sys = StructuredSystem(1, parse_field("(q1^2+p1^2)/2", 1), parse_field("0", 1))
+    pt0 = PhasePoint([1.0], [0.0])
+    cfg = StepperConfig(method="rk45", abs_tol=1e-12, rel_tol=1e-12, t_end=10.0)
+    traj = integrate_tghs(sys, pt0, cfg)
+    rhs = integrate.velocity_kernel(sys)
+    times, states, accepted, rejected = rk45_reference.adaptive_rk45(
+        lambda t, x: np.array(rhs(*x)), pt0.flat(), cfg)
+    assert rejected == 2 and accepted == traj.samples - 1 == 750
+    assert traj.rhs_calls == 7 * (accepted + rejected) == 5264
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()

@@ -11,7 +11,6 @@ from gchs import (BlowUpError, PhasePoint, StepperConfig, StructuredSystem,
                   integrate_perturbed, integrate_tghs, monitor_report,
                   parse_field)
 from gchs import integrate
-from gchs.integrate import _check_norm
 
 
 def cfg(**kw):
@@ -246,12 +245,19 @@ def test_blow_up_reports_time():
     assert "t=" in str(err.value)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_state_counts_as_blow_up(bad):
-    # a NaN norm fails every `norm > max_norm` test; it must not pass
+    # a NaN norm fails every `norm > max_norm` test; it must not pass.  The
+    # one step of 0.25 takes (0.5, 0.0) to (0.5, bad)
+    c = cfg(step=0.25, t_end=1.0, max_norm=1e12)
     with pytest.raises(BlowUpError, match="exceeded") as err:
-        _check_norm(np.array([0.5, bad]), 0.25, 1e12)
+        integrate._march(lambda t, x: [0.0, bad], np.array([0.5, 0.0]), c)
     assert err.value.t == 0.25
+    assert repr(err.value.norm) == repr(abs(bad))
+    with pytest.raises(BlowUpError, match="exceeded") as err:
+        integrate._march(lambda t, x: [0.0, 0.0], np.array([0.5, bad]), c)
+    assert err.value.t == 0.0
+    assert repr(err.value.norm) == repr(abs(bad))
 
 
 def test_unstable_structural_flow_blows_up():
@@ -265,6 +271,16 @@ def test_zero_horizon_single_sample(oscillator):
     traj = integrate_tghs(oscillator, PhasePoint([1.0], [0.0]), cfg(t_end=0.0))
     assert traj.samples == 1
     assert traj.times[0] == 0.0
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_horizon_below_the_time_tolerance_is_the_start(oscillator, method):
+    # both methods take a horizon within 1e-12*max(1, t_end) of t for t
+    traj = integrate_tghs(oscillator, PhasePoint([1.0], [0.0]),
+                          cfg(method=method, t_end=1e-15))
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.tolist() == [[1.0, 0.0]]
+    assert traj.rhs_calls == 0
 
 
 def test_stride_thins_samples(oscillator):

@@ -43,7 +43,8 @@ import numpy as np
 from .brackets import (StructuredSystem, _amax, _check_routes, _real_part,
                        _time_free, gspb_jets, pb_complex_jets, sdyn_jets,
                        structural_derivative_jets, unit_field)
-from .fields import _Emitter, _NoFloatCode, ScalarField, _compiled, point_jets
+from .fields import (_Emitter, _NoFloatCode, ScalarField, _compiled, _read_only,
+                     point_jets)
 from .phasespace import ComplexCoords, PhasePoint
 
 log = logging.getLogger(__name__)
@@ -173,10 +174,12 @@ def flow_gradient_jets(Hj2, sj2):
     (Jet.sym_hess) are computed once per jet.  The four arrays are
     computed once per pair of jets and kept on H's jet (Jet._flow) with
     s's jet; a call with another s jet computes them again and keeps
-    those.  Callers share the arrays and must not write into them."""
+    those.  At one point the pair comes from point_jets' memo, so beta
+    and covariant_acceleration there compute them once in all.  Callers
+    share the arrays, which are read-only like the jets'."""
     memo = Hj2._flow
     if memo is None or memo[0] is not sj2:
-        memo = Hj2._flow = (sj2, _flow_gradient(Hj2, sj2))
+        memo = Hj2._flow = (sj2, _read_only(*_flow_gradient(Hj2, sj2)))
     return memo[1]
 
 

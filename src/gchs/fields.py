@@ -832,12 +832,14 @@ class _Parser:
 class _FieldCode:
     """A field's code by order: float code (None where it has none) and
     array code, and as H of a system, the velocity kernels by s's code
-    (dynamics.velocity_kernel; an entry goes when s's code does).  The
-    fields of one parsed text share one (see _parsed)."""
+    (dynamics.velocity_kernel; an entry goes when s's code does), and
+    point, the (key, jet) point_jets evaluated last.  The fields of one
+    parsed text share one (see _parsed)."""
 
     def __init__(self):
         self.floats, self.arrays = {}, {}
         self.kernels = weakref.WeakKeyDictionary()
+        self.point = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -928,7 +930,10 @@ class Jet:
     (df/dz, df/dzbar) of (n, m) arrays, and sym_hess, the Hessian
     symmetrized pairwise, (h + h^T) / 2 entry by entry.  _flow is
     filled by dynamics.flow_gradient_jets on an order-2 jet of H: the
-    pair (s's jet, (V, dV, w, gw)) of the last s jet it was called with."""
+    pair (s's jet, (V, dV, w, gw)) of the last s jet it was called with.
+
+    A jet may be shared by every caller at one point (point_jets), so
+    every array it holds or derives is read-only."""
 
     __slots__ = ("val", "grad", "hess", "_wirtinger", "_sym_hess", "_flow")
 
@@ -945,14 +950,26 @@ class Jet:
     def wirtinger(self) -> tuple[np.ndarray, np.ndarray]:
         if self._wirtinger is None:
             n = self.n
-            self._wirtinger = wirtinger_from_real(self.grad[:n], self.grad[n:])
+            dz, dzbar = wirtinger_from_real(self.grad[:n], self.grad[n:])
+            dz.setflags(False)   # as in _read_only, without its call
+            dzbar.setflags(False)
+            self._wirtinger = dz, dzbar
         return self._wirtinger
 
     @property
     def sym_hess(self) -> np.ndarray:
         if self._sym_hess is None:
-            self._sym_hess = 0.5 * (self.hess + np.swapaxes(self.hess, 0, 1))
+            (self._sym_hess,) = _read_only(0.5 * (self.hess + np.swapaxes(self.hess, 0, 1)))
         return self._sym_hess
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """arrays, each flagged read-only (see Jet).  setflags(False) is
+    setflags(write=False): numpy parses the positional form in a third of
+    the time, which a call at a new point pays once per array."""
+    for a in arrays:
+        a.setflags(False)
+    return arrays
 
 
 def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
@@ -1013,6 +1030,8 @@ def _size(n: int, order: int) -> int:
 
 
 def _split(buf: np.ndarray, n: int, order: int) -> Jet:
+    # flagged once here, so every view sliced from buf is read-only too
+    buf.setflags(False)   # as in _read_only, without its call
     two_n = 2 * n
     if order == 0:
         return Jet(buf[0])
@@ -1042,12 +1061,29 @@ def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
 
 def point_jets(pt: PhasePoint, *fields: ScalarField, order: int = 1,
                time=None) -> tuple[Jet, ...]:
-    """Jets of each field at one point, as batches of size one."""
+    """Jets of each field at one point, as batches of size one.
+
+    Each field's code keeps the jet it was last asked for here
+    (_FieldCode.point), keyed by the exact bits of the point's
+    coordinates, the order and the bits of the time.  A call with the
+    same key returns that jet, so several questions at one point
+    evaluate each field once; any other call evaluates the field and
+    replaces the entry.  The jet is shared, which is why its arrays are
+    read-only (see Jet)."""
     for f in fields:
         if f.n != pt.n:
             raise ValueError(f"field has n={f.n}, point has n={pt.n}")
     Q, P = pt.q[:, None], pt.p[:, None]
-    return tuple(eval_jet(f, Q, P, order=order, time=time) for f in fields)
+    key = (pt.q.tobytes(), pt.p.tobytes(), order,
+           None if time is None else np.asarray(time, dtype=float).tobytes())
+    jets = []
+    for f in fields:
+        code = f._code
+        memo = code.point   # read once: another thread may replace it
+        if memo is None or memo[0] != key:
+            memo = code.point = (key, eval_jet(f, Q, P, order=order, time=time))
+        jets.append(memo[1])
+    return tuple(jets)
 
 
 def evaluate(f: ScalarField, pt: PhasePoint, time=None) -> complex:

@@ -11,10 +11,10 @@ from gchs import PhasePoint, StructuredSystem, dynamics, fields, parse_field
 @pytest.fixture(autouse=True)
 def fresh_store():
     """Empty the process-wide store of parsed fields (and so the velocity
-    kernels kept on their code) before each test, as in a new process.  A
-    test that checks a first build (its log line, its one compile()) or
-    refuses compile() then neither sees nor leaves behind code that
-    another test built from the same text."""
+    kernels and point memos kept on their code) before each test, as in a
+    new process.  A test that checks a first build (its log line, its one
+    compile()) or refuses compile() then neither sees nor leaves behind
+    code that another test built from the same text."""
     fields._parsed.cache_clear()
 
 

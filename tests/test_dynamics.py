@@ -249,8 +249,14 @@ def test_kept_flow_gradient_is_bit_identical_to_a_fresh_one():
 
 def test_each_second_rate_computes_the_flow_gradient_once(structured, pt12,
                                                           flow_builds):
+    # at one point both take H's and s's order-2 jets from point_jets' memo,
+    # so they share one flow gradient; a new point builds one more
     f = parse_field("q1 * p1", 1)
     beta(structured, pt12)
     assert len(flow_builds) == 1
     covariant_acceleration(f, structured, pt12)
+    assert len(flow_builds) == 1
+    other = PhasePoint([0.5], [-1.5])
+    beta(structured, other)
+    covariant_acceleration(f, structured, other)
     assert len(flow_builds) == 2

@@ -6,17 +6,23 @@ no derivative code.
 """
 
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gchs
 from gchs import (DomainError, ExpressionError, PhasePoint, StructuredSystem,
                   evaluate, gradient, parse_field, second_derivatives)
 from gchs import fields, wirtinger_from_real
-from gchs.checks import random_polynomial, random_smooth_field
-from gchs.dynamics import velocity_kernel
+from gchs.brackets import unit_field
+from gchs.checks import random_polynomial, random_smooth_field, random_system
+from gchs.cli import main
+from gchs.dynamics import flow_gradient_jets, velocity_kernel
 from gchs.fields import (constant_field, conjugate_field, coordinate_field,
                          eval_jet, linear_combination)
 from dense_jet_reference import dense_eval
@@ -822,3 +828,191 @@ def test_jet_n_is_the_fields_n(n, m, order):
     f = parse_field(f"q1 * p{n}^2 + z{n}", n)
     Q, P = np.random.default_rng(n).uniform(-1.0, 1.0, size=(2, n, m))
     assert eval_jet(f, Q, P, order=order).n == f.n == n
+
+
+# ---------------------------------------------------------------------------
+# the point memo: one jet per field's code, keyed by the point's bits
+
+
+@pytest.fixture
+def jet_evals(monkeypatch):
+    """The (field text, order) of every jet fields.eval_jet evaluates from
+    now on; point_jets calls it only where its memo misses."""
+    evals = []
+    eval_jet_ = fields.eval_jet
+
+    def counted(f, Q, P, order=0, time=None):
+        evals.append((str(f), order))
+        return eval_jet_(f, Q, P, order=order, time=time)
+
+    monkeypatch.setattr(fields, "eval_jet", counted)
+    return evals
+
+
+def _forget(*fs):
+    """Empty the point memo of each field's code."""
+    for f in fs:
+        f._code.point = None
+
+
+def _bits(x):
+    """x down to exact bits: arrays by dtype, shape and bytes, numbers by
+    repr, dataclasses and tuples field by field."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    if hasattr(x, "__dataclass_fields__"):
+        return type(x).__name__, tuple(_bits(getattr(x, k)) for k in x.__dataclass_fields__)
+    return repr(x)
+
+
+def _n6_system():
+    n = 6
+    osc = " + ".join(f"(q{j}^2 + p{j}^2) / 2" for j in range(1, n + 1))
+    H = parse_field(f"{osc} + 0.03 * q1^2 * q4^2 - 0.02 * q2 * q5 * p3^2 + 0.01 * p6^4", n)
+    s = parse_field("0.04 * q1 - 0.03 * p2 + 0.02 * q3 * p4 + 0.01 * q5^2", n)
+    f = parse_field("0.7 * z1 * conj(z2) - 0.4 * i * q3 * p4 + 0.3 * z5^2 + p6", n)
+    g = parse_field("0.5 * conj(z3) * z4 + 0.6 * i * q1^2 - 0.2 * z6 * p2 + conj(z5)", n)
+    return StructuredSystem(n, H, s), f, g
+
+
+def test_seven_point_queries_at_one_point_evaluate_eight_jets(jet_evals):
+    sys_, f, g = _n6_system()
+    H, s = sys_.hamiltonian, sys_.structural
+    pt = PhasePoint(np.linspace(-0.9, 0.8, 6), np.linspace(0.5, -0.7, 6))
+    gchs.gspb(f, g, sys_, pt)
+    gchs.gspb_real(f, g, sys_, pt)
+    gchs.gspb(f, H, sys_, pt)
+    gchs.gchs_rate(f, sys_, pt)
+    gchs.s_dynamics(sys_, pt)
+    gchs.beta(sys_, pt)
+    gchs.covariant_acceleration(f, sys_, pt)
+    # each (field, order) once; one by one, the seven calls take 20
+    assert jet_evals == [(str(f), 1), (str(g), 1), (str(s), 1), (str(H), 1),
+                         ("1.0", 1), (str(H), 2), (str(s), 2), (str(f), 2)]
+
+
+def test_bracket_command_evaluates_three_jets(jet_evals, capsys):
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "structural.json"
+    assert main(["bracket", "-f", "z1 * conj(z1) + q1", "-g", "p1^2 - i * z1",
+                 "--at", "0.3,-0.8", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    # f, g and s once each, where the four brackets one by one take 11
+    assert sorted(order for _, order in jet_evals) == [1, 1, 1]
+    assert len(set(jet_evals)) == 3
+
+
+def test_equal_point_built_again_hits_the_memo(jet_evals):
+    f = parse_field("sin(q1) * p2 + z2 * conj(z1)", 2)
+    first = gradient(f, PhasePoint([0.25, -1.5], [0.75, 2.0]))
+    again = gradient(f, PhasePoint(np.array([0.25, -1.5]), [0.75, 2.0]))
+    assert len(jet_evals) == 1
+    assert _bits(again) == _bits(first)
+
+
+def test_signed_zero_is_another_point(jet_evals):
+    # q1 * p1 + q1 keeps the sign of a zero q1
+    f = parse_field("q1 * p1 + q1", 1)
+    plus = evaluate(f, PhasePoint([0.0], [1.0]))
+    minus = evaluate(f, PhasePoint([-0.0], [1.0]))
+    assert len(jet_evals) == 2
+    assert (repr(plus), repr(minus)) == ("0j", "(-0+0j)")
+    _forget(f)
+    assert repr(evaluate(f, PhasePoint([-0.0], [1.0]))) == repr(minus)
+
+
+def test_another_time_is_evaluated_afresh(jet_evals):
+    f = parse_field("sin(t) * q1 + t^2 * p1", 1, allow_time=True)
+    assert evaluate(f, PT, time=0.1) == math.sin(0.1) + 0.1 ** 2 * 2.0
+    assert evaluate(f, PT, time=0.2) == math.sin(0.2) + 0.2 ** 2 * 2.0
+    assert evaluate(f, PT, time=0.2) == math.sin(0.2) + 0.2 ** 2 * 2.0
+    assert evaluate(f, PT, time=np.array([0.1])) == math.sin(0.1) + 0.1 ** 2 * 2.0
+    assert len(jet_evals) == 3
+
+
+@pytest.mark.parametrize("src", ["q1^2 * p2 - sin(p1)", "z1 * conj(z2) + i * q2 * p1^2"])
+def test_returned_arrays_are_read_only(src):
+    f = parse_field(src, 2)
+    pt = PhasePoint([0.3, -0.4], [1.1, 0.6])
+    grad, hess = gradient(f, pt), second_derivatives(f, pt)
+    before = _bits((grad, hess))
+    with pytest.raises(ValueError, match="read-only"):
+        grad.dz[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        grad.dzbar[1] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        hess.matrix[0, 1] = 5.0
+    assert _bits((gradient(f, pt), second_derivatives(f, pt))) == before
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_every_array_a_jet_holds_or_derives_is_read_only(m):
+    sys_ = StructuredSystem(2, parse_field("(q1^2 + p1^2) / 2 + q2 * p2^3", 2),
+                            parse_field("0.1 * q1 * p2 - 0.2 * p1", 2))
+    Q, P = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 2, m))
+    Hj, sj = (eval_jet(x, Q, P, order=2) for x in (sys_.hamiltonian, sys_.structural))
+    arrays = [Hj.val, Hj.grad, Hj.hess, *Hj.wirtinger, Hj.sym_hess,
+              *flow_gradient_jets(Hj, sj), eval_jet(sys_.hamiltonian, Q, P).val]
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_single_point_function_equals_its_value_without_the_memo(n):
+    rng = np.random.default_rng(100 + n)
+    sys_ = random_system(rng, n, max_degree=3)
+    f = parse_field(f"{random_polynomial(rng, n, max_degree=3)} + z1 * conj(z{n})", n)
+    g = random_smooth_field(rng, n)
+    H, s = sys_.hamiltonian, sys_.structural
+    calls = {
+        "pb_real": lambda pt: gchs.pb_real(f, g, pt),
+        "pb_complex": lambda pt: gchs.pb_complex(f, g, pt),
+        "structural_derivative": lambda pt: gchs.structural_derivative(f, sys_, pt),
+        "geobracket": lambda pt: gchs.geobracket(f, g, sys_, pt),
+        "gspb": lambda pt: gchs.gspb(f, g, sys_, pt),
+        "geometrio": lambda pt: gchs.geometrio(sys_, pt),
+        "gspb_real": lambda pt: gchs.gspb_real(f, g, sys_, pt),
+        "gchs_real_rate": lambda pt: gchs.gchs_real_rate(f, sys_, pt),
+        "tghs_velocity": lambda pt: gchs.tghs_velocity(sys_, pt),
+        "tghs_velocity_pair": lambda pt: gchs.tghs_velocity_pair(sys_, pt),
+        "s_dynamics": lambda pt: gchs.s_dynamics(sys_, pt),
+        "thorough_rate": lambda pt: gchs.thorough_rate(f, sys_, pt),
+        "gchs_rate": lambda pt: gchs.gchs_rate(f, sys_, pt),
+        "beta": lambda pt: gchs.beta(sys_, pt),
+        "covariant_acceleration": lambda pt: gchs.covariant_acceleration(f, sys_, pt),
+        "equilibrium_residual": lambda pt: gchs.equilibrium_residual(f, sys_, pt),
+        "gradient": lambda pt: gradient(g, pt),
+        "second_derivatives": lambda pt: second_derivatives(H, pt),
+    }
+    for q, p in rng.uniform(-1.0, 1.0, size=(200, 2, n)):
+        pt = PhasePoint(q, p)
+        # in turn, so the later calls take their jets from the memo
+        shared = {name: _bits(call(pt)) for name, call in calls.items()}
+        for name, call in calls.items():
+            _forget(f, g, H, s, unit_field(n))
+            assert _bits(call(pt)) == shared[name], name
+
+
+def test_threads_sharing_the_memo_get_their_own_points():
+    sys_, f, g = _n6_system()
+    rng = np.random.default_rng(9)
+    work = [[PhasePoint(q, p) for q, p in rng.uniform(-1, 1, size=(40, 2, 6))]
+            for _ in range(4)]
+    want = [[gchs.gspb(f, g, sys_, pt) for pt in pts] for pts in work]
+    got = [None] * len(work)
+
+    def run(k):
+        got[k] = [gchs.gspb(f, g, sys_, pt) for pt in work[k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(work))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import logging
 import os
 import sys
@@ -197,7 +198,9 @@ def cmd_check(args) -> int:
     return 0 if npass == len(results) else 3
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    # built once per process: parse_args keeps no state between calls
     parser = _ArgumentParser(
         prog="gchs",
         description="Structural Hamiltonian flows in complex coordinates")

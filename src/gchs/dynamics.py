@@ -122,7 +122,7 @@ def _velocity_function(sys: StructuredSystem):
 
     outs = [rate(n + j) for j in range(n)] + [em.neg(rate(j)) for j in range(n)]
     # H's and s's own finiteness guards too: it returns where either would
-    fn, _ = _compiled(em, outs, [Hval, *GH.values(), sval, *Gs.values(), *outs])
+    fn, _, _ = _compiled(em, outs, [Hval, *GH.values(), sval, *Gs.values(), *outs])
     log.debug("velocity kernel for %s: %d statements, %.3f ms", sys,
               len(em.tape), 1e3 * (perf_counter() - t0))
     return fn

@@ -22,8 +22,9 @@ pairs are assembled from the real partials afterwards, once per jet
 
 Jets are computed by straight-line code generated and compiled once per
 parsed text (see parse_field) and order (see _Emitter, _Code): numpy
-calls on complex arrays over a batch of points, and for a single point
-of a real-form field, Python float code that returns the same values.
+calls on complex arrays, and for a real-form field, float code that
+returns the same values, on Python floats at a single point and on
+float64 arrays over a batch.
 All of it, dynamics' velocity kernel too, goes through one compile step
 (_compiled), and float code never raises: it returns a reason's index.
 """
@@ -38,6 +39,7 @@ import weakref
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
+from types import FunctionType
 
 import numpy as np
 
@@ -232,11 +234,23 @@ def _outer(a, b):
     return out
 
 
-# the names the code of each back end reads
+def _real_of(fn):
+    # the real part of numpy's complex fn, which is what the array code
+    # computes for a real argument (numpy's float exp may round otherwise)
+    return lambda x: fn(x, dtype=complex).real.copy()
+
+
+_FLOAT_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+
+# the names the code of each back end reads; "batch" is the float code's
+# batch form, on float64 arrays
 _NAMESPACES = {
     # float_errors: what the float code catches, to return a reason's index
     "float": {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "float_errors": (OverflowError, ValueError, ZeroDivisionError)},
+              "float_errors": _FLOAT_ERRORS},
+    "batch": {"sin": _real_of(np.sin), "cos": _real_of(np.cos),
+              "exp": _real_of(np.exp), "any": np.any, "all": np.all,
+              "float_errors": _FLOAT_ERRORS},
     "array": {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "conj": np.conj, "outer": _outer, "complex": complex,
               "inf": math.inf, "nan": math.nan,
@@ -308,7 +322,8 @@ class _Emitter:
       each of those gets a guard, and the last guards check that every
       output is finite.  A guard that fires returns its index, as the
       code does where Python raises, and eval_jet runs the point on the
-      array code instead.
+      array code instead.  Over a batch the same statements run on
+      float64 arrays (see _compiled), and the whole batch falls back.
     """
 
     def __init__(self, n: int, order: int, floats: bool):
@@ -369,14 +384,16 @@ class _Emitter:
 
     def guard(self, x, reason: str, zero: bool = False, most: float | None = None):
         """Float code: return the guard's index where x is not finite, or
-        where zero and x == 0; or, given most, where not x <= most."""
+        where zero and x == 0; or, given most, where not x <= most (over
+        a batch, where it would at any point; see _lines)."""
         if not isinstance(x, str):
             if not math.isfinite(x) or (zero and x == 0.0) or (most is not None and x > most):
                 raise _NoFloatCode(reason)
             return
-        test = f"not ({x} - {x} == 0.0)" if most is None else f"not ({x} <= {most!r})"
+        ok = f"{x} - {x} == 0.0" if most is None else f"{x} <= {most!r}"
+        test = f"not {{all}}({ok})"
         if zero:
-            test = f"{x} == 0.0 or {test}"
+            test = f"{{any}}({x} == 0.0) or {test}"
         self.tape.append((None, (x,), f"if {test}: return {len(self.reasons)}"))
         self.reasons.append(reason)
 
@@ -618,19 +635,30 @@ def _with_dels(tape: list, outs: list) -> list:
     return kept
 
 
-def _compile(source: str, namespace: dict):
+def _compile(source: str, namespace: dict) -> dict:
     namespace = {"__builtins__": {}, **namespace}
     exec(compile(source, "<jet code>", "exec"), namespace)
-    return namespace["_jet"]
+    return namespace
+
+
+def _lines(tape: list, batch: bool = False) -> list:
+    # a guard's test (see _Emitter.guard) fires over a batch where it
+    # would at any point
+    q = {"any": "any", "all": "all"} if batch else {"any": "", "all": ""}
+    return [text.format(**q) if lhs is None else f"{lhs} = {text}" for lhs, _, text in tape]
 
 
 def _compiled(em: _Emitter, outs: list, finite: list | None = None):
     """em's statements as the function _jet(x0, ..., x{2n-1}, t=0.0) that
-    returns outs: compiled, and its source.  The float code first guards
-    that each output of finite (default outs) is finite, in bounded sums
-    (NaN and inf reach the outputs, see _Emitter; compile() recurses on
-    a chain of +), and returns a reason's index where Python raises one
-    of float_errors.  _NoFloatCode where compile() refuses the code."""
+    returns outs: compiled, its batch form (None for array code) and the
+    source of both.  The float code first guards that each output of
+    finite (default outs) is finite, in bounded sums (NaN and inf reach
+    the outputs, see _Emitter; compile() recurses on a chain of +), and
+    returns a reason's index where Python raises one of float_errors.
+    Its batch form runs the same statements on float64 arrays, each local
+    deleted after its last use; a guard fires there where it would at
+    any point, and sin, cos and exp are the real part of numpy's complex
+    functions.  _NoFloatCode where compile() refuses the code."""
     kind = "float" if em.floats else "array"
     if em.floats:
         names = list(dict.fromkeys(x for x in (outs if finite is None else finite)
@@ -638,29 +666,38 @@ def _compiled(em: _Emitter, outs: list, finite: list | None = None):
         for k in range(0, len(names), _GUARD_TERMS):
             em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
                      "non-finite result")
+        bodies = {"_jet": _lines(em.tape), "_jets": _lines(_with_dels(em.tape, outs), True)}
     else:
         em.tape = _with_dels(em.tape, outs)
-    lines = [text if target is None else f"{target} = {text}"
-             for target, _, text in em.tape]
-    lines.append(f"return ({', '.join(map(_src, outs))},)")
-    if em.floats:
-        lines = ["try:", *(f"    {line}" for line in lines),
-                 f"except float_errors: return {len(em.reasons)}"]
-        em.reasons.append("Python raised OverflowError, ValueError or ZeroDivisionError")
+        bodies = {"_jet": _lines(em.tape)}
     params = "".join(f"x{a}, " for a in range(2 * em.n))
-    source = f"def _jet({params}t=0.0):\n" + "".join(f"    {line}\n" for line in lines)
+    source = ""
+    for name, lines in bodies.items():
+        lines.append(f"return ({', '.join(map(_src, outs))},)")
+        if em.floats:
+            lines = ["try:", *(f"    {line}" for line in lines),
+                     f"except float_errors: return {len(em.reasons)}"]
+        source += f"def {name}({params}t=0.0):\n" + "".join(f"    {line}\n" for line in lines)
+    if em.floats:
+        em.reasons.append("Python raised OverflowError, ValueError or ZeroDivisionError")
     try:
-        return _compile(source, _NAMESPACES[kind]), source
+        namespace = _compile(source, _NAMESPACES[kind])
     except (RecursionError, MemoryError, SyntaxError) as e:
         raise _NoFloatCode(f"compile() refuses {kind} code of "
                            f"{source.count(chr(10))} lines: {type(e).__name__}: {e}") from None
+    batch = namespace.get("_jets")
+    if batch is not None:   # the same code, reading the batch back end's names
+        batch = FunctionType(batch.__code__, {"__builtins__": {}, **_NAMESPACES["batch"]},
+                             "_jets", batch.__defaults__)
+    return namespace["_jet"], batch, source
 
 
 class _Code:
     """The generated code of one field at one order, compiled when it is
     built (_compiled): fn(x0, ..., x{2n-1}, t) returns the outputs, which
     slots places in a dense jet (the float code returns instead the index
-    of a guard that fired or of Python raising; reasons says why).  Raises
+    of a guard that fired or of Python raising; reasons says why), and
+    batch, the float code's batch form, takes and returns arrays.  Raises
     _NoFloatCode where the field has no code in this back end (see
     _Emitter) or compile() refuses the code.
     """
@@ -674,7 +711,7 @@ class _Code:
         # the flat slot of each output in a dense (val, grad, hess) column
         self.slots = np.array([0, *(1 + a for a in grad),
                                *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
-        self.fn, self.source = _compiled(em, outs)
+        self.fn, self.batch, self.source = _compiled(em, outs)
         self.reasons = em.reasons
         kind = "float" if floats else "array"
         log.debug("%s code for %s at order %d: %d statements, %.3f ms", kind,
@@ -921,9 +958,10 @@ def conjugate_field(f: ScalarField) -> ScalarField:
 
 
 class Jet:
-    """A field's value and real partials over a batch of m points, complex
-    and dense: val (m,), grad (2n, m) and hess (2n, 2n, m), the last two
-    None above the order asked for.
+    """A field's value and real partials over a batch of m points, dense:
+    val (m,), grad (2n, m) and hess (2n, 2n, m), the last two None above
+    the order asked for; float64 where a batch ran on float code, else
+    complex.
 
     The arrays every kernel derives from them are computed on first
     access and kept as long as the jet: wirtinger, the pair
@@ -978,9 +1016,10 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
 
     Q and P have shape (n, m).  This is the single entry point every
     bracket and rate in the package funnels through.  It runs the code
-    generated once per field and order (see _Emitter): the float code at
-    a single point (m == 1) of a real-form field, and the array code
-    everywhere else and wherever the float code falls back.
+    generated once per field and order (see _Emitter): for a real-form
+    field the float code, into complex arrays at a single point (m == 1)
+    and into float64 arrays over a batch; the array code, into complex
+    arrays, everywhere else and wherever the float code falls back.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -994,17 +1033,13 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
     tval = None
     if time is not None:
         tval = np.broadcast_to(np.asarray(time, dtype=float), (m,))
-    if m == 1:
+    if f.is_real_form:
         jet = _float_jet(f, Q, P, order, tval)
         if jet is not None:
             return jet
     code = _code_for(f, order, floats=False)
     t = 0.0 if tval is None else tval.astype(complex)
-    out = code.fn(*Q.astype(complex), *P.astype(complex), t)
-    buf = np.zeros((_size(f.n, order), m), dtype=complex)
-    for slot, x in zip(code.slots, out):
-        buf[slot] = x
-    return _split(buf, f.n, order)
+    return _filled(code, code.fn(*Q.astype(complex), *P.astype(complex), t), f.n, order, m)
 
 
 def _code_for(f: ScalarField, order: int, floats: bool) -> _Code | None:
@@ -1041,19 +1076,36 @@ def _split(buf: np.ndarray, n: int, order: int) -> Jet:
     return Jet(buf[0], grad, buf[1 + two_n:].reshape(two_n, two_n, -1))
 
 
+def _filled(code: _Code, out: tuple, n: int, order: int, m: int, dtype=complex) -> Jet:
+    # the dense jet of code's outputs over m points
+    buf = np.zeros((_size(n, order), m), dtype=dtype)
+    for slot, x in zip(code.slots, out):
+        buf[slot] = x
+    return _split(buf, n, order)
+
+
 def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
                tval) -> Jet | None:
-    """The jet of eval_jet at one point from f's float code, or None
-    where the array code has to compute it."""
+    """The jet of eval_jet from f's float code, or None where the array
+    code has to compute it: at one point on Python floats, into complex
+    arrays (numpy calls mixing dtypes cost more at size one); over a
+    batch by its batch form, into float64 arrays."""
     code = _code_for(f, order, floats=True)
     if code is None:
         return None
-    t = 0.0 if tval is None else float(tval[0])
-    out = code.fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
+    m = Q.shape[1]
+    if m == 1:
+        t = 0.0 if tval is None else float(tval[0])
+        out = code.fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
+    else:
+        with np.errstate(all="ignore"):   # a guard hands a non-finite value on
+            out = code.batch(*Q, *P, 0.0 if tval is None else tval)
     if type(out) is int:
         log.debug("%s at order %d falls back to the array code: %s", f, order,
                   code.reasons[out])
         return None
+    if m > 1:
+        return _filled(code, out, f.n, order, m, float)
     buf = np.zeros(_size(f.n, order), dtype=complex)
     buf[code.slots] = out
     return _split(buf[:, None], f.n, order)

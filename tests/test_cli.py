@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gchs import DomainError, InvariantResult, Trajectory, fields, integrate
+from gchs import DomainError, InvariantResult, Trajectory, cli, fields, integrate
 from gchs.cli import main, run_one_scenario, write_summary_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -473,6 +473,50 @@ def test_no_arguments_is_usage_error(capsys):
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """The top-level parsers built from now on (subcommand parsers aside)."""
+    builds = []
+    init = cli._ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "gchs":
+            builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    yield builds
+    cli._build_parser.cache_clear()
+
+
+def test_main_builds_the_argument_parser_once(write_scenario, capsys, parser_builds):
+    path = write_scenario()
+    assert main(["check", "--seed", "3", "--count", "5", str(path)]) == 0
+    # a usage error on a later call still exits 1 with its message
+    assert main(["check", "--count", "0", str(path)]) == 1
+    assert main(["frobnicate"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: argument --count: must be at least 1" in err
+    assert "usage error: argument command: invalid choice: 'frobnicate'" in err
+    assert len(parser_builds) == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["bracket"], ["check"]])
+def test_help_text_is_that_of_a_newly_built_parser(capsys, parser_builds, argv):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            main([*argv, "--help"])
+        assert done.value.code == 0
+        texts.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        cli._build_parser.__wrapped__().parse_args([*argv, "--help"])
+    assert texts == [capsys.readouterr().out] * 2
+    assert texts[0].startswith(f"usage: gchs {argv[0] + ' ' if argv else ''}[-h]")
+    assert len(parser_builds) == 2   # the cached parser and the new one
 
 
 def _run_with_debug_log(path):

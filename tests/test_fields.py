@@ -313,19 +313,28 @@ def test_hessian_is_exactly_symmetric():
     np.testing.assert_array_equal(h, h.T)
 
 
+def _batch_dtype(f, order, m):
+    # over a batch of finite points, a field with float code runs its
+    # batch form into float64 arrays; anything else is complex
+    return float if m > 1 and f._code.floats.get(order) is not None else complex
+
+
 def _equals_dense(f, Q, P, order, time=None):
     """Batched sparse jets of f equal the dense reference jets."""
     got = eval_jet(f, Q, P, order=order, time=time)
     want = dense_eval(f, Q, P, order, time=time)
+    dtype = _batch_dtype(f, order, Q.shape[1])
     # assert_array_equal counts +0 and -0 as equal
+    assert got.val.dtype == dtype
     np.testing.assert_array_equal(got.val, want.val)
     for slot in ("grad", "hess"):
         g, w = getattr(got, slot), getattr(want, slot)
         if w is None:
             assert g is None
         else:
-            assert g.dtype == complex and g.shape == w.shape
+            assert g.dtype == dtype and g.shape == w.shape
             np.testing.assert_array_equal(g, w)
+    return got
 
 
 # single points of real-form fields run the field's float code; the array
@@ -519,22 +528,24 @@ def test_complex_jets_equal_dense_reference(src, m):
 @pytest.mark.parametrize("m", [1, 3])
 def test_derivative_free_fields_come_out_dense(m):
     # constants and t carry no derivative arrays inside the walk; eval_jet
-    # still returns every slot up to the order, complex, in the documented
-    # shapes (2n, m) and (2n, 2n, m)
+    # still returns every slot up to the order, in the documented shapes
+    # (2n, m) and (2n, 2n, m): complex at one point and for z_j, float64
+    # over a batch of a real-form field
     n = 2
     Q, P = np.full((n, m), 0.25), np.full((n, m), -0.5)
-    cases = [(constant_field(1.5, n), None, 1.5, None),
-             (parse_field("t", n, allow_time=True), 0.75, 0.75, None),
-             (coordinate_field("z", 2, n), None, 0.25 - 0.5j, (1, 3))]
-    for f, time, value, seeds in cases:
+    batch = float if m > 1 else complex
+    cases = [(constant_field(1.5, n), None, 1.5, None, batch),
+             (parse_field("t", n, allow_time=True), 0.75, 0.75, None, batch),
+             (coordinate_field("z", 2, n), None, 0.25 - 0.5j, (1, 3), complex)]
+    for f, time, value, seeds, dtype in cases:
         for order in (0, 1, 2):
             jet = eval_jet(f, Q, P, order=order, time=time)
-            assert jet.val.dtype == complex and jet.val.shape == (m,)
+            assert jet.val.dtype == dtype and jet.val.shape == (m,)
             assert np.all(jet.val == value)
             if order == 0:
                 assert jet.grad is None and jet.hess is None
                 continue
-            assert jet.grad.dtype == complex and jet.grad.shape == (2 * n, m)
+            assert jet.grad.dtype == dtype and jet.grad.shape == (2 * n, m)
             want = np.zeros((2 * n, m), dtype=complex)
             if seeds:
                 want[seeds[0]], want[seeds[1]] = 1.0, 1j
@@ -542,9 +553,147 @@ def test_derivative_free_fields_come_out_dense(m):
             if order == 1:
                 assert jet.hess is None
             else:
-                assert jet.hess.dtype == complex
+                assert jet.hess.dtype == dtype
                 assert jet.hess.shape == (2 * n, 2 * n, m)
                 assert not np.any(jet.hess)
+
+
+# ---------------------------------------------------------------------------
+# float code over a batch
+#
+# A batch of a real-form field with float code runs the code's batch form
+# on float64 arrays.  The complex array code is the reference it must
+# reproduce, at zero tolerance up to the sign of a zero, and wherever a
+# guard fires at any point the whole batch runs on the array code.
+
+
+def _array_jet(f, Q, P, order, time=None):
+    """f's jet from the array code alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "_float_jet", lambda *args: None)
+        return eval_jet(f, Q, P, order=order, time=time)
+
+
+def _same_jets(got, want):
+    for slot in ("val", "grad", "hess"):
+        g, w = getattr(got, slot), getattr(want, slot)
+        assert (g is None) == (w is None)
+        if g is not None:
+            np.testing.assert_array_equal(g, w)   # NaN equals NaN
+
+
+def _float_batch_equals_references(f, Q, P, time=None):
+    for order in (0, 1, 2):
+        got = _equals_dense(f, Q, P, order, time)
+        _same_jets(got, _array_jet(f, Q, P, order, time))
+
+
+@pytest.mark.parametrize("m", [2, 7, 1000])
+@pytest.mark.parametrize("seed", range(8))
+def test_float_batches_of_random_fields_equal_the_array_code_and_dense_jets(seed, m):
+    rng = np.random.default_rng(100 + seed)
+    n = 1 + seed % 3
+    Q, P = rng.uniform(-2.0, 2.0, size=(2, n, m))
+    for f in (random_smooth_field(rng, n), random_polynomial(rng, n, max_degree=5)):
+        _float_batch_equals_references(f, Q, P)
+
+
+FLOAT_BATCH_FIELDS = [
+    "-sin(q1 - 0.3 * p2) * cos(p1) + exp(0.2 * q2) / (2 + cos(q1 * p1))",
+    "q1 / (1.5 + p2) - p1 / q2 / (q1 - 3) + q1 * p1 / (q1 + p1 + 3)",
+    "q1^-1 + 2 * p2^-2 - q2^-3 * p1^-5 + (q1 * p2)^-4 - (q1 + p2)^11",
+    # literals folded when the code is generated
+    "(2 * 3 - 0.5^2) * q1 + 1 / 3 * p2^3 - exp(1) * q2 * p1 + sin(2)^-2 * cos(0.5) * p1^2",
+]
+
+
+@pytest.mark.parametrize("m", [2, 7, 1000])
+@pytest.mark.parametrize("src", FLOAT_BATCH_FIELDS)
+def test_float_batches_equal_the_array_code_and_dense_jets(src, m):
+    f = parse_field(src, 2)
+    rng = np.random.default_rng(11)
+    # magnitudes in [0.5, 2), either sign: no divisor comes near zero
+    Q, P = rng.uniform(0.5, 2.0, size=(2, 2, m)) * rng.choice([-1.0, 1.0], size=(2, 2, m))
+    _float_batch_equals_references(f, Q, P)
+    assert all(f._code.floats[order] is not None for order in (0, 1, 2))
+
+
+def test_batch_exp_equals_the_complex_code_where_float_exp_differs():
+    # numpy's float64 exp may round unlike its complex exp (with AVX-512
+    # it does at about one argument in twenty); the batch form takes the
+    # real part of the complex one, as the array code computes it
+    x = np.random.default_rng(9).uniform(-700.0, 709.0, 200_000)
+    differs = np.exp(x) != np.exp(x.astype(complex)).real
+    Q = np.concatenate([x[differs][:1000], x[:50]])[None, :]
+    P = np.full_like(Q, 0.5)
+    f = parse_field("exp(q1)", 1)
+    for order in (0, 1, 2):
+        got = eval_jet(f, Q, P, order=order)
+        assert got.val.dtype == float
+        _same_jets(got, _array_jet(f, Q, P, order))
+    np.testing.assert_array_equal(got.val, np.exp(Q[0].astype(complex)).real)
+
+
+@pytest.mark.parametrize("src, message", [("1 / q1 + p1", "division by zero"),
+                                          ("p1 * q1^-2", "zero raised to a negative power")])
+def test_one_zero_divisor_in_a_batch_raises_the_array_codes_domain_error(src, message):
+    f = parse_field(src, 1)
+    Q = np.array([[0.5, -1.0, 0.0, 2.0]])
+    P = np.ones_like(Q)
+    for order in (0, 1, 2):
+        for evaluate_ in (eval_jet, _array_jet):
+            with pytest.raises(DomainError) as err:
+                evaluate_(f, Q, P, order=order)
+            assert str(err.value) == message
+
+
+@pytest.mark.parametrize("src, q1", [
+    ("exp(q1)^3 - exp(q1)^3 + p1", 300.0),   # inf - inf
+    ("2 + 1 / (q1 * q1 * q1) + p1", 1e200),  # 1 / inf would be finite
+    ("sin(q1) + p1", np.inf),
+    ("p1 * q1^-5", 1e200),
+    ("exp(q1) + p1", 709.5),                 # finite, but above exp's bound
+])
+def test_a_batch_where_a_guard_fires_at_one_point_runs_on_the_array_code(src, q1):
+    f = parse_field(src, 1)
+    Q = np.array([[0.5, q1, -0.25]])
+    P = np.full_like(Q, 0.75)
+    for order in (0, 1, 2):
+        with np.errstate(all="ignore"):
+            got = eval_jet(f, Q, P, order=order)
+            _same_jets(got, _array_jet(f, Q, P, order))
+        assert got.val.dtype == complex
+        # without that point the batch stays on the float code
+        assert eval_jet(f, Q[:, [0, 2]], P[:, [0, 2]], order=order).val.dtype == float
+
+
+@pytest.mark.parametrize("src", ["i * q1 + p1^2", "z1 * p1", "conj(z1) * z1 + q1",
+                                 "log(2 + q1^2) * p1"])
+def test_fields_with_i_z_conj_or_log_stay_complex(src):
+    f = parse_field(src, 1)
+    Q, P = np.random.default_rng(2).uniform(-1.0, 1.0, size=(2, 1, 7))
+    for order in (0, 1, 2):
+        assert _equals_dense(f, Q, P, order).val.dtype == complex
+    # a complex field builds no float code; log has none
+    assert f._code.floats == ({} if not f.is_real_form else dict.fromkeys((0, 1, 2)))
+
+
+def test_time_dependent_real_field_batch_gets_time_as_float64():
+    f = parse_field("sin(t) * q1 + t^2 * p2 - exp(-t) / (2 + q2) + t * q1 * p1", 2,
+                    allow_time=True)
+    rng = np.random.default_rng(6)
+    Q, P = rng.uniform(-1.0, 1.0, size=(2, 2, 9))
+    for time in (0.7, rng.uniform(-2.0, 2.0, 9)):
+        _float_batch_equals_references(f, Q, P, time)
+    times = []
+    code = f._code.floats[1]
+    batch = code.batch
+    code.batch = lambda *args: times.append(args[-1]) or batch(*args)
+    try:
+        assert eval_jet(f, Q, P, order=1, time=-1.5).val.dtype == float
+    finally:
+        code.batch = batch
+    assert times[0].dtype == float and times[0].shape == (9,) and np.all(times[0] == -1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +787,15 @@ def test_each_code_is_compiled_once_when_it_is_built(monkeypatch):
             code = fields._Code(f, order, floats)
             assert compiles == [code.source]
             compiles.clear()
-    # eval_jet builds each of f's six codes once, and then compiles nothing
+    # eval_jet builds each of f's six codes once, and then compiles
+    # nothing; a batch runs the float code's batch form, which compiles
+    # with it, and needs the array code only where a guard hands it on
+    # (here at an infinite q1)
     for _ in range(3):
-        for m in (1, 2):
+        for m, q1 in ((1, 0.5), (2, 0.5), (2, np.inf)):
             for order in (0, 1, 2):
-                eval_jet(f, np.full((1, m), 0.5), np.full((1, m), 2.0), order=order)
+                with np.errstate(all="ignore"):
+                    eval_jet(f, np.full((1, m), q1), np.full((1, m), 2.0), order=order)
     built = [*f._code.floats.values(), *f._code.arrays.values()]
     assert len(built) == 6 and sorted(compiles) == sorted(c.source for c in built)
 

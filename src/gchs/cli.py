@@ -7,11 +7,12 @@ Three subcommands:
     check    run the seeded invariant suite against a scenario's system
 
 Exit codes: 0 success, 1 input or parse error (messages name line and
-column where that applies), 2 runtime integration failure (blow-up or
-step underflow, message names t; a NaN or infinite state is a blow-up),
-3 invariant failure from check, 4 a field left the domain of an
-operation (division by zero, log of zero, zero to a negative power) or
-a guarded quantity came out NaN or infinite; the message names the
+column where that applies) or a quantity that must be real came out
+complex, 2 runtime integration failure (blow-up or step underflow,
+message names t; a NaN or infinite state is a blow-up), 3 invariant
+failure from check, 4 a field left the domain of an operation (division
+by zero, log of zero, zero to a negative power) or a guarded quantity
+came out NaN or infinite.  For codes 1 and 4 the message names the
 scenario, and t when it happened during the march.
 
 The environment variable GCHS_LOG (error, info, debug) sets log

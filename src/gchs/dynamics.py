@@ -111,7 +111,7 @@ def velocity_kernel(sys: StructuredSystem):
 def _velocity_function(sys: StructuredSystem):
     t0 = perf_counter()
     n = sys.n
-    em = _Emitter(n, 1, floats=True)
+    em = _Emitter(n, 1, "float")
     Hval, GH, _ = em.tree(sys.hamiltonian.root)
     sval, Gs, _ = em.tree(sys.structural.root)
 
@@ -122,7 +122,7 @@ def _velocity_function(sys: StructuredSystem):
 
     outs = [rate(n + j) for j in range(n)] + [em.neg(rate(j)) for j in range(n)]
     # H's and s's own finiteness guards too: it returns where either would
-    fn, _, _ = _compiled(em, outs, [Hval, *GH.values(), sval, *Gs.values(), *outs])
+    fn, _ = _compiled(em, outs, [Hval, *GH.values(), sval, *Gs.values(), *outs])
     log.debug("velocity kernel for %s: %d statements, %.3f ms", sys,
               len(em.tape), 1e3 * (perf_counter() - t0))
     return fn

@@ -21,12 +21,13 @@ pairs are assembled from the real partials afterwards, once per jet
 (Jet.wirtinger).
 
 Jets are computed by straight-line code generated and compiled once per
-parsed text (see parse_field) and order (see _Emitter, _Code): numpy
-calls on complex arrays, and for a real-form field, float code that
-returns the same values, on Python floats at a single point and on
-float64 arrays over a batch.
-All of it, dynamics' velocity kernel too, goes through one compile step
-(_compiled), and float code never raises: it returns a reason's index.
+parsed text (see parse_field), order and kind (see _Emitter, _Code):
+numpy calls on complex arrays ("array"), and for a real-form field, code
+that returns the same values on Python floats at a single point
+("float") and on float64 arrays over a batch ("batch").  Each code,
+dynamics' velocity kernel too, is one function from one compile step
+(_compiled), and float-valued code never raises: it returns a reason's
+index.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import weakref
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from time import perf_counter
-from types import FunctionType
 
 import numpy as np
 
@@ -201,11 +201,11 @@ _PRINT_RULES = {
 
 
 # ---------------------------------------------------------------------------
-# jets by generated code: one emitter, two back ends
+# jets by generated code: one emitter, three kinds of code
 
 
 class _NoFloatCode(Exception):
-    """The field has no code in this back end."""
+    """The field has no code of this kind."""
 
 
 # numpy's complex power multiplies out integer exponents below this bound
@@ -215,7 +215,7 @@ _CHAIN_LIMIT = 100
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
-# outputs summed by one finiteness guard of the float code
+# outputs summed by one finiteness guard of float-valued code
 _GUARD_TERMS = 32
 
 
@@ -242,10 +242,9 @@ def _real_of(fn):
 
 _FLOAT_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
 
-# the names the code of each back end reads; "batch" is the float code's
-# batch form, on float64 arrays
+# the names the code of each kind reads
 _NAMESPACES = {
-    # float_errors: what the float code catches, to return a reason's index
+    # float_errors: what float-valued code catches, to return a reason's index
     "float": {"sin": math.sin, "cos": math.cos, "exp": math.exp,
               "float_errors": _FLOAT_ERRORS},
     "batch": {"sin": _real_of(np.sin), "cos": _real_of(np.cos),
@@ -296,7 +295,8 @@ class _Emitter:
         a / b      ((((ha_ij - g_i gb_j) - gb_i g_j) - val hb_ij) / b
         u(x)       d1 h_ij + d2 (g_i g_j),  with d1 = u'(x), d2 = u''(x)
 
-    The statements (self.tape) are written for one of two back ends:
+    The statements (self.tape) are written for a kind of code, by rules
+    that depend only on whether the kind is float-valued:
 
     - "array" runs on complex (m,) arrays and makes numpy's calls of those
       formulas, entry by entry: a / b, v ** k, sin, cos, exp, log, conj,
@@ -322,12 +322,14 @@ class _Emitter:
       each of those gets a guard, and the last guards check that every
       output is finite.  A guard that fires returns its index, as the
       code does where Python raises, and eval_jet runs the point on the
-      array code instead.  Over a batch the same statements run on
-      float64 arrays (see _compiled), and the whole batch falls back.
+      array code instead.  "batch" code is the same statements, literals
+      folded alike, on float64 arrays (see _compiled); there the whole
+      batch falls back.
     """
 
-    def __init__(self, n: int, order: int, floats: bool):
-        self.n, self.order, self.floats = n, order, floats
+    def __init__(self, n: int, order: int, kind: str):
+        self.n, self.order, self.kind = n, order, kind
+        self.floats = kind != "array"
         self.tape: list[tuple] = []       # (target or None, operands, source)
         self.locals: dict[str, str] = {}  # source -> the local holding it
         self.reasons: list[str] = []      # float guard index -> why it fires
@@ -346,7 +348,7 @@ class _Emitter:
 
     def fold(self, fn, *args):
         """fn of literal operands, computed now as the code would compute
-        it: on Python floats in the float code, else on complex arrays of
+        it: on Python floats in float-valued code, else on complex arrays of
         one element."""
         if self.floats:
             try:
@@ -385,7 +387,7 @@ class _Emitter:
     def guard(self, x, reason: str, zero: bool = False, most: float | None = None):
         """Float code: return the guard's index where x is not finite, or
         where zero and x == 0; or, given most, where not x <= most (over
-        a batch, where it would at any point; see _lines)."""
+        a batch, where it would at any point; see _compiled)."""
         if not isinstance(x, str):
             if not math.isfinite(x) or (zero and x == 0.0) or (most is not None and x > most):
                 raise _NoFloatCode(reason)
@@ -641,79 +643,65 @@ def _compile(source: str, namespace: dict) -> dict:
     return namespace
 
 
-def _lines(tape: list, batch: bool = False) -> list:
-    # a guard's test (see _Emitter.guard) fires over a batch where it
-    # would at any point
-    q = {"any": "any", "all": "all"} if batch else {"any": "", "all": ""}
-    return [text.format(**q) if lhs is None else f"{lhs} = {text}" for lhs, _, text in tape]
-
-
 def _compiled(em: _Emitter, outs: list, finite: list | None = None):
     """em's statements as the function _jet(x0, ..., x{2n-1}, t=0.0) that
-    returns outs: compiled, its batch form (None for array code) and the
-    source of both.  The float code first guards that each output of
-    finite (default outs) is finite, in bounded sums (NaN and inf reach
-    the outputs, see _Emitter; compile() recurses on a chain of +), and
-    returns a reason's index where Python raises one of float_errors.
-    Its batch form runs the same statements on float64 arrays, each local
-    deleted after its last use; a guard fires there where it would at
-    any point, and sin, cos and exp are the real part of numpy's complex
-    functions.  _NoFloatCode where compile() refuses the code."""
-    kind = "float" if em.floats else "array"
+    returns outs, compiled in the namespace of em's kind, and its source.
+    Float-valued code first guards that each output of finite (default
+    outs) is finite, in bounded sums (NaN and inf reach the outputs, see
+    _Emitter; compile() recurses on a chain of +), and returns a reason's
+    index where Python raises one of float_errors.  Code on arrays
+    deletes each local after its last use; in batch code a guard fires
+    where it would at any point, and sin, cos and exp are the real part
+    of numpy's complex functions.  _NoFloatCode where compile() refuses
+    the code."""
     if em.floats:
         names = list(dict.fromkeys(x for x in (outs if finite is None else finite)
                                    if isinstance(x, str)))
         for k in range(0, len(names), _GUARD_TERMS):
             em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
                      "non-finite result")
-        bodies = {"_jet": _lines(em.tape), "_jets": _lines(_with_dels(em.tape, outs), True)}
-    else:
-        em.tape = _with_dels(em.tape, outs)
-        bodies = {"_jet": _lines(em.tape)}
-    params = "".join(f"x{a}, " for a in range(2 * em.n))
-    source = ""
-    for name, lines in bodies.items():
-        lines.append(f"return ({', '.join(map(_src, outs))},)")
-        if em.floats:
-            lines = ["try:", *(f"    {line}" for line in lines),
-                     f"except float_errors: return {len(em.reasons)}"]
-        source += f"def {name}({params}t=0.0):\n" + "".join(f"    {line}\n" for line in lines)
+    tape = em.tape if em.kind == "float" else _with_dels(em.tape, outs)
+    # a guard's test (see _Emitter.guard) fires over a batch where it
+    # would at any point
+    q = {"any": "", "all": ""} if em.kind == "float" else {"any": "any", "all": "all"}
+    lines = [text.format(**q) if lhs is None else f"{lhs} = {text}" for lhs, _, text in tape]
+    lines.append(f"return ({', '.join(map(_src, outs))},)")
     if em.floats:
+        lines = ["try:", *(f"    {line}" for line in lines),
+                 f"except float_errors: return {len(em.reasons)}"]
         em.reasons.append("Python raised OverflowError, ValueError or ZeroDivisionError")
+    params = "".join(f"x{a}, " for a in range(2 * em.n))
+    source = f"def _jet({params}t=0.0):\n" + "".join(f"    {line}\n" for line in lines)
     try:
-        namespace = _compile(source, _NAMESPACES[kind])
+        return _compile(source, _NAMESPACES[em.kind])["_jet"], source
     except (RecursionError, MemoryError, SyntaxError) as e:
-        raise _NoFloatCode(f"compile() refuses {kind} code of "
+        raise _NoFloatCode(f"compile() refuses {em.kind} code of "
                            f"{source.count(chr(10))} lines: {type(e).__name__}: {e}") from None
-    batch = namespace.get("_jets")
-    if batch is not None:   # the same code, reading the batch back end's names
-        batch = FunctionType(batch.__code__, {"__builtins__": {}, **_NAMESPACES["batch"]},
-                             "_jets", batch.__defaults__)
-    return namespace["_jet"], batch, source
 
 
 class _Code:
-    """The generated code of one field at one order, compiled when it is
-    built (_compiled): fn(x0, ..., x{2n-1}, t) returns the outputs, which
-    slots places in a dense jet (the float code returns instead the index
-    of a guard that fired or of Python raising; reasons says why), and
-    batch, the float code's batch form, takes and returns arrays.  Raises
-    _NoFloatCode where the field has no code in this back end (see
-    _Emitter) or compile() refuses the code.
+    """The generated code of one field at one order and of one kind,
+    compiled when it is built (_compiled): fn(x0, ..., x{2n-1}, t)
+    returns the outputs, which slots places in a dense jet (float-valued
+    code returns instead the index of a guard that fired or of Python
+    raising; reasons says why).  Raises _NoFloatCode where the field has
+    no code of this kind (see _Emitter) or compile() refuses the code.
+    Each kind emits and compiles its own tape, so a field evaluated both
+    at one point and over a batch pays for its float statements twice:
+    once as float code and once as batch code.
     """
 
-    def __init__(self, f: ScalarField, order: int, floats: bool):
+    def __init__(self, f: ScalarField, order: int, kind: str):
         t0 = perf_counter()
-        em = _Emitter(f.n, order, floats)
+        em = _Emitter(f.n, order, kind)
         val, grad, hess = em.tree(f.root)
         two_n = 2 * f.n
         outs = [val, *grad.values(), *hess.values()]
         # the flat slot of each output in a dense (val, grad, hess) column
         self.slots = np.array([0, *(1 + a for a in grad),
                                *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
-        self.fn, self.batch, self.source = _compiled(em, outs)
+        self.fn, self.source = _compiled(em, outs)
         self.reasons = em.reasons
-        kind = "float" if floats else "array"
         log.debug("%s code for %s at order %d: %d statements, %.3f ms", kind,
                   f, order, len(em.tape), 1e3 * (perf_counter() - t0))
 
@@ -867,14 +855,14 @@ class _Parser:
 
 
 class _FieldCode:
-    """A field's code by order: float code (None where it has none) and
-    array code, and as H of a system, the velocity kernels by s's code
-    (dynamics.velocity_kernel; an entry goes when s's code does), and
-    point, the (key, jet) point_jets evaluated last.  The fields of one
-    parsed text share one (see _parsed)."""
+    """A field's codes by (kind, order) (None where it has no code of a
+    float-valued kind), and as H of a system, the velocity kernels by s's
+    code (dynamics.velocity_kernel; an entry goes when s's code does),
+    and point, the (key, jet) point_jets evaluated last.  The fields of
+    one parsed text share one (see _parsed)."""
 
     def __init__(self):
-        self.floats, self.arrays = {}, {}
+        self.codes = {}
         self.kernels = weakref.WeakKeyDictionary()
         self.point = None
 
@@ -960,7 +948,7 @@ def conjugate_field(f: ScalarField) -> ScalarField:
 class Jet:
     """A field's value and real partials over a batch of m points, dense:
     val (m,), grad (2n, m) and hess (2n, 2n, m), the last two None above
-    the order asked for; float64 where a batch ran on float code, else
+    the order asked for; float64 where a batch ran on batch code, else
     complex.
 
     The arrays every kernel derives from them are computed on first
@@ -1016,10 +1004,11 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
 
     Q and P have shape (n, m).  This is the single entry point every
     bracket and rate in the package funnels through.  It runs the code
-    generated once per field and order (see _Emitter): for a real-form
-    field the float code, into complex arrays at a single point (m == 1)
-    and into float64 arrays over a batch; the array code, into complex
-    arrays, everywhere else and wherever the float code falls back.
+    generated once per field, order and kind (see _Emitter): for a
+    real-form field the float code into complex arrays at a single point
+    (m == 1) and the batch code into float64 arrays over a batch; the
+    array code, into complex arrays, everywhere else and wherever those
+    fall back.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -1037,25 +1026,24 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
         jet = _float_jet(f, Q, P, order, tval)
         if jet is not None:
             return jet
-    code = _code_for(f, order, floats=False)
+    code = _code_for(f, order, "array")
     t = 0.0 if tval is None else tval.astype(complex)
     return _filled(code, code.fn(*Q.astype(complex), *P.astype(complex), t), f.n, order, m)
 
 
-def _code_for(f: ScalarField, order: int, floats: bool) -> _Code | None:
-    """f's float code (None where it has none) or array code at one
-    order, built once and cached in f._code."""
-    cache = f._code.floats if floats else f._code.arrays
-    if order not in cache:
+def _code_for(f: ScalarField, order: int, kind: str) -> _Code | None:
+    """f's code of one kind at one order (None where a float-valued kind
+    has none), built once and cached in f._code."""
+    codes, key = f._code.codes, (kind, order)
+    if key not in codes:
         try:
-            code = _Code(f, order, floats)
+            codes[key] = _Code(f, order, kind)
         except _NoFloatCode as e:
-            if not floats:
+            if kind == "array":
                 raise TypeError(str(e)) from None
-            log.debug("no float code for %s at order %d: %s", f, order, e)
-            code = None
-        cache[order] = code
-    return cache[order]
+            log.debug("no %s code for %s at order %d: %s", kind, f, order, e)
+            codes[key] = None
+    return codes[key]
 
 
 def _size(n: int, order: int) -> int:
@@ -1086,20 +1074,21 @@ def _filled(code: _Code, out: tuple, n: int, order: int, m: int, dtype=complex) 
 
 def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
                tval) -> Jet | None:
-    """The jet of eval_jet from f's float code, or None where the array
-    code has to compute it: at one point on Python floats, into complex
-    arrays (numpy calls mixing dtypes cost more at size one); over a
-    batch by its batch form, into float64 arrays."""
-    code = _code_for(f, order, floats=True)
+    """The jet of eval_jet from f's float-valued code, or None where the
+    array code has to compute it: at one point by the float code on
+    Python floats, into complex arrays (numpy calls mixing dtypes cost
+    more at size one); over a batch by the batch code, into float64
+    arrays."""
+    m = Q.shape[1]
+    code = _code_for(f, order, "float" if m == 1 else "batch")
     if code is None:
         return None
-    m = Q.shape[1]
     if m == 1:
         t = 0.0 if tval is None else float(tval[0])
         out = code.fn(*Q[:, 0].tolist(), *P[:, 0].tolist(), t)
     else:
         with np.errstate(all="ignore"):   # a guard hands a non-finite value on
-            out = code.batch(*Q, *P, 0.0 if tval is None else tval)
+            out = code.fn(*Q, *P, 0.0 if tval is None else tval)
     if type(out) is int:
         log.debug("%s at order %d falls back to the array code: %s", f, order,
                   code.reasons[out])

@@ -34,10 +34,10 @@ from itertools import chain
 
 import numpy as np
 
-from .brackets import StructuredSystem, gspb_jets, sdyn_jets
+from .brackets import StructuredSystem, _real_part, gspb_jets, sdyn_jets
 from .dynamics import (real_velocity_jets, tghs_zbardot_jets, tghs_zdot_jets,
                        velocity_kernel)
-from .errors import BlowUpError, DomainError, StepUnderflowError
+from .errors import BlowUpError, DomainError, RealnessError, StepUnderflowError
 from .fields import ScalarField, eval_jet
 from .phasespace import ComplexCoords, PhasePoint, from_complex
 
@@ -232,8 +232,8 @@ def _march(rhs, x0: np.ndarray, cfg: StepperConfig):
         calls += 1
         try:
             return rhs(t, x)
-        except DomainError as e:
-            raise DomainError(f"{e} at t={t:.6g}") from None
+        except (DomainError, RealnessError) as e:
+            raise type(e)(f"{e} at t={t:.6g}") from None
 
     near = 1e-12 * max(1.0, cfg.t_end)
     x = tuple(x0.tolist())
@@ -379,7 +379,7 @@ def _attach_monitors(traj: Trajectory, sys: StructuredSystem | None,
     Hj = eval_jet(sys.hamiltonian, Q, P, order=1)
     sj = eval_jet(sys.structural, Q, P, order=1)
 
-    traj.energy = Hj.val.real
+    traj.energy = _real_part(Hj.val, "Hamiltonian")
     traj.sdyn = sdyn_jets(Hj, sj)
     traj.hh_residual = np.abs(gspb_jets(Hj, Hj, sj))
 

@@ -20,13 +20,13 @@ def fresh_store():
 
 @pytest.fixture
 def code_builds(monkeypatch):
-    """The (field, order, floats) of every generated code built from now on."""
+    """The (field, order, kind) of every generated code built from now on."""
     builds = []
     init = fields._Code.__init__
 
-    def counted(self, f, order, floats):
-        builds.append((f, order, floats))
-        init(self, f, order, floats)
+    def counted(self, f, order, kind):
+        builds.append((f, order, kind))
+        init(self, f, order, kind)
 
     monkeypatch.setattr(fields._Code, "__init__", counted)
     return builds

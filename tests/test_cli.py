@@ -275,6 +275,30 @@ def test_run_nan_state_exits_4_naming_t(write_scenario):
     assert proc.stderr == f"{message}\n"
 
 
+def test_run_complex_hamiltonian_along_the_run_exits_1(write_scenario):
+    # log of a negative q1: H is 0.125 + i pi, while the velocity is real
+    # (s = 0 and dH is real), so only the energy monitor sees it
+    path = write_scenario(hamiltonian="log(q1) + p1^2/2", structural="0",
+                          initial={"q": [-1.0], "p": [0.5]},
+                          stepper={"step": 0.01, "t_end": 0.1})
+    rc, message = run_one_scenario(path)
+    assert rc == 1
+    assert message == (f"{path}: error: Hamiltonian came out complex (|imag| up to "
+                       "3.142e+00); H and s must be real-valued fields")
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+def test_run_complex_velocity_mid_run_names_t(write_scenario):
+    # q1 * log(q1) turns complex once q1 crosses zero, at an RK4 stage
+    path = write_scenario(hamiltonian="p1^2/2 + q1*log(q1)", structural="0.1*q1",
+                          initial={"q": [0.05], "p": [-1.0]},
+                          stepper={"step": 0.01, "t_end": 0.2})
+    rc, message = run_one_scenario(path)
+    assert rc == 1
+    assert message == (f"{path}: error: flow velocity came out complex (|imag| up to "
+                       "3.141e+00); H and s must be real-valued fields at t=0.055")
+
+
 def test_summary_json_refuses_non_finite_values(tmp_path):
     traj = Trajectory("tghs", 1, np.array([0.0, 0.1]), np.zeros((2, 2)),
                       energy=np.array([1.0, np.nan]))
@@ -422,8 +446,8 @@ def test_second_check_builds_only_its_linear_combinations(write_scenario, capsys
     assert len(code_builds) > 2
     code_builds.clear()
     assert main(["check", "--seed", "7", "--count", "50", str(path)]) == 0
-    assert [(type(f.root), order, floats) for f, order, floats in code_builds] \
-        == [(fields.Add, 1, False)] * 2
+    assert [(type(f.root), order, kind) for f, order, kind in code_builds] \
+        == [(fields.Add, 1, "array")] * 2
     assert all(type(f.root.left) is type(f.root.right) is fields.Mul
                for f, _, _ in code_builds)
 

@@ -195,7 +195,7 @@ def test_order_two_rates_do_not_depend_on_the_float_code(monkeypatch):
                  second_derivatives(s, pt).matrix.tolist()) for pt in points]
 
     compiled = values()
-    assert H._code.floats[2] is not None and s._code.floats[2] is not None
+    assert H._code.codes["float", 2] is not None and s._code.codes["float", 2] is not None
     monkeypatch.setattr(fields, "_float_jet", lambda *args: None)
     assert values() == compiled
 

@@ -126,7 +126,7 @@ def test_each_parse_is_a_new_field_sharing_tree_and_code():
     assert a is not b
     assert a.root is b.root and a._code is b._code
     eval_jet(a, [[0.5], [0.25]], [[1.0], [2.0]], order=1)
-    assert b._code.floats[1] is a._code.floats[1] is not None
+    assert b._code.codes["float", 1] is a._code.codes["float", 1] is not None
     # fields that are not parsed keep code of their own
     assert constant_field(1.0, 2)._code is not constant_field(1.0, 2)._code
 
@@ -164,14 +164,14 @@ def test_store_is_bounded_and_an_evicted_text_gets_the_same_code():
     size = fields._STORE_SIZE
     texts = [f"{k + 1} * q1 * p1^2" for k in range(size + 5)]
     first = parse_field(texts[0], 1)
-    source = fields._code_for(first, 1, floats=True).source
+    source = fields._code_for(first, 1, "float").source
     for text in texts[1:]:
         parse_field(text, 1)
         assert fields._parsed.cache_info().currsize <= size
     assert fields._parsed.cache_info().currsize == size
     again = parse_field(texts[0], 1)   # evicted: parsed anew
     assert again._code is not first._code
-    assert fields._code_for(again, 1, floats=True).source == source
+    assert fields._code_for(again, 1, "float").source == source
     assert not _stored(texts[1]) and _stored(texts[-1])
 
 
@@ -314,9 +314,9 @@ def test_hessian_is_exactly_symmetric():
 
 
 def _batch_dtype(f, order, m):
-    # over a batch of finite points, a field with float code runs its
-    # batch form into float64 arrays; anything else is complex
-    return float if m > 1 and f._code.floats.get(order) is not None else complex
+    # over a batch of finite points, a field with batch code runs it into
+    # float64 arrays; anything else is complex
+    return float if m > 1 and f._code.codes.get(("batch", order)) is not None else complex
 
 
 def _equals_dense(f, Q, P, order, time=None):
@@ -388,7 +388,7 @@ def test_scalar_walk_is_taken_on_real_form_fields(src):
     tval = np.array([0.7]) if f.uses_time else None
     for order in (0, 1, 2):
         jet = fields._float_jet(f, Q, P, order, tval)   # no fallback here
-        assert (f._code.floats[order] is not None) == compiles
+        assert (f._code.codes["float", order] is not None) == compiles
         if compiles:
             assert jet is not None and jet.val.shape == (1,)
             assert jet.val.dtype == complex
@@ -443,7 +443,7 @@ def test_single_point_equals_batch_column(seed, n, smooth, data):
     p = data.draw(st.lists(_coord, min_size=n, max_size=n))
     for order in (0, 1, 2):
         _same_as_batch_column(f, q, p, order)
-        code = f._code.floats[order]
+        code = f._code.codes["float", order]
         if code is not None:   # the float code returns, it never raises
             assert type(code.fn(*q, *p, 0.0)) in (tuple, int)
 
@@ -561,7 +561,7 @@ def test_derivative_free_fields_come_out_dense(m):
 # ---------------------------------------------------------------------------
 # float code over a batch
 #
-# A batch of a real-form field with float code runs the code's batch form
+# A batch of a real-form field with float code runs its batch code
 # on float64 arrays.  The complex array code is the reference it must
 # reproduce, at zero tolerance up to the sign of a zero, and wherever a
 # guard fires at any point the whole batch runs on the array code.
@@ -615,7 +615,7 @@ def test_float_batches_equal_the_array_code_and_dense_jets(src, m):
     # magnitudes in [0.5, 2), either sign: no divisor comes near zero
     Q, P = rng.uniform(0.5, 2.0, size=(2, 2, m)) * rng.choice([-1.0, 1.0], size=(2, 2, m))
     _float_batch_equals_references(f, Q, P)
-    assert all(f._code.floats[order] is not None for order in (0, 1, 2))
+    assert all(f._code.codes["batch", order] is not None for order in (0, 1, 2))
 
 
 def test_batch_exp_equals_the_complex_code_where_float_exp_differs():
@@ -674,8 +674,9 @@ def test_fields_with_i_z_conj_or_log_stay_complex(src):
     Q, P = np.random.default_rng(2).uniform(-1.0, 1.0, size=(2, 1, 7))
     for order in (0, 1, 2):
         assert _equals_dense(f, Q, P, order).val.dtype == complex
-    # a complex field builds no float code; log has none
-    assert f._code.floats == ({} if not f.is_real_form else dict.fromkeys((0, 1, 2)))
+    # a complex field builds no batch code; log has none
+    assert {key: code for key, code in f._code.codes.items() if key[0] != "array"} \
+        == ({} if not f.is_real_form else dict.fromkeys(("batch", k) for k in (0, 1, 2)))
 
 
 def test_time_dependent_real_field_batch_gets_time_as_float64():
@@ -686,13 +687,13 @@ def test_time_dependent_real_field_batch_gets_time_as_float64():
     for time in (0.7, rng.uniform(-2.0, 2.0, 9)):
         _float_batch_equals_references(f, Q, P, time)
     times = []
-    code = f._code.floats[1]
-    batch = code.batch
-    code.batch = lambda *args: times.append(args[-1]) or batch(*args)
+    code = f._code.codes["batch", 1]
+    batch = code.fn
+    code.fn = lambda *args: times.append(args[-1]) or batch(*args)
     try:
         assert eval_jet(f, Q, P, order=1, time=-1.5).val.dtype == float
     finally:
-        code.batch = batch
+        code.fn = batch
     assert times[0].dtype == float and times[0].shape == (9,) and np.all(times[0] == -1.5)
 
 
@@ -704,10 +705,10 @@ def test_non_finite_literal_is_not_compiled():
     # repr(inf) would be a name the generated code cannot resolve
     f = parse_field("1e400 * q1 + p1", 1)
     with pytest.raises(fields._NoFloatCode, match="non-finite literal"):
-        fields._Code(f, 0, True)
+        fields._Code(f, 0, "float")
     for order in (0, 1, 2):
         out = _same_as_batch_column(f, [0.5], [0.25], order)
-        assert f._code.floats[order] is None
+        assert f._code.codes["float", order] is f._code.codes["batch", order] is None
         assert out.val[0].real == np.inf
 
 
@@ -725,19 +726,20 @@ def test_large_dense_field_compiles_and_matches_batch():
     Q = np.linspace(0.1, 0.9, 60)[:, None]
     P = np.linspace(-0.5, 0.5, 60)[:, None]
     single = eval_jet(f, Q, P, order=2)
-    assert f._code.floats[2] is not None
+    assert f._code.codes["float", 2] is not None
     batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), order=2)
+    assert f._code.codes["batch", 2] is not None
     np.testing.assert_array_equal(single.val, batch.val[:1])
     np.testing.assert_array_equal(single.grad, batch.grad[:, :1])
     np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
 
 
 def _refuse_floats(monkeypatch, error):
-    """Make compile() refuse the float code, and only the float code."""
+    """Make compile() refuse float-valued code, and only that."""
     compile_ = fields._compile
 
     def refuse(source, namespace):
-        if namespace is fields._NAMESPACES["float"]:
+        if namespace is not fields._NAMESPACES["array"]:
             raise error("too large")
         return compile_(source, namespace)
 
@@ -751,8 +753,9 @@ def test_field_the_compiler_refuses_stays_batched(monkeypatch, error):
     f = _dense_cubic(4)
     Q, P = np.array([[0.3], [0.1], [-0.2], [0.5]]), np.array([[0.4], [0.2], [0.7], [-0.1]])
     single = eval_jet(f, Q, P, order=2)
-    assert f._code.floats[2] is None
+    assert f._code.codes["float", 2] is None
     batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), order=2)
+    assert f._code.codes["batch", 2] is None and batch.val.dtype == complex
     np.testing.assert_array_equal(single.hess, batch.hess[:, :, :1])
     _equals_dense(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1), 2)
 
@@ -767,7 +770,7 @@ def test_array_code_the_compiler_refuses_is_a_type_error(monkeypatch, m):
     monkeypatch.setattr(fields, "_compile", _refuse)
     f = parse_field("q1 * p1 + sin(q1)", 1)
     with pytest.raises(fields._NoFloatCode, match="compile\\(\\) refuses array code"):
-        fields._Code(f, 1, False)
+        fields._Code(f, 1, "array")
     with pytest.raises(TypeError, match="compile\\(\\) refuses array code .*too deep"):
         eval_jet(f, np.full((1, m), 0.5), np.full((1, m), 2.0), order=1)
 
@@ -782,22 +785,86 @@ def test_each_code_is_compiled_once_when_it_is_built(monkeypatch):
 
     monkeypatch.setattr(fields, "_compile", counted)
     f = parse_field("q1^2 * p1 + sin(q1) / (2 + p1^2)", 1)
-    for floats in (True, False):
+    for kind in ("float", "batch", "array"):
         for order in (0, 1, 2):
-            code = fields._Code(f, order, floats)
+            code = fields._Code(f, order, kind)
             assert compiles == [code.source]
             compiles.clear()
-    # eval_jet builds each of f's six codes once, and then compiles
-    # nothing; a batch runs the float code's batch form, which compiles
-    # with it, and needs the array code only where a guard hands it on
-    # (here at an infinite q1)
+    # eval_jet builds each of f's nine codes once, and then compiles
+    # nothing; a point runs the float code, a batch the batch code, and
+    # either needs the array code only where a guard hands it on (here at
+    # an infinite q1)
     for _ in range(3):
         for m, q1 in ((1, 0.5), (2, 0.5), (2, np.inf)):
             for order in (0, 1, 2):
                 with np.errstate(all="ignore"):
                     eval_jet(f, np.full((1, m), q1), np.full((1, m), 2.0), order=order)
-    built = [*f._code.floats.values(), *f._code.arrays.values()]
-    assert len(built) == 6 and sorted(compiles) == sorted(c.source for c in built)
+    built = list(f._code.codes.values())
+    assert len(built) == 9 and sorted(compiles) == sorted(c.source for c in built)
+
+
+def _defs(source):
+    return [line for line in source.splitlines() if line.startswith("def ")]
+
+
+def test_each_code_and_the_velocity_kernel_is_one_function(monkeypatch):
+    f = parse_field("q1^2 * p1 + exp(q1) / (2 + p1^2) - q1^-2", 1)
+    for order in (0, 1, 2):
+        for kind in ("float", "batch", "array"):
+            source = fields._Code(f, order, kind).source
+            assert len(_defs(source)) == 1
+            # only code on arrays deletes its locals; only batch code tests
+            # its guards with any() and all()
+            assert ("del " in source) == (kind != "float")
+            assert ("any(" in source) == (kind == "batch")
+    sources = []
+    compiled = gchs.dynamics._compiled
+
+    def kept(em, outs, finite=None):
+        fn, source = compiled(em, outs, finite)
+        sources.append(source)
+        return fn, source
+
+    monkeypatch.setattr(gchs.dynamics, "_compiled", kept)
+    kernel = velocity_kernel(StructuredSystem(1, f, parse_field("0.1 * q1 / (3 + p1)", 1)))
+    assert kernel is not None and len(sources) == 1
+    (source,) = sources
+    assert _defs(source) == ["def _jet(x0, x1, t=0.0):"]
+    assert "del " not in source and "any(" not in source
+
+
+def test_seven_point_queries_at_a_fresh_point_build_float_and_array_codes(code_builds):
+    sys_, f, g = _n6_system()
+    H, s = sys_.hamiltonian, sys_.structural
+    pt = PhasePoint(np.linspace(-0.9, 0.8, 6), np.linspace(0.5, -0.7, 6))
+    gchs.gspb(f, g, sys_, pt)
+    gchs.gspb_real(f, g, sys_, pt)
+    gchs.gspb(f, H, sys_, pt)
+    gchs.gchs_rate(f, sys_, pt)
+    gchs.s_dynamics(sys_, pt)
+    gchs.beta(sys_, pt)
+    gchs.covariant_acceleration(f, sys_, pt)
+    # the real-form H, s and 1 on float code, the complex f and g on
+    # array code; no batch code
+    assert [(str(field_), order, kind) for field_, order, kind in code_builds] == [
+        (str(f), 1, "array"), (str(g), 1, "array"), (str(s), 1, "float"),
+        (str(H), 1, "float"), ("1.0", 1, "float"), (str(H), 2, "float"),
+        (str(s), 2, "float"), (str(f), 2, "array")]
+
+
+def test_a_real_form_batch_builds_its_array_code_only_after_a_guard_fires(code_builds):
+    f = parse_field("exp(q1) + p1 * q1^2", 1)
+    Q, P = np.array([[0.5, 1.5, -0.25]]), np.full((1, 3), 0.75)
+    for order in (0, 1, 2):
+        assert eval_jet(f, Q, P, order=order).val.dtype == float
+    assert [(order, kind) for _, order, kind in code_builds] == \
+        [(0, "batch"), (1, "batch"), (2, "batch")]
+    code_builds.clear()
+    Q[0, 1] = 709.5   # above the bound of exp's guard
+    for order in (0, 1, 2):
+        assert eval_jet(f, Q, P, order=order).val.dtype == complex
+    assert [(order, kind) for _, order, kind in code_builds] == \
+        [(0, "array"), (1, "array"), (2, "array")]
 
 
 def test_deep_field_stays_batched():
@@ -815,7 +882,7 @@ def test_sum_of_five_thousand_terms_evaluates():
         jet = eval_jet(f, np.full((1, m), 0.5), np.full((1, m), 2.0), order=1)
         assert np.all(jet.val == 5000.0)
         np.testing.assert_array_equal(jet.grad, np.full((2, m), [[10000.0], [2500.0]]))
-    assert f._code.floats[1] is not None
+    assert f._code.codes["float", 1] is not None and f._code.codes["batch", 1] is not None
 
 
 def test_deep_nesting_is_an_expression_error():
@@ -834,7 +901,8 @@ def test_time_dependent_field_compiles_and_matches_batch():
             single = eval_jet(f, Q, P, order=order, time=time)
             batch = eval_jet(f, np.repeat(Q, 2, axis=1), np.repeat(P, 2, axis=1),
                              order=order, time=time)
-            assert f._code.floats[order] is not None
+            assert f._code.codes["float", order] is not None
+            assert f._code.codes["batch", order] is not None
             np.testing.assert_array_equal(single.val, batch.val[:1])
             if order:
                 np.testing.assert_array_equal(single.grad, batch.grad[:, :1])
@@ -849,9 +917,9 @@ class _Shadow(fields.Node):
 def test_emitter_refuses_unknown_node_types():
     # neither back end has a rule for it, and there is no other evaluator
     f = fields._make_field(fields.Mul(_Shadow(), fields.CoordP(1)), 1)
-    for floats in (True, False):
+    for kind in ("float", "batch", "array"):
         with pytest.raises(fields._NoFloatCode, match="_Shadow"):
-            fields._Code(f, 1, floats)
+            fields._Code(f, 1, kind)
     for m in (1, 2):
         with pytest.raises(TypeError, match="no rule for _Shadow nodes"):
             eval_jet(f, np.full((1, m), 3.0), np.full((1, m), 2.0), order=1)
@@ -864,9 +932,10 @@ def test_unknown_order_is_refused(m):
 
 
 def test_generated_source_has_no_builtins():
-    for src, floats in [("q1 / (1 + p1^2) + cos(q1)^-2", True),
-                        ("log(z1) / (1 + p1^2) + cos(q1)^-2 * conj(z1)", False)]:
-        code = fields._Code(parse_field(src, 1), 2, floats)
+    for src, kind in [("q1 / (1 + p1^2) + cos(q1)^-2", "float"),
+                      ("q1 / (1 + p1^2) + cos(q1)^-2", "batch"),
+                      ("log(z1) / (1 + p1^2) + cos(q1)^-2 * conj(z1)", "array")]:
+        code = fields._Code(parse_field(src, 1), 2, kind)
         assert "import" not in code.source and "__" not in code.source
         assert code.fn.__globals__["__builtins__"] == {}
     # the velocity kernel comes from the same compile step
@@ -882,13 +951,13 @@ def test_float_code_returns_an_index_where_python_raises(monkeypatch):
         raise OverflowError("math range error")
 
     monkeypatch.setitem(fields._NAMESPACES["float"], "exp", exp)
-    code = fields._Code(parse_field("exp(q1)", 1), 0, True)
+    code = fields._Code(parse_field("exp(q1)", 1), 0, "float")
     out = code.fn(1.0, 0.5)
     assert type(out) is int and "OverflowError" in code.reasons[out]
 
 
 def test_float_code_hands_exp_above_709_to_the_array_code():
-    code = fields._Code(parse_field("exp(q1)", 1), 0, True)
+    code = fields._Code(parse_field("exp(q1)", 1), 0, "float")
     for x in (709.05, 800.0):
         out = code.fn(x, 0.5)
         assert type(out) is int and "exp above 709" in code.reasons[out]

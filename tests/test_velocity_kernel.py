@@ -97,8 +97,8 @@ def test_kernel_states_equal_the_jets_bit_for_bit(method, coupled_case, monkeypa
 
 
 def _refuse_floats(source, namespace, compile_=fields._compile):
-    # compile() that refuses the float code, and only the float code
-    if namespace is fields._NAMESPACES["float"]:
+    # compile() that refuses float-valued code, and only that
+    if namespace is not fields._NAMESPACES["array"]:
         raise RecursionError("too deep")
     return compile_(source, namespace)
 

@@ -174,7 +174,7 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     oracle = _acceleration_operator_route(fj2, Hj2, sj2)
     add("dynamics.acceleration_consistency", _amax(acc - oracle), 1e-8)
 
-    # bridge: both engines over fresh points
+    # bridge: both engines at the suite's first (up to 200) points
     pts = [PhasePoint(Q[:, k], P[:, k]) for k in range(min(count, 200))]
     rep = bridge.cross_check(f, g, sys, pts)
     add("bridge.cross_engine", rep.max_dev, 1e-10)
@@ -331,13 +331,13 @@ def _flow_checks(sys: StructuredSystem, initial: PhasePoint | None,
     pt0 = initial if initial is not None else PhasePoint(
         np.full(n, 0.3), np.full(n, 0.2))
     cfg = StepperConfig(method="rk4", step=1e-3, t_end=0.5, stride=1)
-    traj = integrate_tghs(sys, pt0, cfg, observables={"probe": probe})
+    traj = integrate_tghs(sys, pt0, cfg)
 
     t = traj.times
-    vals = traj.observables["probe"]
     Q = traj.states[:, :n].T
     P = traj.states[:, n:].T
     fj = eval_jet(probe, Q, P, order=1)
+    vals = fj.val
     Hj = eval_jet(sys.hamiltonian, Q, P, order=1)
     sj = eval_jet(sys.structural, Q, P, order=1)
     th, w, total = total_rate_jets(fj, Hj, sj)

@@ -13,7 +13,7 @@ message names t; a NaN or infinite state is a blow-up), 3 invariant
 failure from check, 4 a field left the domain of an operation (division
 by zero, log of zero, zero to a negative power) or a guarded quantity
 came out NaN or infinite.  For codes 1 and 4 the message names the
-scenario, and t when it happened during the march.
+scenario, and t when the march or the monitors of a recorded sample fail.
 
 The environment variable GCHS_LOG (error, info, debug) sets log
 verbosity on stderr; reports on stdout are deterministic for a fixed

@@ -386,16 +386,17 @@ class _Emitter:
 
     def guard(self, x, reason: str, zero: bool = False, most: float | None = None):
         """Float code: return the guard's index where x is not finite, or
-        where zero and x == 0; or, given most, where not x <= most (over
-        a batch, where it would at any point; see _compiled)."""
+        where zero and x == 0; or, given most, where not x <= most.  Batch
+        code returns it where the test fires at any point."""
         if not isinstance(x, str):
             if not math.isfinite(x) or (zero and x == 0.0) or (most is not None and x > most):
                 raise _NoFloatCode(reason)
             return
+        some, every = ("", "") if self.kind == "float" else ("any", "all")
         ok = f"{x} - {x} == 0.0" if most is None else f"{x} <= {most!r}"
-        test = f"not {{all}}({ok})"
+        test = f"not {every}({ok})"
         if zero:
-            test = f"{{any}}({x} == 0.0) or {test}"
+            test = f"{some}({x} == 0.0) or {test}"
         self.tape.append((None, (x,), f"if {test}: return {len(self.reasons)}"))
         self.reasons.append(reason)
 
@@ -651,9 +652,9 @@ def _compiled(em: _Emitter, outs: list, finite: list | None = None):
     _Emitter; compile() recurses on a chain of +), and returns a reason's
     index where Python raises one of float_errors.  Code on arrays
     deletes each local after its last use; in batch code a guard fires
-    where it would at any point, and sin, cos and exp are the real part
-    of numpy's complex functions.  _NoFloatCode where compile() refuses
-    the code."""
+    where it would at any point (see _Emitter.guard), and sin, cos and
+    exp are the real part of numpy's complex functions.  _NoFloatCode
+    where compile() refuses the code."""
     if em.floats:
         names = list(dict.fromkeys(x for x in (outs if finite is None else finite)
                                    if isinstance(x, str)))
@@ -661,10 +662,7 @@ def _compiled(em: _Emitter, outs: list, finite: list | None = None):
             em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
                      "non-finite result")
     tape = em.tape if em.kind == "float" else _with_dels(em.tape, outs)
-    # a guard's test (see _Emitter.guard) fires over a batch where it
-    # would at any point
-    q = {"any": "", "all": ""} if em.kind == "float" else {"any": "any", "all": "all"}
-    lines = [text.format(**q) if lhs is None else f"{lhs} = {text}" for lhs, _, text in tape]
+    lines = [text if lhs is None else f"{lhs} = {text}" for lhs, _, text in tape]
     lines.append(f"return ({', '.join(map(_src, outs))},)")
     if em.floats:
         lines = ["try:", *(f"    {line}" for line in lines),

@@ -64,7 +64,7 @@ class StepperConfig:
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number")
             try:
-                float(value)
+                setattr(self, name, float(value))
             except OverflowError:   # an int beyond the float range
                 raise ValueError(f"{name} must be within the float range") from None
         # each test is written so that NaN fails it
@@ -286,7 +286,17 @@ def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
     or the constant rate w0 when sys is None."""
     times, states, rhs_calls = _march(rhs, pt0.flat(), cfg)
     traj = Trajectory(flow, pt0.n, times, states, w0=w0, rhs_calls=rhs_calls)
-    _attach_monitors(traj, sys, observables or {})
+    try:
+        _attach_monitors(traj, sys, observables or {})
+    except (DomainError, RealnessError):
+        # name the first sample whose own monitors raise, as _march names t
+        for k, t in enumerate(times):
+            try:
+                _attach_monitors(Trajectory(flow, pt0.n, times[k:k + 1], states[k:k + 1],
+                                            w0=w0), sys, observables or {})
+            except (DomainError, RealnessError) as e:
+                raise type(e)(f"{e} at t={t:.6g}") from None
+        raise
     return traj
 
 

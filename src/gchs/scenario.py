@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,7 @@ from .phasespace import PhasePoint
 _TOP_KEYS = {"n", "hamiltonian", "structural", "observables",
              "initial", "stepper", "outputs"}
 _REQUIRED = {"n", "hamiltonian", "structural", "initial"}
-_STEPPER_KEYS = {"method", "step", "abs_tol", "rel_tol", "t_end",
-                 "stride", "max_norm"}
+_STEPPER_KEYS = {f.name for f in fields(StepperConfig)}
 _OUTPUT_KEYS = {"csv", "summary"}
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
 
@@ -138,15 +137,8 @@ def load_scenario(path) -> Scenario:
     if not isinstance(stepper_raw, dict):
         raise ScenarioError("stepper must be an object")
     _reject_unknown(stepper_raw, _STEPPER_KEYS, "stepper")
-    kwargs = dict(stepper_raw)
-    for key in ("step", "abs_tol", "rel_tol", "t_end", "max_norm"):
-        if key in kwargs:
-            try:
-                kwargs[key] = _float(kwargs[key])
-            except (TypeError, OverflowError):
-                raise ScenarioError(f"stepper.{key} must be a number") from None
     try:
-        stepper = StepperConfig(**kwargs)
+        stepper = StepperConfig(**stepper_raw)
     except (TypeError, ValueError) as e:
         raise ScenarioError(f"stepper: {e}") from None
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from gchs import PhasePoint, StructuredSystem, parse_field, run_invariant_suite
-from gchs import bridge, checks, fields
+from gchs import bridge, checks, fields, integrate
 from gchs.checks import (random_points, random_polynomial, random_smooth_field,
                          random_system)
 from gchs.fields import eval_jet
@@ -51,6 +51,34 @@ def test_suite_splits_each_order_1_jet_at_most_once(structured, wirtinger_splits
         monkeypatch.setattr(mod, "eval_jet", counted)
     run_invariant_suite(structured, 42, 200, include_flow_checks=False)
     assert 0 < len(wirtinger_splits) <= len(order_1)
+
+
+def test_suite_evaluates_the_flow_probe_once(structured, monkeypatch):
+    # the probe run marches with no observable, so only the flow checks
+    # evaluate the probe's order-1 jets over its samples
+    calls, probes, runs = [], [], []
+    eval_jet, flow_checks, integrate_tghs = (fields.eval_jet, checks._flow_checks,
+                                             checks.integrate_tghs)
+
+    def counted(f, Q, P, order=0, time=None):
+        calls.append((f, order, Q.shape[1]))
+        return eval_jet(f, Q, P, order=order, time=time)
+
+    def recorded_flow_checks(sys, initial, probe):
+        probes.append(probe)
+        return flow_checks(sys, initial, probe)
+
+    def recorded_run(*args, **kwargs):
+        runs.append(integrate_tghs(*args, **kwargs))
+        return runs[-1]
+
+    for mod in (fields, checks, bridge, integrate):
+        monkeypatch.setattr(mod, "eval_jet", counted)
+    monkeypatch.setattr(checks, "_flow_checks", recorded_flow_checks)
+    monkeypatch.setattr(checks, "integrate_tghs", recorded_run)
+    run_invariant_suite(structured, 42, 20, initial=PhasePoint([0.5], [0.5]))
+    [probe], samples = probes, runs[-1].samples
+    assert calls.count((probe, 1, samples)) == 1
 
 
 def test_suite_computes_the_flow_gradient_once(flow_builds):

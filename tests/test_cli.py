@@ -284,7 +284,26 @@ def test_run_complex_hamiltonian_along_the_run_exits_1(write_scenario):
     rc, message = run_one_scenario(path)
     assert rc == 1
     assert message == (f"{path}: error: Hamiltonian came out complex (|imag| up to "
-                       "3.142e+00); H and s must be real-valued fields")
+                       "3.142e+00); H and s must be real-valued fields at t=0")
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("doc, t", [
+    # 1 / p1 at the initial point p1 = 0
+    ({"hamiltonian": "(q1^2 + p1^2) / 2", "structural": "0.1 * q1",
+      "observables": {"r": "1 / p1"}, "initial": {"q": [0.5], "p": [0.0]},
+      "stepper": {"method": "rk4", "step": 0.01, "t_end": 0.05}}, "0"),
+    # q1 = t reaches 0.5 exactly at the second recorded sample
+    ({"hamiltonian": "p1", "structural": "0",
+      "observables": {"r": "1 / (q1 - 0.5)"}, "initial": {"q": [0.0], "p": [0.0]},
+      "stepper": {"step": 0.25, "t_end": 1.0}}, "0.5"),
+])
+def test_run_observable_domain_error_names_t(write_scenario, doc, t):
+    # the march succeeds; the monitor pass over its samples raises
+    path = write_scenario(**doc)
+    rc, message = run_one_scenario(path)
+    assert rc == 4
+    assert message == f"{path}: error: division by zero at t={t}"
     assert [p.name for p in path.parent.iterdir()] == [path.name]
 
 

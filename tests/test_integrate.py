@@ -62,6 +62,12 @@ def test_config_rejects_bad_values(kw):
         StepperConfig(**kw)
 
 
+def test_config_stores_its_numbers_as_floats():
+    c = StepperConfig(step=1, t_end=2)
+    assert type(c.step) is float and type(c.t_end) is float
+    assert (c.step, c.t_end) == (1.0, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # the classical oscillator as ground truth (z(t) = z0 exp(-i t))
 

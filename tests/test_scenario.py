@@ -165,7 +165,7 @@ def test_boolean_stride(write_scenario):
 def test_boolean_or_string_stepper_number(write_scenario, key, value):
     # float() takes both, but JSON true and "0.01" are no numbers
     path = write_scenario(stepper={key: value})
-    with pytest.raises(ScenarioError, match=f"^stepper.{key} must be a number$"):
+    with pytest.raises(ScenarioError, match=f"^stepper: {key} must be a number$"):
         load_scenario(path)
 
 
@@ -183,10 +183,11 @@ def test_integer_numbers_are_numbers(write_scenario):
     sc = load_scenario(write_scenario(initial={"q": [1], "p": [0]},
                                       stepper={"step": 1, "t_end": 2}))
     assert sc.initial.q[0] == 1.0 and sc.stepper.step == 1.0
+    assert type(sc.stepper.step) is float and type(sc.stepper.t_end) is float
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"stepper": {"step": 10 ** 400}}, "^stepper.step must be a number$"),
+    ({"stepper": {"step": 10 ** 400}}, "^stepper: step must be within the float range$"),
     ({"initial": {"q": [-10 ** 400], "p": [0.5]}}, "^initial.q must contain only numbers$"),
 ])
 def test_integer_beyond_the_float_range_is_refused(write_scenario, doc, message):

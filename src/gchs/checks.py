@@ -13,6 +13,7 @@ parser, which keeps the generator honest about the public grammar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,129 +140,179 @@ def random_system(rng: np.random.Generator, n: int,
 # the suite
 
 
+#: points per block of the point-based identities (run_invariant_suite)
+BLOCK = 2048
+
+
+def _worst(a: float, b: float) -> float:
+    """The larger of two deviations, NaN where either is NaN (max() keeps
+    a NaN only as its first argument)."""
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
+@dataclass(frozen=True, eq=False)
+class _Inputs:
+    """The suite's seeded draws over all points, and the fields built
+    from them once per call (linear_combination generates new code on
+    every call)."""
+
+    Q: np.ndarray
+    P: np.ndarray
+    dq: np.ndarray
+    dp: np.ndarray
+    a: float
+    b: float
+    f: ScalarField
+    g: ScalarField
+    freal: ScalarField
+    lin: ScalarField
+    reparsed: ScalarField
+    combo: ScalarField
+    zero: ScalarField
+    z: list[ScalarField]
+    zbar: list[ScalarField]
+
+
+def _draw(rng: np.random.Generator, n: int, count: int) -> _Inputs:
+    # the order of the draws sets every report's bits
+    Q, P = random_points(rng, n, count)
+    f = random_polynomial(rng, n, complex_ok=True)
+    g = random_polynomial(rng, n, complex_ok=True)
+    freal = random_polynomial(rng, n, complex_ok=False)
+    a, b = (float(v) for v in rng.uniform(-1.0, 1.0, size=2))
+    dq = rng.uniform(-1, 1, size=count) + 1j * rng.uniform(-1, 1, size=count)
+    dp = rng.uniform(-1, 1, size=count) + 1j * rng.uniform(-1, 1, size=count)
+    return _Inputs(
+        Q, P, dq, dp, a, b, f, g, freal,
+        lin=linear_combination(a, f, b, g),
+        reparsed=parse_field(str(f), n),
+        combo=linear_combination(a, f, b, freal),
+        zero=parse_field("0", n),
+        z=[parse_field(f"z{j}", n) for j in range(1, n + 1)],
+        zbar=[parse_field(f"conj(z{j})", n) for j in range(1, n + 1)])
+
+
 def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
                         initial: PhasePoint | None = None,
                         include_flow_checks: bool = True) -> list[InvariantResult]:
     """Evaluate every identity the modules promise, over seeded inputs.
 
     The point-based identities run at `count` random points with random
-    fields drawn from the same seed.  The flow checks integrate short
-    probe trajectories (the scenario's initial point if given).  The
-    order-1 identities run in a helper of their own, so their jets, and
-    the arrays derived from them, are freed before the order-2 jets are
-    built.
+    fields drawn from the same seed.  They run one block of at most
+    BLOCK points at a time, and each reports its worst deviation over
+    all blocks, so the jets of one block are freed before the next one
+    is built and memory does not grow with `count` beyond the inputs.
+    No kernel mixes points, so the deviations are those of one batch;
+    only the guards inside the kernels (dual-route, realness, finiteness)
+    judge each block against that block's own magnitudes.  The flow
+    checks integrate short probe trajectories (the scenario's initial
+    point if given).
     """
     rng = np.random.default_rng(seed)
-    n = sys.n
-    results: list[InvariantResult] = []
+    inp = _draw(rng, sys.n, count)
+    worst: dict[str, tuple[float, float]] = {}   # in report order
 
     def add(name: str, dev: float, tol: float):
-        results.append(InvariantResult(name, float(dev), tol))
+        dev = float(dev)
+        if name in worst:
+            dev = _worst(worst[name][0], dev)
+        worst[name] = dev, tol
 
-    Q, P = random_points(rng, n, count)
-    f = random_polynomial(rng, n, complex_ok=True)
-    g = random_polynomial(rng, n, complex_ok=True)
-    freal = random_polynomial(rng, n, complex_ok=False)
-    _first_order_checks(add, sys, rng, Q, P, f, g, freal)
-
-    # second-order identities need order-2 jets
-    fj2, Hj2, sj2 = (eval_jet(field, Q, P, order=2)
-                     for field in (f, sys.hamiltonian, sys.structural))
-
-    add("dynamics.beta_realness", _amax(beta_jets(Hj2, sj2).imag), 1e-10)
-
-    acc = acceleration_jets(fj2, Hj2, sj2)
-    oracle = _acceleration_operator_route(fj2, Hj2, sj2)
-    add("dynamics.acceleration_consistency", _amax(acc - oracle), 1e-8)
+    for block in np.array_split(np.arange(count), math.ceil(count / BLOCK)):
+        cols = slice(block[0], block[-1] + 1)
+        _first_order_checks(add, sys, inp, cols)
+        _second_order_checks(add, sys, inp, cols)
+    results = [InvariantResult(name, dev, tol) for name, (dev, tol) in worst.items()]
 
     # bridge: both engines at the suite's first (up to 200) points
-    pts = [PhasePoint(Q[:, k], P[:, k]) for k in range(min(count, 200))]
-    rep = bridge.cross_check(f, g, sys, pts)
-    add("bridge.cross_engine", rep.max_dev, 1e-10)
+    pts = [PhasePoint(inp.Q[:, k], inp.P[:, k]) for k in range(min(count, 200))]
+    rep = bridge.cross_check(inp.f, inp.g, sys, pts)
+    results.append(InvariantResult("bridge.cross_engine", rep.max_dev, 1e-10))
 
     if include_flow_checks:
-        results.extend(_flow_checks(sys, initial, freal))
+        results.extend(_flow_checks(sys, initial, inp.freal))
 
     return results
 
 
-def _first_order_checks(add, sys: StructuredSystem, rng: np.random.Generator,
-                        Q: np.ndarray, P: np.ndarray, f: ScalarField,
-                        g: ScalarField, freal: ScalarField):
-    """The identities between order-1 jets, each passed to add."""
-    n, count = sys.n, Q.shape[1]
-    a, b = (float(v) for v in rng.uniform(-1.0, 1.0, size=2))
+def _first_order_checks(add, sys: StructuredSystem, inp: _Inputs, cols: slice):
+    """The identities between order-1 jets at the points cols, each
+    passed to add."""
+    n = sys.n
+    Q, P, dq, dp = inp.Q[:, cols], inp.P[:, cols], inp.dq[cols], inp.dp[cols]
+    a, b = inp.a, inp.b
 
     def jets(field, order=1):
         return eval_jet(field, Q, P, order=order)
 
-    fj, gj = jets(f), jets(g)
+    fj, gj = jets(inp.f), jets(inp.g)
     Hj, sj = jets(sys.hamiltonian), jets(sys.structural)
 
     # phasespace: chart round trip and the Wirtinger inversion pair
     Z = Q + 1j * P
-    add("phasespace.roundtrip", max(_amax(Z.real - Q), _amax(Z.imag - P)), 0.0)
+    add("phasespace.roundtrip", _worst(_amax(Z.real - Q), _amax(Z.imag - P)), 0.0)
 
-    dq = rng.uniform(-1, 1, size=count) + 1j * rng.uniform(-1, 1, size=count)
-    dp = rng.uniform(-1, 1, size=count) + 1j * rng.uniform(-1, 1, size=count)
     back_q, back_p = real_from_wirtinger(*wirtinger_from_real(dq, dp))
     add("phasespace.wirtinger_inverse",
-        max(_amax(back_q - dq), _amax(back_p - dp)), 1e-14)
+        _worst(_amax(back_q - dq), _amax(back_p - dp)), 1e-14)
 
-    frj = jets(freal)
+    frj = jets(inp.freal)
     rz, rzb = frj.wirtinger
     add("phasespace.conjugation", _amax(rzb - np.conj(rz)), 1e-14)
 
     # fields: linearity, realness, print round trip
-    lin = linear_combination(a, f, b, g)
-    lj = jets(lin)
+    lj = jets(inp.lin)
     add("fields.linearity",
-        max(_amax(lj.val - (a * fj.val + b * gj.val)),
-            _amax(lj.grad - (a * fj.grad + b * gj.grad))), 1e-14)
+        _worst(_amax(lj.val - (a * fj.val + b * gj.val)),
+               _amax(lj.grad - (a * fj.grad + b * gj.grad))), 1e-14)
 
     add("fields.realness", _amax(frj.val.imag), 1e-14)
 
-    reparsed = parse_field(str(f), n)
-    add("fields.print_roundtrip", _amax(jets(reparsed, order=0).val - fj.val), 1e-14)
+    add("fields.print_roundtrip",
+        _amax(jets(inp.reparsed, order=0).val - fj.val), 1e-14)
 
     # brackets
     add("brackets.antisymmetry",
         _amax(gspb_jets(fj, gj, sj) + gspb_jets(gj, fj, sj)), 1e-12)
 
-    combo = jets(linear_combination(a, f, b, freal))
+    combo = jets(inp.combo)
     add("brackets.bilinearity",
         _amax(gspb_jets(combo, gj, sj)
               - (a * gspb_jets(fj, gj, sj) + b * gspb_jets(frj, gj, sj))),
         1e-12)
 
-    zero_j = jets(parse_field("0", n))
+    zero_j = jets(inp.zero)
     add("brackets.classical_reduction",
         _amax(gspb_jets(fj, gj, zero_j) - pb_complex_jets(fj, gj)), 0.0)
 
     add("brackets.real_complex_agreement",
         _amax(pb_complex_jets(fj, gj) - pb_real_jets(fj, gj)), 1e-10)
 
-    zj = [jets(parse_field(f"z{j}", n)) for j in range(1, n + 1)]
-    zbj = [jets(parse_field(f"conj(z{j})", n)) for j in range(1, n + 1)]
+    zj = [jets(field) for field in inp.z]
+    zbj = [jets(field) for field in inp.zbar]
     sz, szb = sj.wirtinger
 
-    dev = max(_amax(pb_complex_jets(zj[j], zbj[j]) + 2j) for j in range(n))
+    dev = 0.0
+    for j in range(n):
+        dev = _worst(dev, _amax(pb_complex_jets(zj[j], zbj[j]) + 2j))
     add("brackets.coordinate_pb", dev, 0.0)
 
     dev = 0.0
     for j in range(n):
         want = -2j * (1.0 + zj[j].val * sz[j] + zbj[j].val * szb[j])
-        dev = max(dev, _amax(gspb_jets(zj[j], zbj[j], sj) - want))
+        dev = _worst(dev, _amax(gspb_jets(zj[j], zbj[j], sj) - want))
     add("brackets.coordinate_gspb", dev, 1e-12)
 
-    dev = max(max(_amax(gspb_jets(zj[j], zj[j], sj)),
-                  _amax(gspb_jets(zbj[j], zbj[j], sj))) for j in range(n))
+    dev = 0.0
+    for j in range(n):
+        dev = _worst(dev, _amax(gspb_jets(zj[j], zj[j], sj)))
+        dev = _worst(dev, _amax(gspb_jets(zbj[j], zbj[j], sj)))
     add("brackets.coordinate_self", dev, 1e-12)
 
     dev = 0.0
     for j in range(n):
-        dev = max(dev, _amax(2j * szb[j] - pb_complex_jets(sj, zj[j])))
-        dev = max(dev, _amax(-2j * sz[j] - pb_complex_jets(sj, zbj[j])))
+        dev = _worst(dev, _amax(2j * szb[j] - pb_complex_jets(sj, zj[j])))
+        dev = _worst(dev, _amax(-2j * sz[j] - pb_complex_jets(sj, zbj[j])))
     add("brackets.geometrio", dev, 1e-12)
 
     # dynamics
@@ -286,6 +337,19 @@ def _first_order_checks(add, sys: StructuredSystem, rng: np.random.Generator,
         _amax((zbardot * szb + zdot * sz).sum(axis=0) - w), 1e-10)
 
     add("dynamics.w_realness", _amax(pb_complex_jets(sj, Hj).imag), 1e-10)
+
+
+def _second_order_checks(add, sys: StructuredSystem, inp: _Inputs, cols: slice):
+    """The identities that need order-2 jets at the points cols."""
+    Q, P = inp.Q[:, cols], inp.P[:, cols]
+    fj2, Hj2, sj2 = (eval_jet(field, Q, P, order=2)
+                     for field in (inp.f, sys.hamiltonian, sys.structural))
+
+    add("dynamics.beta_realness", _amax(beta_jets(Hj2, sj2).imag), 1e-10)
+
+    acc = acceleration_jets(fj2, Hj2, sj2)
+    oracle = _acceleration_operator_route(fj2, Hj2, sj2)
+    add("dynamics.acceleration_consistency", _amax(acc - oracle), 1e-8)
 
 
 def _acceleration_operator_route(fj2, Hj2, sj2) -> np.ndarray:

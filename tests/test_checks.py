@@ -1,6 +1,11 @@
 """The seeded invariant suite: it passes, and it is deterministic."""
 
+import math
+import tracemalloc
+from collections import Counter
+
 import numpy as np
+import pytest
 
 from gchs import PhasePoint, StructuredSystem, parse_field, run_invariant_suite
 from gchs import bridge, checks, fields, integrate
@@ -87,6 +92,95 @@ def test_suite_computes_the_flow_gradient_once(flow_builds):
     sys = random_system(np.random.default_rng(11), 2, max_degree=3)
     run_invariant_suite(sys, 42, 40, include_flow_checks=False)
     assert len(flow_builds) == 1
+
+
+def test_suite_computes_the_flow_gradient_once_per_block(flow_builds, monkeypatch):
+    # each block's order-2 jet of H keeps its own flow gradient
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    sys = random_system(np.random.default_rng(11), 2, max_degree=3)
+    run_invariant_suite(sys, 42, 40, include_flow_checks=False)
+    assert len(flow_builds) == 6   # ceil(40 / 7) blocks
+
+
+def test_suite_builds_each_code_once_per_call(monkeypatch):
+    # the fixed fields (two linear combinations, the reparsed f, 0, z_j
+    # and conj(z_j)) are built before the blocks, so no block generates
+    # code a block before it already has
+    builds = []
+    code = fields._Code
+
+    def counted(f, order, kind):
+        builds.append((str(f), order, kind))
+        return code(f, order, kind)
+
+    fields._parsed.cache_clear()   # so the store holds no code yet
+    monkeypatch.setattr(fields, "_Code", counted)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    sys = random_system(np.random.default_rng(11), 3, max_degree=3)
+    run_invariant_suite(sys, 42, 50, include_flow_checks=False)
+    texts = {text for text, _, _ in builds}
+    assert {"0.0", "z1", "z3", "conj(z1)", "conj(z3)"} <= texts
+    assert max(Counter(builds).values()) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("count", [8, 7 * 7 + 1])
+def test_blocked_suite_equals_one_block(monkeypatch, n, count):
+    # every invariant is a maximum over points and no kernel mixes
+    # points, so blocks of 7 give the bits of one block of all points
+    def suite(block):
+        monkeypatch.setattr(checks, "BLOCK", block)
+        sys = random_system(np.random.default_rng(n), n)
+        return [(r.name, r.max_dev.hex(), r.tol.hex()) for r in
+                run_invariant_suite(sys, 17, count, include_flow_checks=False)]
+
+    assert suite(7) == suite(count)
+
+
+def test_worst_keeps_a_nan_on_either_side():
+    assert checks._worst(1.0, 2.0) == checks._worst(2.0, 1.0) == 2.0
+    assert math.isnan(checks._worst(math.nan, 1.0))
+    assert math.isnan(checks._worst(1.0, math.nan))
+
+
+@pytest.mark.parametrize("call, side", [(2, 0), (1, 1)],
+                         ids=["second_block", "later_term"])
+def test_a_nan_fails_its_invariant_in_any_block_or_term(structured, monkeypatch,
+                                                        call, side):
+    # max(0.0, nan) is 0.0: a NaN arriving after the first term of a
+    # merge, or in a block after the first, must still fail
+    calls = []
+    inverse = checks.real_from_wirtinger
+
+    def poisoned(dz, dzbar):
+        calls.append(dz.shape)
+        back = list(inverse(dz, dzbar))
+        if len(calls) == call:
+            back[side] = np.full_like(back[side], np.nan)
+        return tuple(back)
+
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    monkeypatch.setattr(checks, "real_from_wirtinger", poisoned)
+    results = run_invariant_suite(structured, 42, 20, include_flow_checks=False)
+    [result] = [r for r in results if r.name == "phasespace.wirtinger_inverse"]
+    assert calls == [(7,), (7,), (6,)]
+    assert math.isnan(result.max_dev) and not result.passed
+    assert all(r.passed for r in results if r is not result)
+
+
+def test_suite_memory_does_not_grow_with_count():
+    # beyond the O(n * count) inputs, the suite holds one block's jets
+    sys = random_system(np.random.default_rng(5), 3)
+    run_invariant_suite(sys, 42, 100, include_flow_checks=False)
+    peaks = []
+    for count in (checks.BLOCK, 8 * checks.BLOCK):
+        tracemalloc.start()
+        try:
+            run_invariant_suite(sys, 42, count, include_flow_checks=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], [f"{b / 2 ** 20:.1f} MiB" for b in peaks]
 
 
 def test_suite_covers_every_module(structured):

@@ -38,6 +38,12 @@ def _amax(x: np.ndarray) -> float:
     return float(np.abs(x).max()) if x.size else 0.0
 
 
+def _worst(a: float, b: float) -> float:
+    """The larger of two deviations, NaN where either is NaN (max() keeps
+    a NaN only as its first argument)."""
+    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
+
+
 def _exceeds(dev: float, tol: float, what: str, *mags: float) -> bool:
     """Whether dev exceeds tol * max(1, *mags).
 

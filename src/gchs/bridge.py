@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .brackets import (StructuredSystem, _real_part, _time_free, gspb_jets,
-                       pb_real_jets)
+from .brackets import (StructuredSystem, _amax, _real_part, _time_free,
+                       _worst, gspb_jets, pb_real_jets)
 from .dynamics import CovariantRate, total_rate_jets
 from .fields import ScalarField, eval_jet, point_jets
 from .phasespace import PhasePoint
@@ -61,7 +61,7 @@ class CrossCheckReport:
 
     @property
     def max_dev(self) -> float:
-        return max(self.max_gspb_dev, self.max_rate_dev, self.max_w_dev)
+        return _worst(_worst(self.max_gspb_dev, self.max_rate_dev), self.max_w_dev)
 
 
 def cross_check(f: ScalarField, g: ScalarField, sys: StructuredSystem,
@@ -85,7 +85,7 @@ def cross_check(f: ScalarField, g: ScalarField, sys: StructuredSystem,
 
     return CrossCheckReport(
         points=len(pts),
-        max_gspb_dev=float(np.max(np.abs(gspb_c - gspb_r))),
-        max_rate_dev=float(np.max(np.abs(total_c - total_r))),
-        max_w_dev=float(np.max(np.abs(w_c - w_r))),
+        max_gspb_dev=_amax(gspb_c - gspb_r),
+        max_rate_dev=_amax(total_c - total_r),
+        max_w_dev=_amax(w_c - w_r),
     )

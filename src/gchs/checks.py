@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bridge
-from .brackets import (StructuredSystem, _amax, gspb_jets, pb_complex_jets,
-                       pb_real_jets, structural_derivative_jets)
+from .brackets import (StructuredSystem, _amax, _worst, gspb_jets,
+                       pb_complex_jets, pb_real_jets, structural_derivative_jets)
 from .dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
                        tghs_zbardot_jets, tghs_zdot_jets, total_rate_jets)
 from .fields import ScalarField, eval_jet, linear_combination, parse_field
@@ -144,12 +144,6 @@ def random_system(rng: np.random.Generator, n: int,
 BLOCK = 2048
 
 
-def _worst(a: float, b: float) -> float:
-    """The larger of two deviations, NaN where either is NaN (max() keeps
-    a NaN only as its first argument)."""
-    return math.nan if math.isnan(a) or math.isnan(b) else max(a, b)
-
-
 @dataclass(frozen=True, eq=False)
 class _Inputs:
     """The suite's seeded draws over all points, and the fields built
@@ -206,8 +200,13 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     only the guards inside the kernels (dual-route, realness, finiteness)
     judge each block against that block's own magnitudes.  The flow
     checks integrate short probe trajectories (the scenario's initial
-    point if given).
+    point if given); the probe field is the run's one observable, so its
+    values, its residual {f,H}_s and w come from the monitor pass that
+    `gchs run` uses.  Every invariant is reported through one add, in
+    order of first report.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     inp = _draw(rng, sys.n, count)
     worst: dict[str, tuple[float, float]] = {}   # in report order
@@ -222,17 +221,15 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
         cols = slice(block[0], block[-1] + 1)
         _first_order_checks(add, sys, inp, cols)
         _second_order_checks(add, sys, inp, cols)
-    results = [InvariantResult(name, dev, tol) for name, (dev, tol) in worst.items()]
 
     # bridge: both engines at the suite's first (up to 200) points
     pts = [PhasePoint(inp.Q[:, k], inp.P[:, k]) for k in range(min(count, 200))]
-    rep = bridge.cross_check(inp.f, inp.g, sys, pts)
-    results.append(InvariantResult("bridge.cross_engine", rep.max_dev, 1e-10))
+    add("bridge.cross_engine", bridge.cross_check(inp.f, inp.g, sys, pts).max_dev, 1e-10)
 
     if include_flow_checks:
-        results.extend(_flow_checks(sys, initial, inp.freal))
+        _flow_checks(add, sys, initial, inp.freal)
 
-    return results
+    return [InvariantResult(name, dev, tol) for name, (dev, tol) in worst.items()]
 
 
 def _first_order_checks(add, sys: StructuredSystem, inp: _Inputs, cols: slice):
@@ -272,21 +269,20 @@ def _first_order_checks(add, sys: StructuredSystem, inp: _Inputs, cols: slice):
         _amax(jets(inp.reparsed, order=0).val - fj.val), 1e-14)
 
     # brackets
-    add("brackets.antisymmetry",
-        _amax(gspb_jets(fj, gj, sj) + gspb_jets(gj, fj, sj)), 1e-12)
+    gspb_fg = gspb_jets(fj, gj, sj)
+    add("brackets.antisymmetry", _amax(gspb_fg + gspb_jets(gj, fj, sj)), 1e-12)
 
     combo = jets(inp.combo)
     add("brackets.bilinearity",
         _amax(gspb_jets(combo, gj, sj)
-              - (a * gspb_jets(fj, gj, sj) + b * gspb_jets(frj, gj, sj))),
+              - (a * gspb_fg + b * gspb_jets(frj, gj, sj))),
         1e-12)
 
+    pb_fg = pb_complex_jets(fj, gj)
     zero_j = jets(inp.zero)
-    add("brackets.classical_reduction",
-        _amax(gspb_jets(fj, gj, zero_j) - pb_complex_jets(fj, gj)), 0.0)
+    add("brackets.classical_reduction", _amax(gspb_jets(fj, gj, zero_j) - pb_fg), 0.0)
 
-    add("brackets.real_complex_agreement",
-        _amax(pb_complex_jets(fj, gj) - pb_real_jets(fj, gj)), 1e-10)
+    add("brackets.real_complex_agreement", _amax(pb_fg - pb_real_jets(fj, gj)), 1e-10)
 
     zj = [jets(field) for field in inp.z]
     zbj = [jets(field) for field in inp.zbar]
@@ -372,11 +368,15 @@ def _acceleration_operator_route(fj2, Hj2, sj2) -> np.ndarray:
     return (V * g_grad).sum(axis=0) + g_val * w
 
 
-def _flow_checks(sys: StructuredSystem, initial: PhasePoint | None,
-                 probe: ScalarField) -> list[InvariantResult]:
-    """Short integration runs: stepper order and along-flow consistency."""
-    results = []
+def _flow_checks(add, sys: StructuredSystem, initial: PhasePoint | None,
+                 probe: ScalarField):
+    """Short integration runs, each invariant passed to add: stepper order
+    and along-flow consistency.
 
+    The probe run marches with the probe field as its one observable, so
+    the monitor pass of `gchs run` evaluates H, s and the probe once over
+    its samples: the probe's values f, its residual {f,H}_s = Df/dt and
+    w = {s,H}.  The thorough rate df/dt is then Df/dt - f w."""
     # fixed-step order check on the classical oscillator, against the
     # closed-form solution z(t) = z0 exp(-i t)
     osc = StructuredSystem(1, parse_field("(q1^2 + p1^2) / 2", 1),
@@ -388,36 +388,25 @@ def _flow_checks(sys: StructuredSystem, initial: PhasePoint | None,
         traj = integrate_tghs(osc, z0, cfg)
         z_end = traj.complex_states()[-1, 0]
         errs.append(abs(z_end - np.exp(-1j * traj.times[-1])))
-    ratio = errs[0] / errs[1]
-    results.append(InvariantResult("integrate.rk4_order", abs(ratio - 16.0), 4.0))
+    add("integrate.rk4_order", abs(errs[0] / errs[1] - 16.0), 4.0)
 
     n = sys.n
     pt0 = initial if initial is not None else PhasePoint(
         np.full(n, 0.3), np.full(n, 0.2))
     cfg = StepperConfig(method="rk4", step=1e-3, t_end=0.5, stride=1)
-    traj = integrate_tghs(sys, pt0, cfg)
+    traj = integrate_tghs(sys, pt0, cfg, observables={"probe": probe})
 
-    t = traj.times
-    Q = traj.states[:, :n].T
-    P = traj.states[:, n:].T
-    fj = eval_jet(probe, Q, P, order=1)
-    vals = fj.val
-    Hj = eval_jet(sys.hamiltonian, Q, P, order=1)
-    sj = eval_jet(sys.structural, Q, P, order=1)
-    th, w, total = total_rate_jets(fj, Hj, sj)
+    t, vals, w = traj.times, traj.observables["probe"], traj.sdyn
+    total = traj.residuals["probe"]
+    th = total - vals * w
 
     cdiff = (vals[2:] - vals[:-2]) / (t[2:] - t[:-2])
-    results.append(InvariantResult(
-        "integrate.trajectory_fd", _amax(cdiff - th[1:-1]), 1e-4))
-    results.append(InvariantResult(
-        "integrate.covariant_fd",
-        _amax((cdiff + vals[1:-1] * w[1:-1]) - total[1:-1]), 1e-4))
+    add("integrate.trajectory_fd", _amax(cdiff - th[1:-1]), 1e-4)
+    add("integrate.covariant_fd",
+        _amax((cdiff + vals[1:-1] * w[1:-1]) - total[1:-1]), 1e-4)
 
     rep = monitor_report(traj)
-    dev = rep.decay_law_max_dev if rep.decay_law_max_dev is not None else 0.0
-    results.append(InvariantResult("integrate.decay_law", dev, 1e-6))
-    results.append(InvariantResult(
-        "integrate.conjugate_pairing_flow",
-        0.0 if rep.max_conj_violation is None else rep.max_conj_violation, 1e-12))
-
-    return results
+    add("integrate.decay_law",
+        0.0 if rep.decay_law_max_dev is None else rep.decay_law_max_dev, 1e-6)
+    add("integrate.conjugate_pairing_flow",
+        0.0 if rep.max_conj_violation is None else rep.max_conj_violation, 1e-12)

@@ -11,7 +11,8 @@ import numpy as np
 from gchs import (PhasePoint, StepperConfig, StructuredSystem, cross_check,
                   integrate_equilibrium, integrate_tghs, monitor_report,
                   parse_field)
-from gchs.brackets import gspb_jets, pb_complex_jets, pb_real_jets, sdyn_jets
+from gchs.brackets import (_worst, gspb_jets, pb_complex_jets, pb_real_jets,
+                           sdyn_jets)
 from gchs.checks import (_acceleration_operator_route, random_points,
                          random_polynomial, random_smooth_field)
 from gchs.dynamics import acceleration_jets, total_rate_jets
@@ -45,10 +46,10 @@ def test_1_classical_reduction():
         fj, gj, Hj = (eval_jet(x, Q, P, order=1) for x in (f, g, H))
         zj = eval_jet(constant_field(0.0, n), Q, P, order=1)
 
-        dev = max(dev, amax(gspb_jets(fj, gj, zj) - pb_complex_jets(fj, gj)))
+        dev = _worst(dev, amax(gspb_jets(fj, gj, zj) - pb_complex_jets(fj, gj)))
         _, w, total = total_rate_jets(fj, Hj, zj)
-        dev = max(dev, amax(total - pb_complex_jets(fj, Hj)))
-        dev = max(dev, amax(w))
+        dev = _worst(dev, amax(total - pb_complex_jets(fj, Hj)))
+        dev = _worst(dev, amax(w))
     verdict(1, "classical reduction at s=0 (n=1,2,3)", dev, 1e-12)
 
 
@@ -68,7 +69,7 @@ def test_2_real_complex_compatibility():
 
     pts = [PhasePoint(Q[:, k], P[:, k]) for k in range(Q.shape[1])]
     rep = cross_check(f, g, sys, pts)
-    dev = max(dev, rep.max_dev)
+    dev = _worst(dev, rep.max_dev)
     verdict(2, "real/complex engine agreement", dev, 1e-10)
 
 
@@ -87,11 +88,11 @@ def test_3_coordinate_brackets():
         zf = coordinate_field("z", j, n)
         zj = eval_jet(zf, Q, P, order=1)
         zbj = eval_jet(conjugate_field(zf), Q, P, order=1)
-        exact = max(exact, amax(pb_complex_jets(zj, zbj) + 2j))
+        exact = _worst(exact, amax(pb_complex_jets(zj, zbj) + 2j))
         want = -2j * (1.0 + zj.val * sz[j - 1] + zbj.val * szb[j - 1])
-        dev = max(dev, amax(gspb_jets(zj, zbj, sj) - want))
-        dev = max(dev, amax(gspb_jets(zj, zj, sj)))
-        dev = max(dev, amax(gspb_jets(zbj, zbj, sj)))
+        dev = _worst(dev, amax(gspb_jets(zj, zbj, sj) - want))
+        dev = _worst(dev, amax(gspb_jets(zj, zj, sj)))
+        dev = _worst(dev, amax(gspb_jets(zbj, zbj, sj)))
     assert exact == 0.0, f"{{z, zbar}} deviated from -2i by {exact:.3e}"
     verdict(3, "coordinate brackets ({z,zbar} exact)", dev, 1e-12)
 
@@ -112,8 +113,8 @@ def test_4_decomposition_and_conservation():
     w = sdyn_jets(Hj, sj)
     _, _, total = total_rate_jets(fj, Hj, sj)
     dev = amax(gspb_jets(fj, Hj, sj) - total)
-    dev = max(dev, amax(gspb_jets(Hj, Hj, sj)))
-    dev = max(dev, amax(gspb_jets(sj, Hj, sj) - (1.0 + sj.val) * w))
+    dev = _worst(dev, amax(gspb_jets(Hj, Hj, sj)))
+    dev = _worst(dev, amax(gspb_jets(sj, Hj, sj) - (1.0 + sj.val) * w))
     verdict(4, "rate decomposition and conservation", dev, 1e-10)
 
 
@@ -176,7 +177,7 @@ def test_7_acceleration_identity():
     Hosc = eval_jet(parse_field("(q1^2 + p1^2) / 2", 1), Q1, P1, order=2)
     zj2 = eval_jet(constant_field(0.0, 1), Q1, P1, order=2)
     classical = amax(acceleration_jets(qj2, Hosc, zj2) + Q1[0])
-    dev = max(dev, classical)
+    dev = _worst(dev, classical)
     verdict(7, "second covariant rate identity", dev, 1e-8)
 
 
@@ -192,10 +193,10 @@ def test_8_derivatives_match_finite_differences():
         jet = eval_jet(f, Q, P, order=2)
         fd1 = fd_first(f, Q, P, h=1e-5)
         rel1 = np.abs(jet.grad - fd1) / np.maximum(1.0, np.abs(fd1))
-        first_dev = max(first_dev, float(rel1.max()))
+        first_dev = _worst(first_dev, float(rel1.max()))
         fd2 = fd_second(f, Q, P, h=1e-4)
         rel2 = np.abs(jet.hess - fd2) / np.maximum(1.0, np.abs(fd2))
-        second_dev = max(second_dev, float(rel2.max()))
+        second_dev = _worst(second_dev, float(rel2.max()))
     assert first_dev < 1e-6, f"first partials vs differences: {first_dev:.3e}"
     verdict(8, f"derivatives vs finite differences (first {first_dev:.1e})",
             second_dev, 1e-4)

@@ -1,10 +1,12 @@
 """Agreement between the complex-chart engine and the real-partial engine."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gchs import (PhasePoint, cross_check, gchs_rate, gchs_real_rate, gspb,
-                  gspb_real, parse_field)
+from gchs import (CrossCheckReport, PhasePoint, cross_check, gchs_rate,
+                  gchs_real_rate, gspb, gspb_real, parse_field)
 
 
 def random_points(rng, n, count):
@@ -57,3 +59,11 @@ def test_cross_check_needs_points(structured):
     f = parse_field("q1", 1)
     with pytest.raises(ValueError):
         cross_check(f, f, structured, [])
+
+
+@pytest.mark.parametrize("field", ["max_gspb_dev", "max_rate_dev", "max_w_dev"])
+def test_cross_check_report_keeps_a_nan_in_any_field(field):
+    # max() keeps a NaN only as its first argument
+    devs = dict(max_gspb_dev=0.0, max_rate_dev=0.0, max_w_dev=0.0)
+    devs[field] = math.nan
+    assert math.isnan(CrossCheckReport(1, **devs).max_dev)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gchs import PhasePoint, StructuredSystem, parse_field, run_invariant_suite
-from gchs import bridge, checks, fields, integrate
+from gchs import brackets, bridge, checks, fields, integrate
 from gchs.checks import (random_points, random_polynomial, random_smooth_field,
                          random_system)
 from gchs.fields import eval_jet
@@ -59,8 +59,9 @@ def test_suite_splits_each_order_1_jet_at_most_once(structured, wirtinger_splits
 
 
 def test_suite_evaluates_the_flow_probe_once(structured, monkeypatch):
-    # the probe run marches with no observable, so only the flow checks
-    # evaluate the probe's order-1 jets over its samples
+    # the probe is the probe run's one observable, so the run's monitor
+    # pass alone evaluates the order-1 jets of the probe, H and s over
+    # its samples, and the flow checks read them from the run
     calls, probes, runs = [], [], []
     eval_jet, flow_checks, integrate_tghs = (fields.eval_jet, checks._flow_checks,
                                              checks.integrate_tghs)
@@ -69,9 +70,9 @@ def test_suite_evaluates_the_flow_probe_once(structured, monkeypatch):
         calls.append((f, order, Q.shape[1]))
         return eval_jet(f, Q, P, order=order, time=time)
 
-    def recorded_flow_checks(sys, initial, probe):
+    def recorded_flow_checks(add, sys, initial, probe):
         probes.append(probe)
-        return flow_checks(sys, initial, probe)
+        return flow_checks(add, sys, initial, probe)
 
     def recorded_run(*args, **kwargs):
         runs.append(integrate_tghs(*args, **kwargs))
@@ -83,7 +84,19 @@ def test_suite_evaluates_the_flow_probe_once(structured, monkeypatch):
     monkeypatch.setattr(checks, "integrate_tghs", recorded_run)
     run_invariant_suite(structured, 42, 20, initial=PhasePoint([0.5], [0.5]))
     [probe], samples = probes, runs[-1].samples
-    assert calls.count((probe, 1, samples)) == 1
+    assert samples == 501
+    for field in (probe, structured.hamiltonian, structured.structural):
+        assert calls.count((field, 1, samples)) == 1, field
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_suite_refuses_a_count_below_one(structured, monkeypatch, count):
+    # named before anything is drawn, not as a numpy error from the draws
+    draws = []
+    monkeypatch.setattr(checks, "_draw", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match=rf"^count must be at least 1, got {count}$"):
+        run_invariant_suite(structured, 42, count)
+    assert draws == []
 
 
 def test_suite_computes_the_flow_gradient_once(flow_builds):
@@ -138,6 +151,7 @@ def test_blocked_suite_equals_one_block(monkeypatch, n, count):
 
 
 def test_worst_keeps_a_nan_on_either_side():
+    assert checks._worst is brackets._worst
     assert checks._worst(1.0, 2.0) == checks._worst(2.0, 1.0) == 2.0
     assert math.isnan(checks._worst(math.nan, 1.0))
     assert math.isnan(checks._worst(1.0, math.nan))

@@ -1,11 +1,13 @@
 """Static checks over the package's own source files."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gchs"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gchs"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -28,3 +30,16 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 def test_every_imported_name_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unread_imports(tree) == []
+
+
+def test_every_traced_function_exists():
+    # the benchmark's tracer wraps these by name; a renamed one would
+    # leave its layer unmeasured
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{name}" for mod, names in tracer.TARGETS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(mod), name, None))]
+    assert missing == []

@@ -14,6 +14,7 @@ parser, which keeps the generator honest about the public grammar.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,6 +206,8 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     `gchs run` uses.  Every invariant is reported through one add, in
     order of first report.
     """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise TypeError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -408,5 +411,3 @@ def _flow_checks(add, sys: StructuredSystem, initial: PhasePoint | None,
     rep = monitor_report(traj)
     add("integrate.decay_law",
         0.0 if rep.decay_law_max_dev is None else rep.decay_law_max_dev, 1e-6)
-    add("integrate.conjugate_pairing_flow",
-        0.0 if rep.max_conj_violation is None else rep.max_conj_violation, 1e-12)

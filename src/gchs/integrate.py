@@ -3,10 +3,11 @@
 All integration happens on the flat real state x = (q1..qn, p1..pn);
 the complex chart is only a view.  Two steppers are provided: a fixed
 step classic RK4 and an embedded Dormand-Prince 5(4) pair with a PI
-step-size controller.  Monitors (energy, structural rate w, observable
-values and covariant residuals) are evaluated on the recorded samples
-in one batched pass after stepping, which is equivalent to recording
-them during the run since every monitor is a state function.
+step-size controller.  Monitors (energy, structural rate w, the
+residual {H,H}_s, observable values and their covariant residuals) are
+evaluated on the recorded samples in one batched pass after stepping,
+which is equivalent to recording them during the run since every
+monitor is a state function.
 
 Every right-hand side takes t and a sequence of 2n floats and returns
 2n floats.  Both steppers march on floats in one loop (_march), which
@@ -35,8 +36,7 @@ from itertools import chain
 import numpy as np
 
 from .brackets import StructuredSystem, _real_part, gspb_jets, sdyn_jets
-from .dynamics import (real_velocity_jets, tghs_zbardot_jets, tghs_zdot_jets,
-                       velocity_kernel)
+from .dynamics import real_velocity_jets, velocity_kernel
 from .errors import BlowUpError, DomainError, RealnessError, StepUnderflowError
 from .fields import ScalarField, eval_jet
 from .phasespace import ComplexCoords, PhasePoint, from_complex
@@ -93,7 +93,6 @@ class Trajectory:
     energy: np.ndarray | None = None
     sdyn: np.ndarray | None = None
     hh_residual: np.ndarray | None = None
-    conj_violation: np.ndarray | None = None
     observables: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
     w0: float | None = None
@@ -393,10 +392,6 @@ def _attach_monitors(traj: Trajectory, sys: StructuredSystem | None,
     traj.sdyn = sdyn_jets(Hj, sj)
     traj.hh_residual = np.abs(gspb_jets(Hj, Hj, sj))
 
-    zdot = tghs_zdot_jets(Hj, sj)
-    zbardot = tghs_zbardot_jets(Hj, sj)
-    traj.conj_violation = np.max(np.abs(zbardot - np.conj(zdot)), axis=0)
-
     for name, f in observables.items():
         fj = eval_jet(f, Q, P, order=1)
         traj.observables[name] = fj.val
@@ -412,14 +407,15 @@ def _cum_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MonitorReport:
-    """Aggregates of the per-sample monitors of one trajectory."""
+    """Aggregates of the per-sample monitors of one trajectory, and the
+    number of right-hand sides its march called."""
 
     flow: str
     samples: int
+    rhs_calls: int
     t_final: float
     max_hh_residual: float | None
     decay_law_max_dev: float | None
-    max_conj_violation: float | None
     energy_initial: float | None
     energy_final: float | None
     observables: dict[str, dict[str, float]]
@@ -464,12 +460,11 @@ def monitor_report(traj: Trajectory) -> MonitorReport:
     return MonitorReport(
         flow=traj.flow,
         samples=int(traj.times.size),
+        rhs_calls=traj.rhs_calls,
         t_final=_reported(traj.times[-1]),
         max_hh_residual=(None if traj.hh_residual is None
                          else _reported(np.max(traj.hh_residual))),
         decay_law_max_dev=_reported(decay),
-        max_conj_violation=(None if traj.conj_violation is None
-                            else _reported(np.max(traj.conj_violation))),
         energy_initial=None if traj.energy is None else _reported(traj.energy[0]),
         energy_final=None if traj.energy is None else _reported(traj.energy[-1]),
         observables=stats,

@@ -1,6 +1,7 @@
 """The seeded invariant suite: it passes, and it is deterministic."""
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -97,6 +98,21 @@ def test_suite_refuses_a_count_below_one(structured, monkeypatch, count):
     with pytest.raises(ValueError, match=rf"^count must be at least 1, got {count}$"):
         run_invariant_suite(structured, 42, count)
     assert draws == []
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3"])
+def test_suite_refuses_a_count_that_is_no_integer(structured, monkeypatch, count):
+    draws = []
+    monkeypatch.setattr(checks, "_draw", lambda *args: draws.append(args))
+    message = f"count must be an integer, got {count!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        run_invariant_suite(structured, 42, count)
+    assert draws == []
+
+
+def test_suite_takes_a_numpy_integer_count(structured):
+    results = run_invariant_suite(structured, 42, np.int64(3), include_flow_checks=False)
+    assert results == run_invariant_suite(structured, 42, 3, include_flow_checks=False)
 
 
 def test_suite_computes_the_flow_gradient_once(flow_builds):
@@ -198,11 +214,27 @@ def test_suite_memory_does_not_grow_with_count():
 
 
 def test_suite_covers_every_module(structured):
+    # the names in report order: adding, retiring or moving an invariant
+    # is a change to this list
     results = run_invariant_suite(structured, seed=1, count=20,
                                   initial=PhasePoint([0.5], [0.5]))
-    prefixes = {r.name.split(".")[0] for r in results}
-    assert {"phasespace", "fields", "brackets", "dynamics", "bridge",
-            "integrate"} <= prefixes
+    assert [r.name for r in results] == [
+        "phasespace.roundtrip", "phasespace.wirtinger_inverse",
+        "phasespace.conjugation",
+        "fields.linearity", "fields.realness", "fields.print_roundtrip",
+        "brackets.antisymmetry", "brackets.bilinearity",
+        "brackets.classical_reduction", "brackets.real_complex_agreement",
+        "brackets.coordinate_pb", "brackets.coordinate_gspb",
+        "brackets.coordinate_self", "brackets.geometrio",
+        "dynamics.decomposition", "dynamics.conservation",
+        "dynamics.velocity_identity", "dynamics.conjugate_pairing",
+        "dynamics.structural_rate", "dynamics.sdyn_chain_rule",
+        "dynamics.w_realness", "dynamics.beta_realness",
+        "dynamics.acceleration_consistency",
+        "bridge.cross_engine",
+        "integrate.rk4_order", "integrate.trajectory_fd",
+        "integrate.covariant_fd", "integrate.decay_law",
+    ]
 
 
 def test_random_polynomial_parses_and_repeats():

@@ -65,6 +65,18 @@ def test_run_structural_decay_summary(write_scenario):
     assert summary["decay_law_max_dev"] < 1e-6
 
 
+@pytest.mark.parametrize("name, rhs_calls", [
+    ("oscillator.json", 4 * 6284),   # 6283 steps of 1e-3, then the rest to 2 pi
+    ("structural.json", 4 * 2000),
+])
+def test_summary_counts_the_right_hand_sides(tmp_path, capsys, name, rhs_calls):
+    path = Path(shutil.copy(SCENARIOS / name, tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / f"{path.stem}_summary.json").read_text())
+    assert summary["rhs_calls"] == rhs_calls
+
+
 def test_run_is_deterministic(write_scenario, capsys):
     path = write_scenario(**OSC)
     digests = []

@@ -17,9 +17,10 @@ from gchs import (PhasePoint, StructuredSystem, beta, covariant_acceleration,
                   equilibrium_residual, evaluate, exponential_solution,
                   gchs_rate, gspb, parse_field, s_dynamics, thorough_rate,
                   tghs_velocity, tghs_velocity_pair)
-from gchs.checks import random_points, random_system
+from gchs.checks import (random_points, random_polynomial, random_smooth_field,
+                         random_system)
 from gchs.dynamics import (_flow_gradient, acceleration_jets, beta_jets,
-                           flow_gradient_jets)
+                           flow_gradient_jets, tghs_zbardot_jets, tghs_zdot_jets)
 from gchs.fields import eval_jet
 
 Z1 = parse_field("z1", 1)
@@ -54,6 +55,23 @@ def test_velocity_reference(structured, pt12):
 def test_velocity_conjugate_pair(structured, pt12):
     zdot, zbardot = tghs_velocity_pair(structured, pt12)
     assert zbardot[0] == pytest.approx(np.conj(zdot[0]), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("box", [1.0, 50.0])
+@pytest.mark.parametrize("count", [1, 300])
+def test_velocity_pair_is_exactly_conjugate(n, box, count):
+    # for real-form H and s the closed form of zbar-dot is the conjugate of
+    # that of z-dot bit for bit, up to the sign of a zero, at one point
+    # (float code) and over a batch
+    rng = np.random.default_rng(1000 * n + count + int(box))
+    Q, P = random_points(rng, n, count, box)
+    for make in (random_polynomial, random_smooth_field):
+        for _ in range(5):
+            Hj, sj = (eval_jet(make(rng, n), Q, P, order=1) for _ in range(2))
+            zdot = tghs_zdot_jets(Hj, sj)
+            assert zdot.shape == (n, count) and np.all(np.isfinite(zdot))
+            np.testing.assert_array_equal(tghs_zbardot_jets(Hj, sj), np.conj(zdot))
 
 
 def test_velocity_real_chart_form(structured, pt12):

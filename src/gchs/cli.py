@@ -7,9 +7,12 @@ Three subcommands:
     check    run the seeded invariant suite against a scenario's system
 
 Exit codes: 0 success, 1 input or parse error (messages name line and
-column where that applies) or a quantity that must be real came out
-complex, 2 runtime integration failure (blow-up or step underflow,
-message names t; a NaN or infinite state is a blow-up), 3 invariant
+column where that applies), a quantity that must be real came out
+complex, a file that cannot be read or written (the message names it),
+or outputs that clash (one file for two outputs, or an output that is a
+scenario file; run refuses them before any scenario runs), 2 runtime
+integration failure (blow-up or step underflow, message names t; a NaN
+or infinite state is a blow-up), 3 invariant
 failure from check, 4 a field left the domain of an operation (division
 by zero, log of zero, zero to a negative power) or a guarded quantity
 came out NaN or infinite.  For codes 1 and 4 the message names the
@@ -28,6 +31,7 @@ import functools
 import logging
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -135,10 +139,37 @@ def run_one_scenario(path) -> tuple[int, str]:
                    f"{traj.times[-1]:.6g} -> {sc.csv_path}, {sc.summary_path}")
     except _USER_ERRORS as e:
         return _exit_code(e), f"{path}: error: {e}"
+    except OSError as e:   # load_scenario reports a scenario it cannot read
+        return 1, f"{path}: error: cannot write {e.filename}: {e.strerror or e}"
+
+
+def _output_clash(paths) -> str | None:
+    """Why the scenarios of one run may not run together, or None: an
+    output that two of them write, or that is another's scenario file.
+    A scenario that does not load is left to its run to report."""
+    scenarios = {Path(p).resolve(): p for p in paths}
+    written = {}   # resolved output -> the scenario that writes it
+    for p in paths:
+        try:
+            sc = load_scenario(p)
+        except _USER_ERRORS:
+            continue
+        for out in (sc.csv_path, sc.summary_path):
+            key = out.resolve()
+            if key in scenarios:
+                return f"{p} writes {out}, the scenario file {scenarios[key]}"
+            if key in written:
+                return f"{written[key]} and {p} both write {out}"
+            written[key] = p
+    return None
 
 
 def cmd_run(args) -> int:
     paths = args.scenarios
+    clash = _output_clash(paths) if len(paths) > 1 else None
+    if clash:
+        print(f"error: {clash}", file=sys.stderr)
+        return 1
     # a fork pool starts all its workers at once: no more than there are files
     workers = min(args.jobs, len(paths))
     if workers > 1:

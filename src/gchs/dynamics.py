@@ -43,8 +43,7 @@ import numpy as np
 from .brackets import (StructuredSystem, _amax, _check_routes, _real_part,
                        _time_free, gspb_jets, pb_complex_jets, sdyn_jets,
                        structural_derivative_jets, unit_field)
-from .fields import (_Emitter, _NoFloatCode, ScalarField, _compiled, _read_only,
-                     point_jets)
+from .fields import _Emitter, _NoFloatCode, ScalarField, _compiled, _memoized, point_jets
 from .phasespace import ComplexCoords, PhasePoint
 
 log = logging.getLogger(__name__)
@@ -79,10 +78,12 @@ class EquilibriumReport:
 # batched cores: jets in, arrays out; n comes from the jets
 
 
+@_memoized
 def tghs_zdot_jets(Hj, sj) -> np.ndarray:
     return -2j * (Hj.wirtinger[1] + Hj.val * sj.wirtinger[1])
 
 
+@_memoized
 def tghs_zbardot_jets(Hj, sj) -> np.ndarray:
     return 2j * (Hj.wirtinger[0] + Hj.val * sj.wirtinger[0])
 
@@ -133,12 +134,12 @@ def thorough_jets(fj, Hj, sj) -> np.ndarray:
     zdot = tghs_zdot_jets(Hj, sj)
     zbardot = tghs_zbardot_jets(Hj, sj)
     fz, fzb = fj.wirtinger
-    chain = (zbardot * fzb + zdot * fz).sum(axis=0)
+    chain = np.add.reduce(zbardot * fzb + zdot * fz, 0)
 
     # bracket form of the same derivative
     bracket = pb_complex_jets(fj, Hj) - Hj.val * pb_complex_jets(sj, fj)
-    cancel = ((_amax(Hj.val) * _amax(sj.grad) + _amax(Hj.grad))
-              * _amax(fj.grad) * fj.n)
+    cancel = ((Hj.amax("val") * sj.amax("grad") + Hj.amax("grad"))
+              * fj.amax("grad") * fj.n)
     _check_routes(chain, bracket, "flow derivative", cancel)
     return chain
 
@@ -153,9 +154,9 @@ def total_rate_jets(fj, Hj, sj):
     zdot = tghs_zdot_jets(Hj, sj)
     zbardot = tghs_zbardot_jets(Hj, sj)
     Dfz, Dfzb = structural_derivative_jets(fj, sj)
-    alt = (zbardot * Dfzb + zdot * Dfz).sum(axis=0)
+    alt = np.add.reduce(zbardot * Dfzb + zdot * Dfz, 0)
 
-    cancel = _amax(zdot) * (_amax(fj.grad) + _amax(fj.val) * _amax(sj.grad)) * fj.n
+    cancel = _amax(zdot) * (fj.amax("grad") + fj.amax("val") * sj.amax("grad")) * fj.n
     _check_routes(total, alt, "covariant total rate", cancel)
     return th, w, total
 
@@ -166,24 +167,17 @@ def _J(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x[n:], -x[:n]], axis=0)
 
 
+@_memoized
 def flow_gradient_jets(Hj2, sj2):
     """Velocities V, their spatial Jacobian dV[a, b] = d V_a / d x_b,
     w = {s,H} and its real-coordinate gradient gw.
 
     Requires order-2 jets of H and s, whose symmetrized Hessians
     (Jet.sym_hess) are computed once per jet.  The four arrays are
-    computed once per pair of jets and kept on H's jet (Jet._flow) with
-    s's jet; a call with another s jet computes them again and keeps
-    those.  At one point the pair comes from point_jets' memo, so beta
-    and covariant_acceleration there compute them once in all.  Callers
+    computed once per pair of jets and kept on H's jet (fields._memoized).
+    At one point the pair comes from point_jets' memo, so beta and
+    covariant_acceleration there compute them once in all.  Callers
     share the arrays, which are read-only like the jets'."""
-    memo = Hj2._flow
-    if memo is None or memo[0] is not sj2:
-        memo = Hj2._flow = (sj2, _read_only(*_flow_gradient(Hj2, sj2)))
-    return memo[1]
-
-
-def _flow_gradient(Hj2, sj2):
     GH, Gs, Hval = Hj2.grad, sj2.grad, Hj2.val
     HH, Hs = Hj2.sym_hess, sj2.sym_hess
     M = HH + np.einsum("c...,b...->cb...", Gs, GH) + Hval * Hs
@@ -191,7 +185,7 @@ def _flow_gradient(Hj2, sj2):
     dV = _J(M)
     JGH = _J(GH)
     JGs = _J(Gs)
-    w = (Gs * JGH).sum(axis=0)
+    w = np.add.reduce(Gs * JGH, 0)
     gw = (np.einsum("ab...,b...->a...", Hs, JGH)
           - np.einsum("ab...,b...->a...", HH, JGs))
     return V, dV, w, gw
@@ -200,7 +194,7 @@ def _flow_gradient(Hj2, sj2):
 def beta_jets(Hj2, sj2) -> np.ndarray:
     """Acceleration coefficient dw/dt + w^2 along the flow."""
     V, _, w, gw = flow_gradient_jets(Hj2, sj2)
-    dwdt = (V * gw).sum(axis=0)
+    dwdt = np.add.reduce(V * gw, 0)
     return dwdt + w * w
 
 
@@ -210,9 +204,9 @@ def acceleration_jets(fj2, Hj2, sj2) -> np.ndarray:
     Gf = fj2.grad
     Hf = fj2.sym_hess
 
-    df = (V * Gf).sum(axis=0)
+    df = np.add.reduce(V * Gf, 0)
     adv = np.einsum("ab...,b...->a...", dV, V)
-    d2f = (adv * Gf).sum(axis=0) + np.einsum("a...,ab...,b...->...", V, Hf, V)
+    d2f = np.add.reduce(adv * Gf, 0) + np.einsum("a...,ab...,b...->...", V, Hf, V)
     return d2f + 2.0 * w * df + fj2.val * beta_jets(Hj2, sj2)
 
 

@@ -22,16 +22,18 @@ pairs are assembled from the real partials afterwards, once per jet
 
 Jets are computed by straight-line code generated and compiled once per
 parsed text (see parse_field), order and kind (see _Emitter, _Code):
-numpy calls on complex arrays ("array"), and for a real-form field, code
+numpy calls on complex arrays ("array"); for a real-form field, code
 that returns the same values on Python floats at a single point
-("float") and on float64 arrays over a batch ("batch").  Each code,
-dynamics' velocity kernel too, is one function from one compile step
-(_compiled), and float-valued code never raises: it returns a reason's
-index.
+("float") and on float64 arrays over a batch ("batch"); and for any
+other field, the array code's statements on the Python numbers of a
+single point ("point").  Each code, dynamics' velocity kernel too, is
+one function from one compile step (_compiled), and only array code
+raises: the others return a reason's index.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import operator
@@ -219,6 +221,11 @@ _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _GUARD_TERMS = 32
 
 
+#: the DomainError the array code raises where an operand has a zero
+_REFUSALS = {"divisor": "division by zero", "log_arg": "log of zero",
+             "power_base": "zero raised to a negative power"}
+
+
 def _refuse_zero(message: str):
     def check(x):
         if np.count_nonzero(x == 0):
@@ -240,11 +247,18 @@ def _real_of(fn):
     return lambda x: fn(x, dtype=complex).real.copy()
 
 
-_FLOAT_ERRORS = (OverflowError, ValueError, ZeroDivisionError)
+def _power(x, k: int):
+    # x ** k as the array code computes it: numpy turns the power of an
+    # array into its own loops (square for k = 2), unlike np.power on a scalar
+    return (np.array((x,), dtype=complex) ** k)[0]
+
+
+_FLOAT_ERRORS = (OverflowError, ValueError, ZeroDivisionError, FloatingPointError)
 
 # the names the code of each kind reads
 _NAMESPACES = {
-    # float_errors: what float-valued code catches, to return a reason's index
+    # float_errors: what the code of the kinds that never raise catches,
+    # to return a reason's index
     "float": {"sin": math.sin, "cos": math.cos, "exp": math.exp,
               "float_errors": _FLOAT_ERRORS},
     "batch": {"sin": _real_of(np.sin), "cos": _real_of(np.cos),
@@ -253,9 +267,12 @@ _NAMESPACES = {
     "array": {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "conj": np.conj, "outer": _outer, "complex": complex,
               "inf": math.inf, "nan": math.nan,
-              "divisor": _refuse_zero("division by zero"),
-              "log_arg": _refuse_zero("log of zero"),
-              "power_base": _refuse_zero("zero raised to a negative power")},
+              **{check: _refuse_zero(message) for check, message in _REFUSALS.items()}},
+    # the array code's numpy calls on Python scalars (see _point_line)
+    "point": {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+              "mul": np.multiply, "div": np.true_divide, "power": _power,
+              "complex": complex, "inf": math.inf, "nan": math.nan,
+              "float_errors": _FLOAT_ERRORS},
 }
 
 
@@ -296,7 +313,8 @@ class _Emitter:
         u(x)       d1 h_ij + d2 (g_i g_j),  with d1 = u'(x), d2 = u''(x)
 
     The statements (self.tape) are written for a kind of code, by rules
-    that depend only on whether the kind is float-valued:
+    that depend only on whether the kind is float-valued (float, batch),
+    except for the guards of point code:
 
     - "array" runs on complex (m,) arrays and makes numpy's calls of those
       formulas, entry by entry: a / b, v ** k, sin, cos, exp, log, conj,
@@ -325,12 +343,25 @@ class _Emitter:
       array code instead.  "batch" code is the same statements, literals
       folded alike, on float64 arrays (see _compiled); there the whole
       batch falls back.
+    - "point" is the array code's tape, locals and literals alike, which
+      _compiled writes for the Python numbers of one point (_point_line).
+      Where the array code raises DomainError, a guard returns its index
+      instead, as it does where a divisor, the argument of log or the
+      base of a negative power is not finite, and where the argument of
+      exp is not: those operations could turn an overflow into a finite
+      number.  So could numpy's power at exponents beyond its multiply
+      chain (it goes through log), and log of a negative real number,
+      whose branch the sign of a zero imaginary part picks, which a
+      real-typed local does not carry: the first has no point code, the
+      second a guard.  With the finiteness guards of the outputs, point
+      code returns the array code's numbers up to the sign of an exact
+      zero, or an index.
     """
 
     def __init__(self, n: int, order: int, kind: str):
         self.n, self.order, self.kind = n, order, kind
-        self.floats = kind != "array"
-        self.tape: list[tuple] = []       # (target or None, operands, source)
+        self.floats = kind in ("float", "batch")
+        self.tape: list[tuple] = []       # (target or None, op, operands, source)
         self.locals: dict[str, str] = {}  # source -> the local holding it
         self.reasons: list[str] = []      # float guard index -> why it fires
 
@@ -343,7 +374,7 @@ class _Emitter:
         name = self.locals.get(text)
         if name is None:
             name = self.locals[text] = f"v{len(self.locals)}"
-            self.tape.append((name, args, text))
+            self.tape.append((name, op, args, text))
         return name
 
     def fold(self, fn, *args):
@@ -385,25 +416,30 @@ class _Emitter:
         return self.fold(_NAMESPACES["float" if self.floats else "array"][name], x)
 
     def guard(self, x, reason: str, zero: bool = False, most: float | None = None):
-        """Float code: return the guard's index where x is not finite, or
-        where zero and x == 0; or, given most, where not x <= most.  Batch
-        code returns it where the test fires at any point."""
+        """Float and point code: return the guard's index where x is not
+        finite, or where zero and x == 0; or, given most, where not
+        x <= most.  Batch code returns it where the test fires at any point."""
         if not isinstance(x, str):
             if not math.isfinite(x) or (zero and x == 0.0) or (most is not None and x > most):
                 raise _NoFloatCode(reason)
             return
-        some, every = ("", "") if self.kind == "float" else ("any", "all")
+        some, every = ("any", "all") if self.kind == "batch" else ("", "")
         ok = f"{x} - {x} == 0.0" if most is None else f"{x} <= {most!r}"
         test = f"not {every}({ok})"
         if zero:
             test = f"{some}({x} == 0.0) or {test}"
-        self.tape.append((None, (x,), f"if {test}: return {len(self.reasons)}"))
+        self.tape.append((None, None, (x,), f"if {test}: return {len(self.reasons)}"))
         self.reasons.append(reason)
 
     def refuse_zero(self, x, check: str):
-        """Array code: raise the DomainError of check where x has a zero."""
-        if isinstance(x, str) or x == 0:
-            self.tape.append((None, (x,), f"{check}({_src(x)})"))
+        """Array code: raise the DomainError of check where x has a zero.
+        Point code returns a guard's index there, and where x is not
+        finite (a division, a negative power or log could make a finite
+        number of it)."""
+        if self.kind == "point":
+            self.guard(x, f"{_REFUSALS[check]} or a non-finite operand", zero=True)
+        elif isinstance(x, str) or x == 0:
+            self.tape.append((None, None, (x,), f"{check}({_src(x)})"))
 
     def array_only(self, what: str):
         if self.floats:
@@ -564,7 +600,9 @@ class _Emitter:
             return 1.0, {}, {}
         if k == 1:
             return v, g, h
-        if self.floats and not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
+        if self.kind != "array" and not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
+            # beyond it numpy's complex power goes through log, whose branch
+            # the sign of a zero imaginary part picks (see func)
             raise _NoFloatCode(f"exponent {k} is outside numpy's multiply chain")
         if k < 0 and not self.floats:
             self.refuse_zero(v, "power_base")
@@ -585,14 +623,21 @@ class _Emitter:
         if name == "conj":
             return (self.call(name, x), {i: self.call(name, d) for i, d in g.items()},
                     {ij: self.call(name, d) for ij, d in h.items()})
-        if self.floats:
+        if self.floats or self.kind == "point" and name == "exp":
+            # exp(-inf) is finite; sin and cos of a non-finite number are not
             self.guard(x, f"non-finite argument of {name}")
-            if name == "exp":
-                # numpy's complex exp scales a larger argument and then
-                # rounds unlike math.exp in the last bit
-                self.guard(x, "argument of exp above 709", most=709.0)
+        if self.floats and name == "exp":
+            # numpy's complex exp scales a larger argument and then
+            # rounds unlike math.exp in the last bit
+            self.guard(x, "argument of exp above 709", most=709.0)
         if name == "log":
             self.refuse_zero(x, "log_arg")
+            if self.kind == "point" and isinstance(x, str):
+                # a real-typed local of point code has no signed zero
+                # imaginary part, which picks log's branch on the cut
+                self.tape.append((None, None, (x,), f"if not {x}.imag and {x}.real < 0.0: "
+                                  f"return {len(self.reasons)}"))
+                self.reasons.append("log of a negative real number")
         val = self.call(name, x)
         if not g:
             return val, {}, {}
@@ -621,7 +666,7 @@ def _with_dels(tape: list, outs: list) -> list:
     """The tape with each local deleted after its last use, so the array
     code holds only the arrays it still needs."""
     last = {}   # local -> the statement that reads it last
-    for k, (_, args, _) in enumerate(tape):
+    for k, (_, _, args, _) in enumerate(tape):
         for x in args:
             if type(x) is str and x[0] == "v":
                 last[x] = k
@@ -634,7 +679,7 @@ def _with_dels(tape: list, outs: list) -> list:
     for k, statement in enumerate(tape):
         kept.append(statement)
         if k in dead:
-            kept.append((None, dead[k], "del " + ", ".join(dead[k])))
+            kept.append((None, None, dead[k], "del " + ", ".join(dead[k])))
     return kept
 
 
@@ -644,30 +689,67 @@ def _compile(source: str, namespace: dict) -> dict:
     return namespace
 
 
+def _point_line(op, args: tuple, text: str, real: set) -> tuple[str, bool]:
+    """A statement of the array code written for point code, which runs
+    it on the Python numbers of one point: its source, and whether its
+    value is real-typed (a Python float).  The operations below round
+    each part of a complex number once, in Python as in numpy, so they
+    run in Python: + and -, negation, conj, the textbook product of an
+    outer product, and a product with a real-typed or a _plain operand.
+    Every other one is the array code's numpy call on scalars, on complex
+    operands as there: the product of two complex values (numpy's rounds
+    like an FMA), a / b, v ** k (_power), sin, cos, exp and log."""
+    reals = [x in real if type(x) is str else type(x) is float for x in args]
+    if op in ("+", "-", "neg") or op == "*" and any(
+            r or _plain(x) for r, x in zip(reals, args)):
+        return text, all(reals)
+    if op == "outer":
+        return " * ".join(map(_src, args)), all(reals)
+    if op == "conj":
+        return f"{args[0]}.conjugate()", reals[0]
+    srcs = [_src(x) for x in args]
+    if all(reals):
+        srcs[0] = f"complex({srcs[0]})"
+    return f"{_POINT_CALLS.get(op, op)}({', '.join(srcs)})", False
+
+
+_POINT_CALLS = {"*": "mul", "/": "div", "**": "power"}
+
+
 def _compiled(em: _Emitter, outs: list, finite: list | None = None):
     """em's statements as the function _jet(x0, ..., x{2n-1}, t=0.0) that
     returns outs, compiled in the namespace of em's kind, and its source.
-    Float-valued code first guards that each output of finite (default
-    outs) is finite, in bounded sums (NaN and inf reach the outputs, see
-    _Emitter; compile() recurses on a chain of +), and returns a reason's
-    index where Python raises one of float_errors.  Code on arrays
-    deletes each local after its last use; in batch code a guard fires
-    where it would at any point (see _Emitter.guard), and sin, cos and
-    exp are the real part of numpy's complex functions.  _NoFloatCode
-    where compile() refuses the code."""
-    if em.floats:
+    Code of the kinds that never raise (all but array code) first guards
+    that each output of finite (default outs) is finite, in bounded sums
+    (NaN and inf reach the outputs, see _Emitter; compile() recurses on a
+    chain of +), and returns a reason's index where Python or numpy
+    raises one of float_errors.  Code on arrays deletes each local after
+    its last use; in batch code a guard fires where it would at any
+    point (see _Emitter.guard), and sin, cos and exp are the real part of
+    numpy's complex functions.  Point code writes each statement by
+    _point_line.  _NoFloatCode where compile() refuses the code."""
+    falls_back = em.kind != "array"
+    if falls_back:
         names = list(dict.fromkeys(x for x in (outs if finite is None else finite)
                                    if isinstance(x, str)))
         for k in range(0, len(names), _GUARD_TERMS):
             em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
                      "non-finite result")
-    tape = em.tape if em.kind == "float" else _with_dels(em.tape, outs)
-    lines = [text if lhs is None else f"{lhs} = {text}" for lhs, _, text in tape]
+    tape = em.tape if em.kind in ("float", "point") else _with_dels(em.tape, outs)
+    real = {f"x{a}" for a in range(2 * em.n)} | {"t"}
+    lines = []
+    for lhs, op, args, text in tape:
+        if lhs is not None and em.kind == "point":
+            text, is_real = _point_line(op, args, text, real)
+            if is_real:
+                real.add(lhs)
+        lines.append(text if lhs is None else f"{lhs} = {text}")
     lines.append(f"return ({', '.join(map(_src, outs))},)")
-    if em.floats:
+    if falls_back:
         lines = ["try:", *(f"    {line}" for line in lines),
                  f"except float_errors: return {len(em.reasons)}"]
-        em.reasons.append("Python raised OverflowError, ValueError or ZeroDivisionError")
+        em.reasons.append("Python or numpy raised OverflowError, ValueError, "
+                          "ZeroDivisionError or FloatingPointError")
     params = "".join(f"x{a}, " for a in range(2 * em.n))
     source = f"def _jet({params}t=0.0):\n" + "".join(f"    {line}\n" for line in lines)
     try:
@@ -943,6 +1025,11 @@ def conjugate_field(f: ScalarField) -> ScalarField:
     return _make_field(Func("conj", f.root), f.n)
 
 
+def _amax(x: np.ndarray) -> float:
+    # the largest magnitude; np.maximum.reduce is the reduction .max() runs
+    return float(np.maximum.reduce(np.abs(x), axis=None)) if x.size else 0.0
+
+
 class Jet:
     """A field's value and real partials over a batch of m points, dense:
     val (m,), grad (2n, m) and hess (2n, 2n, m), the last two None above
@@ -952,18 +1039,20 @@ class Jet:
     The arrays every kernel derives from them are computed on first
     access and kept as long as the jet: wirtinger, the pair
     (df/dz, df/dzbar) of (n, m) arrays, and sym_hess, the Hessian
-    symmetrized pairwise, (h + h^T) / 2 entry by entry.  _flow is
-    filled by dynamics.flow_gradient_jets on an order-2 jet of H: the
-    pair (s's jet, (V, dV, w, gw)) of the last s jet it was called with.
+    symmetrized pairwise, (h + h^T) / 2 entry by entry.  Its memo keeps
+    the rest: the largest magnitudes of amax, and the result of each
+    kernel of two jets that _memoized makes, with this jet first.
 
     A jet may be shared by every caller at one point (point_jets), so
     every array it holds or derives is read-only."""
 
-    __slots__ = ("val", "grad", "hess", "_wirtinger", "_sym_hess", "_flow")
+    __slots__ = ("val", "grad", "hess", "_wirtinger", "_sym_hess", "_memo",
+                 "__weakref__")
 
     def __init__(self, val, grad=None, hess=None):
         self.val, self.grad, self.hess = val, grad, hess
-        self._wirtinger = self._sym_hess = self._flow = None
+        self._wirtinger = self._sym_hess = None
+        self._memo = {}
 
     @property
     def n(self) -> int:
@@ -986,6 +1075,33 @@ class Jet:
             (self._sym_hess,) = _read_only(0.5 * (self.hess + np.swapaxes(self.hess, 0, 1)))
         return self._sym_hess
 
+    def amax(self, part: str) -> float:
+        """_amax of val, grad or a Wirtinger half, dz or dzbar: the scale
+        of a dual-route check, computed once per jet."""
+        memo = self._memo
+        if part not in memo:
+            memo[part] = _amax(getattr(self, part) if part in ("val", "grad")
+                               else self.wirtinger[part == "dzbar"])
+        return memo[part]
+
+
+def _memoized(kernel):
+    """kernel(a, b) of two jets, computed once per pair: the result is
+    kept in a's memo, keyed by the kernel and b, held by a weak reference
+    (so no jet keeps another alive, and a new jet is a new key even at
+    the address of a dead one).  The body runs as __wrapped__.  Like the
+    jets, the result is read-only, each array of a tuple too."""
+    @functools.wraps(kernel)
+    def memoized(a, b):
+        memo, key = a._memo, (memoized, weakref.ref(b))
+        out = memo.get(key)
+        if out is None:
+            out = memoized.__wrapped__(a, b)
+            _read_only(*(out if type(out) is tuple else (out,)))
+            memo[key] = out
+        return out
+    return memoized
+
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """arrays, each flagged read-only (see Jet).  setflags(False) is
@@ -1002,11 +1118,11 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
 
     Q and P have shape (n, m).  This is the single entry point every
     bracket and rate in the package funnels through.  It runs the code
-    generated once per field, order and kind (see _Emitter): for a
-    real-form field the float code into complex arrays at a single point
-    (m == 1) and the batch code into float64 arrays over a batch; the
-    array code, into complex arrays, everywhere else and wherever those
-    fall back.
+    generated once per field, order and kind (see _Emitter): at a single
+    point (m == 1) the float code of a real-form field, and the point
+    code of any other, into complex arrays; over a batch the batch code
+    of a real-form field into float64 arrays; the array code, into
+    complex arrays, everywhere else and wherever those fall back.
     """
     Q = np.asarray(Q, dtype=float)
     P = np.asarray(P, dtype=float)
@@ -1020,7 +1136,7 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
     tval = None
     if time is not None:
         tval = np.broadcast_to(np.asarray(time, dtype=float), (m,))
-    if f.is_real_form:
+    if m == 1 or f.is_real_form:
         jet = _float_jet(f, Q, P, order, tval)
         if jet is not None:
             return jet
@@ -1072,13 +1188,15 @@ def _filled(code: _Code, out: tuple, n: int, order: int, m: int, dtype=complex) 
 
 def _float_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray, order: int,
                tval) -> Jet | None:
-    """The jet of eval_jet from f's float-valued code, or None where the
-    array code has to compute it: at one point by the float code on
-    Python floats, into complex arrays (numpy calls mixing dtypes cost
-    more at size one); over a batch by the batch code, into float64
-    arrays."""
+    """The jet of eval_jet from f's code of a kind that never raises, or
+    None where the array code has to compute it: at one point by the
+    float code (a real-form field) or the point code (any other) on
+    Python numbers, into complex arrays (numpy calls mixing dtypes cost
+    more at size one); over a batch of a real-form field by the batch
+    code, into float64 arrays."""
     m = Q.shape[1]
-    code = _code_for(f, order, "float" if m == 1 else "batch")
+    code = _code_for(f, order, ("float" if f.is_real_form else "point") if m == 1
+                     else "batch")
     if code is None:
         return None
     if m == 1:

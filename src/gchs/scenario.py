@@ -5,12 +5,14 @@ observables, the initial point, the stepper settings and output paths.
 Validation is fail fast: unknown keys anywhere are errors, as are
 malformed expressions (reported with line and column) and non-finite
 numbers.  Relative output paths resolve against the scenario file's
-directory so a scenario bundle is relocatable.
+directory so a scenario bundle is relocatable; the two outputs must be
+two files, neither of them the scenario file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -84,12 +86,23 @@ def _coords(raw, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether a and b name one file: one inode where both exist (two
+    stats, where a rerun finds its outputs), else one resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return a.resolve() == b.resolve()
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
+    except OSError as e:   # a directory, a file we may not read, ...
+        raise ScenarioError(f"cannot read scenario file {path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise ScenarioError(
             f"invalid JSON in {path}: {e.msg} (line {e.lineno}, column {e.colno})"
@@ -146,10 +159,18 @@ def load_scenario(path) -> Scenario:
     if not isinstance(outputs, dict):
         raise ScenarioError("outputs must be an object")
     _reject_unknown(outputs, _OUTPUT_KEYS, "outputs")
+    for key, value in outputs.items():
+        if not isinstance(value, str):
+            raise ScenarioError(f"outputs.{key} must be a path string")
     base = path.parent
     stem = path.stem
     csv_path = base / outputs.get("csv", f"{stem}_trajectory.csv")
     summary_path = base / outputs.get("summary", f"{stem}_summary.json")
+    if _same_file(csv_path, summary_path):
+        raise ScenarioError(f"outputs: the CSV and the summary are one file: {csv_path}")
+    for key, out in (("csv", csv_path), ("summary", summary_path)):
+        if _same_file(out, path):
+            raise ScenarioError(f"outputs.{key} is the scenario file itself: {out}")
 
     # parse the expressions now so a bad scenario fails at load time
     system = StructuredSystem(n, _parse("hamiltonian", raw["hamiltonian"], n),

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gchs import PhasePoint, StructuredSystem, dynamics, fields, parse_field
+from gchs import PhasePoint, StructuredSystem, brackets, dynamics, fields, parse_field
 
 
 @pytest.fixture(autouse=True)
@@ -48,18 +48,35 @@ def wirtinger_splits(monkeypatch):
 
 
 @pytest.fixture
+def kernel_runs(monkeypatch):
+    """The (kernel name, first jet, second jet) of every run of a kernel
+    that keeps its results per pair of jets (fields._memoized), from now
+    on: a call its memo answers does not run the kernel's body."""
+    runs = []
+    for kernel in (brackets.pb_complex_jets, brackets.sdyn_jets,
+                   dynamics.tghs_zdot_jets, dynamics.tghs_zbardot_jets,
+                   dynamics.flow_gradient_jets):
+        def counted(a, b, name=kernel.__name__, body=kernel.__wrapped__):
+            runs.append((name, a, b))
+            return body(a, b)
+
+        monkeypatch.setattr(kernel, "__wrapped__", counted)
+    return runs
+
+
+@pytest.fixture
 def flow_builds(monkeypatch):
     """The (H jet, s jet) of every flow gradient that dynamics computes
-    from now on (a call of dynamics._flow_gradient, which the memo on H's
-    jet skips)."""
+    from now on (a run of the body of dynamics.flow_gradient_jets, which
+    the memo on H's jet skips)."""
     builds = []
-    build = dynamics._flow_gradient
+    build = dynamics.flow_gradient_jets.__wrapped__
 
     def counted(Hj2, sj2):
         builds.append((Hj2, sj2))
         return build(Hj2, sj2)
 
-    monkeypatch.setattr(dynamics, "_flow_gradient", counted)
+    monkeypatch.setattr(dynamics.flow_gradient_jets, "__wrapped__", counted)
     return builds
 
 

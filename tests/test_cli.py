@@ -191,6 +191,122 @@ def test_run_jobs_propagates_worst_exit_code(write_scenario, capsys):
     assert str(bad) in out.err       # failures go to stderr
 
 
+SHORT = {"step": 1e-2, "t_end": 0.05}
+
+
+def _one_error_line(err: str, *parts: str):
+    assert err.count("\n") == 1 and "Traceback" not in err
+    for part in parts:
+        assert part in err
+
+
+def test_run_a_directory_exits_1_naming_it(tmp_path, capsys):
+    folder = tmp_path / "scenario.json"
+    folder.mkdir()
+    assert main(["run", str(folder)]) == 1
+    _one_error_line(capsys.readouterr().err,
+                    f"{folder}: error: cannot read scenario file {folder}: ")
+
+
+def test_run_output_in_a_missing_directory_exits_1_naming_it(write_scenario, capsys):
+    path = write_scenario(outputs={"csv": "nodir/x.csv"}, stepper=SHORT)
+    csv = path.parent / "nodir" / "x.csv"
+    assert main(["run", str(path)]) == 1
+    _one_error_line(capsys.readouterr().err, f"{path}: error: cannot write {csv}: ")
+    # a worker of --jobs reports it the same way
+    good = write_scenario(name="good.json", stepper=SHORT)
+    assert main(["run", "--jobs", "2", str(path), str(good)]) == 1
+    out = capsys.readouterr()
+    _one_error_line(out.err, f"{path}: error: cannot write {csv}: ")
+    assert str(good) in out.out
+
+
+def test_os_errors_exit_1_without_a_traceback(tmp_path, write_scenario):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    missing = write_scenario(outputs={"summary": "nodir/s.json"}, stepper=SHORT)
+    for path in (folder, missing):
+        proc = subprocess.run([sys.executable, "-m", "gchs.cli", "run", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        _one_error_line(proc.stderr, str(path))
+
+
+@pytest.mark.parametrize("outputs, message", [
+    ({"csv": "out.txt", "summary": "out.txt"},
+     "outputs: the CSV and the summary are one file: "),
+    ({"csv": "./sub/../out.txt", "summary": "out.txt"},
+     "outputs: the CSV and the summary are one file: "),
+    ({"csv": "scenario.json"}, "outputs.csv is the scenario file itself: "),
+    ({"summary": "scenario.json"}, "outputs.summary is the scenario file itself: "),
+])
+def test_run_refuses_outputs_that_overwrite_each_other(write_scenario, capsys,
+                                                       outputs, message):
+    (write_scenario().parent / "sub").mkdir()
+    path = write_scenario(outputs=outputs, stepper=SHORT)
+    text = path.read_text()
+    assert main(["run", str(path)]) == 1
+    _one_error_line(capsys.readouterr().err, f"{path}: error: {message}")
+    assert path.read_text() == text
+    assert sorted(p.name for p in path.parent.iterdir()) == ["scenario.json", "sub"]
+
+
+def test_run_refuses_an_output_linked_to_the_scenario(write_scenario, capsys):
+    path = write_scenario(outputs={"csv": "link.csv"}, stepper=SHORT)
+    (path.parent / "link.csv").symlink_to(path.name)
+    text = path.read_text()
+    assert main(["run", str(path)]) == 1
+    _one_error_line(capsys.readouterr().err,
+                    f"{path}: error: outputs.csv is the scenario file itself: ")
+    assert path.read_text() == text
+
+
+def test_run_refuses_existing_outputs_that_are_one_file(write_scenario, capsys):
+    # outputs of an earlier run: compared as the files they are
+    path = write_scenario(outputs={"csv": "out.csv", "summary": "sum.json"}, stepper=SHORT)
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    (path.parent / "sum.json").unlink()
+    os.link(path.parent / "out.csv", path.parent / "sum.json")
+    assert main(["run", str(path)]) == 1
+    _one_error_line(capsys.readouterr().err,
+                    f"{path}: error: outputs: the CSV and the summary are one file: ")
+
+
+@pytest.mark.parametrize("value", [3, None, ["a.csv"]])
+def test_run_refuses_an_output_that_is_no_path(write_scenario, capsys, value):
+    path = write_scenario(outputs={"csv": value}, stepper=SHORT)
+    assert main(["run", str(path)]) == 1
+    _one_error_line(capsys.readouterr().err,
+                    f"{path}: error: outputs.csv must be a path string")
+
+
+def test_run_refuses_scenarios_that_write_one_file(write_scenario, capsys):
+    e1 = write_scenario(name="e1.json", outputs={"csv": "shared.csv"}, stepper=SHORT)
+    e2 = write_scenario(name="e2.json", outputs={"csv": "shared.csv"}, stepper=SHORT)
+    for argv in (["run", str(e1), str(e2)], ["run", "--jobs", "2", str(e1), str(e2)]):
+        assert main(argv) == 1
+        _one_error_line(capsys.readouterr().err,
+                        f"error: {e1} and {e2} both write {e1.parent / 'shared.csv'}")
+        # refused before anything ran
+        assert sorted(p.name for p in e1.parent.iterdir()) == ["e1.json", "e2.json"]
+    # one scenario twice writes its files twice
+    assert main(["run", str(e1), str(e1)]) == 1
+    _one_error_line(capsys.readouterr().err, f"error: {e1} and {e1} both write ")
+
+
+def test_run_refuses_an_output_that_is_another_scenario(write_scenario, capsys):
+    e2 = write_scenario(name="e2.json", stepper=SHORT)
+    e1 = write_scenario(name="e1.json", outputs={"summary": "e2.json"}, stepper=SHORT)
+    text = e2.read_text()
+    assert main(["run", str(e1), str(e2)]) == 1
+    _one_error_line(capsys.readouterr().err,
+                    f"error: {e1} writes {e1.parent / 'e2.json'}, the scenario file {e2}")
+    assert e2.read_text() == text
+    # alone, e1 is a valid scenario
+    assert main(["run", str(e1)]) == 0
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Put a recorder of max_workers in place of ProcessPoolExecutor; it

@@ -19,8 +19,8 @@ from gchs import (PhasePoint, StructuredSystem, beta, covariant_acceleration,
                   tghs_velocity, tghs_velocity_pair)
 from gchs.checks import (random_points, random_polynomial, random_smooth_field,
                          random_system)
-from gchs.dynamics import (_flow_gradient, acceleration_jets, beta_jets,
-                           flow_gradient_jets, tghs_zbardot_jets, tghs_zdot_jets)
+from gchs.dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
+                           tghs_zbardot_jets, tghs_zdot_jets)
 from gchs.fields import eval_jet
 
 Z1 = parse_field("z1", 1)
@@ -224,7 +224,7 @@ def _order_2_jets(sys, *extra, m=9):
             for f in (sys.hamiltonian, sys.structural, *extra)]
 
 
-def test_flow_gradient_is_kept_per_s_jet(flow_builds):
+def test_flow_gradient_is_kept_per_pair_of_jets(flow_builds):
     sys = random_system(np.random.default_rng(8), 2, max_degree=3)
     other_s = parse_field("q1 * p2 - 0.4 * p1^3", 2)
     Hj2, sj2, other_sj2 = _order_2_jets(sys, other_s)
@@ -232,13 +232,16 @@ def test_flow_gradient_is_kept_per_s_jet(flow_builds):
     assert flow_gradient_jets(Hj2, sj2) is first
     assert len(flow_builds) == 1
 
-    # another s jet, even of the same field, is another key
+    # another s jet, even of the same field, is another key, and every
+    # pair keeps its own arrays
     _, again_sj2 = _order_2_jets(sys)
-    for sj in (other_sj2, again_sj2, sj2):
-        fresh = flow_gradient_jets(Hj2, sj)
-        assert fresh is not first
-        assert flow_gradient_jets(Hj2, sj) is fresh
-    assert [s for _, s in flow_builds] == [sj2, other_sj2, again_sj2, sj2]
+    kept = {sj2: first}
+    for sj in (other_sj2, again_sj2):
+        kept[sj] = flow_gradient_jets(Hj2, sj)
+        assert kept[sj] is not first
+    for sj in (sj2, other_sj2, again_sj2, sj2):
+        assert flow_gradient_jets(Hj2, sj) is kept[sj]
+    assert [s for _, s in flow_builds] == [sj2, other_sj2, again_sj2]
     assert all(H is Hj2 for H, _ in flow_builds)
 
 
@@ -253,7 +256,7 @@ def test_kept_flow_gradient_is_bit_identical_to_a_fresh_one():
     # the same arrays from fresh jets, and the acceleration written out
     # with its own beta, as it was before beta was shared
     freshH, fresh_s, fresh_f = _order_2_jets(sys, f)
-    V, dV, w, gw = _flow_gradient(freshH, fresh_s)
+    V, dV, w, gw = flow_gradient_jets.__wrapped__(freshH, fresh_s)
     for a, want in zip(kept, (V, dV, w, gw)):
         assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
     Gf, Hf = fresh_f.grad, fresh_f.sym_hess

@@ -381,14 +381,16 @@ def test_batched_evaluation_matches_per_point(src, order):
 @pytest.mark.parametrize("src", PER_POINT_FIELDS)
 def test_scalar_walk_is_taken_on_real_form_fields(src):
     # on a real-form field without log the float code must run, not fall
-    # back; every other field has only array code
+    # back, and on a complex field the point code; a real-form field with
+    # log has only array code
     f = parse_field(src, 2, allow_time=True)
-    compiles = f.is_real_form and "log" not in src
+    kind = "float" if f.is_real_form else "point"
+    compiles = not (f.is_real_form and "log" in src)
     Q, P = np.array([[0.3], [-0.4]]), np.array([[0.6], [0.2]])
     tval = np.array([0.7]) if f.uses_time else None
     for order in (0, 1, 2):
         jet = fields._float_jet(f, Q, P, order, tval)   # no fallback here
-        assert (f._code.codes["float", order] is not None) == compiles
+        assert (f._code.codes[kind, order] is not None) == compiles
         if compiles:
             assert jet is not None and jet.val.shape == (1,)
             assert jet.val.dtype == complex
@@ -802,6 +804,23 @@ def test_each_code_is_compiled_once_when_it_is_built(monkeypatch):
     built = list(f._code.codes.values())
     assert len(built) == 9 and sorted(compiles) == sorted(c.source for c in built)
 
+    # a complex field: point code at a point, array code over a batch and
+    # where a guard of the point code fires (exp(800) overflows)
+    g = parse_field("z1 * conj(z1) - exp(800 * z1) * i", 1)
+    compiles.clear()
+    for kind in ("point", "array"):
+        for order in (0, 1, 2):
+            code = fields._Code(g, order, kind)
+            assert compiles == [code.source]
+            compiles.clear()
+    for _ in range(3):
+        for m, q1 in ((1, 0.5), (2, 0.5), (1, 1.0)):
+            for order in (0, 1, 2):
+                with np.errstate(all="ignore"):
+                    eval_jet(g, np.full((1, m), q1), np.full((1, m), 0.25), order=order)
+    built = list(g._code.codes.values())
+    assert len(built) == 6 and sorted(compiles) == sorted(c.source for c in built)
+
 
 def _defs(source):
     return [line for line in source.splitlines() if line.startswith("def ")]
@@ -817,6 +836,10 @@ def test_each_code_and_the_velocity_kernel_is_one_function(monkeypatch):
             # its guards with any() and all()
             assert ("del " in source) == (kind != "float")
             assert ("any(" in source) == (kind == "batch")
+    g = parse_field("z1^2 * conj(z1) + exp(i * q1) / (2 + p1^2) - z1^-2", 1)
+    for order in (0, 1, 2):
+        source = fields._Code(g, order, "point").source
+        assert len(_defs(source)) == 1 and "del " not in source and "any(" not in source
     sources = []
     compiled = gchs.dynamics._compiled
 
@@ -833,7 +856,7 @@ def test_each_code_and_the_velocity_kernel_is_one_function(monkeypatch):
     assert "del " not in source and "any(" not in source
 
 
-def test_seven_point_queries_at_a_fresh_point_build_float_and_array_codes(code_builds):
+def test_seven_point_queries_at_a_fresh_point_build_float_and_point_codes(code_builds):
     sys_, f, g = _n6_system()
     H, s = sys_.hamiltonian, sys_.structural
     pt = PhasePoint(np.linspace(-0.9, 0.8, 6), np.linspace(0.5, -0.7, 6))
@@ -845,11 +868,11 @@ def test_seven_point_queries_at_a_fresh_point_build_float_and_array_codes(code_b
     gchs.beta(sys_, pt)
     gchs.covariant_acceleration(f, sys_, pt)
     # the real-form H, s and 1 on float code, the complex f and g on
-    # array code; no batch code
+    # point code; no batch code, and no array code, since no guard fires
     assert [(str(field_), order, kind) for field_, order, kind in code_builds] == [
-        (str(f), 1, "array"), (str(g), 1, "array"), (str(s), 1, "float"),
+        (str(f), 1, "point"), (str(g), 1, "point"), (str(s), 1, "float"),
         (str(H), 1, "float"), ("1.0", 1, "float"), (str(H), 2, "float"),
-        (str(s), 2, "float"), (str(f), 2, "array")]
+        (str(s), 2, "float"), (str(f), 2, "point")]
 
 
 def test_a_real_form_batch_builds_its_array_code_only_after_a_guard_fires(code_builds):

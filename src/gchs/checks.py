@@ -9,12 +9,24 @@ single source of truth for what "consistent" means here.
 
 Random fields are generated as expression strings and run through the
 parser, which keeps the generator honest about the public grammar.
+
+The point-based identities run over independent blocks of points, so
+the blocks are spread over the usable CPUs: contiguous chunks of blocks,
+the first in the calling process and each later one in a child made by
+os.fork, whose merged deviations come back over a pipe.  The report is
+the same bit for bit on any number of processes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import math
 import numbers
+import os
+import pickle
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +39,8 @@ from .dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
 from .fields import ScalarField, eval_jet, linear_combination, parse_field
 from .integrate import StepperConfig, integrate_tghs, monitor_report
 from .phasespace import PhasePoint, real_from_wirtinger, wirtinger_from_real
+
+log = logging.getLogger(__name__)
 
 _VAR_KINDS = ("q", "p")
 
@@ -199,12 +213,15 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     is built and memory does not grow with `count` beyond the inputs.
     No kernel mixes points, so the deviations are those of one batch;
     only the guards inside the kernels (dual-route, realness, finiteness)
-    judge each block against that block's own magnitudes.  The flow
-    checks integrate short probe trajectories (the scenario's initial
-    point if given); the probe field is the run's one observable, so its
-    values, its residual {f,H}_s and w come from the monitor pass that
-    `gchs run` uses.  Every invariant is reported through one add, in
-    order of first report.
+    judge each block against that block's own magnitudes.  The blocks
+    run in contiguous chunks, one per process (_processes): the first
+    here, each later one in a forked child (_run_chunks).  An error comes
+    from the first block where one occurs, whatever the processes.  The
+    flow checks integrate short probe trajectories (the scenario's
+    initial point if given); the probe field is the run's one observable,
+    so its values, its residual {f,H}_s and w come from the monitor pass
+    that `gchs run` uses.  Every invariant is reported through one add,
+    in order of first report.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
@@ -213,17 +230,22 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     rng = np.random.default_rng(seed)
     inp = _draw(rng, sys.n, count)
     worst: dict[str, tuple[float, float]] = {}   # in report order
+    add = _merger(worst)
 
-    def add(name: str, dev: float, tol: float):
-        dev = float(dev)
-        if name in worst:
-            dev = _worst(worst[name][0], dev)
-        worst[name] = dev, tol
+    def run(chunk: list[slice], add):
+        for cols in chunk:
+            _first_order_checks(add, sys, inp, cols)
+            _second_order_checks(add, sys, inp, cols)
 
-    for block in np.array_split(np.arange(count), math.ceil(count / BLOCK)):
-        cols = slice(block[0], block[-1] + 1)
-        _first_order_checks(add, sys, inp, cols)
-        _second_order_checks(add, sys, inp, cols)
+    blocks = [slice(b[0], b[-1] + 1)
+              for b in np.array_split(np.arange(count), math.ceil(count / BLOCK))]
+    procs = _processes(len(blocks))
+    chunks = [blocks[len(blocks) * k // procs:len(blocks) * (k + 1) // procs]
+              for k in range(procs)]
+    t0 = time.perf_counter()
+    _run_chunks(run, chunks, add)
+    log.info("invariant suite: %d blocks, %d processes, %.3f s",
+             len(blocks), procs, time.perf_counter() - t0)
 
     # bridge: both engines at the suite's first (up to 200) points
     pts = [PhasePoint(inp.Q[:, k], inp.P[:, k]) for k in range(min(count, 200))]
@@ -233,6 +255,107 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
         _flow_checks(add, sys, initial, inp.freal)
 
     return [InvariantResult(name, dev, tol) for name, (dev, tol) in worst.items()]
+
+
+def _merger(worst: dict[str, tuple[float, float]]):
+    """The add that merges each (name, dev, tol) into worst, keeping the
+    worse deviation and a NaN from either side."""
+    def add(name: str, dev: float, tol: float):
+        dev = float(dev)
+        if name in worst:
+            dev = _worst(worst[name][0], dev)
+        worst[name] = dev, tol
+    return add
+
+
+def _processes(blocks: int) -> int:
+    """How many processes run the blocks: one per usable CPU, at most one
+    per block, and one where os.fork is missing or another thread is
+    alive (forking then is unsafe)."""
+    if blocks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity on this platform
+        cpus = os.cpu_count() or 1
+    return min(blocks, cpus)
+
+
+def _run_chunks(run, chunks: list, add):
+    """run(chunk, add) for every chunk, merged through add in chunk order.
+
+    The first chunk runs here, each later one in a child (_fork).  A child
+    that fails in any way (an error, a signal, a short or unreadable
+    payload) has its chunk run here, after the chunks before it, so the
+    first error of the blocks is raised with the text one process gives.
+    No child outlives this call.
+    """
+    children = {}   # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        forked = [(_fork(run, chunk, children), chunk) for chunk in chunks[1:]]
+        run(chunks[0], add)
+        for pid, chunk in forked:
+            reported = _collect(pid, children)
+            if reported is None:
+                run(chunk, add)
+            else:
+                for name, (dev, tol) in reported.items():
+                    add(name, dev, tol)
+    finally:
+        if children:   # imported here, so that no other command pays for it
+            import signal
+        for pid, pipe in children.items():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _fork(run, chunk: list, children: dict) -> int | None:
+    """Fork a child that runs run(chunk, add) and writes what it merged
+    (name -> (dev, tol)) to a pipe; its pid, or None if it could not be
+    made.  The child leaves by os._exit whatever happens, so it runs no
+    atexit handler and flushes no stdio buffer copied from the parent."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            worst = {}
+            run(chunk, _merger(worst))
+            with os.fdopen(w, "wb") as fh:
+                pickle.dump(worst, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    children[pid] = os.fdopen(r, "rb")
+    return pid
+
+
+def _collect(pid: int | None, children: dict) -> dict | None:
+    """Reap the child pid; what it merged, or None where it did not exit
+    0 with a whole payload."""
+    if pid is None:
+        return None
+    pipe = children[pid]
+    payload = pipe.read()
+    pipe.close()
+    _, status = os.waitpid(pid, 0)
+    del children[pid]
+    if status != 0:
+        return None
+    try:
+        return pickle.loads(payload)
+    except (pickle.UnpicklingError, EOFError):   # a payload cut short
+        return None
 
 
 def _first_order_checks(add, sys: StructuredSystem, inp: _Inputs, cols: slice):

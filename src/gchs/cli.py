@@ -43,7 +43,7 @@ from .errors import (DomainError, ExpressionError, IntegrationError,
 from .fields import parse_field
 from .integrate import Trajectory, integrate_tghs, monitor_report
 from .phasespace import PhasePoint
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, _file_key, load_scenario
 
 log = logging.getLogger(__name__)
 
@@ -147,20 +147,23 @@ def _output_clash(paths) -> str | None:
     """Why the scenarios of one run may not run together, or None: an
     output that two of them write, or that is another's scenario file.
     A scenario that does not load is left to its run to report."""
-    scenarios = {Path(p).resolve(): p for p in paths}
-    written = {}   # resolved output -> the scenario that writes it
+    scenarios = {_file_key(Path(p)): p for p in paths}
+    written = {}   # output file -> the scenario that writes it, and its name
     for p in paths:
         try:
             sc = load_scenario(p)
         except _USER_ERRORS:
             continue
         for out in (sc.csv_path, sc.summary_path):
-            key = out.resolve()
+            key = _file_key(out)
             if key in scenarios:
                 return f"{p} writes {out}, the scenario file {scenarios[key]}"
             if key in written:
-                return f"{written[key]} and {p} both write {out}"
-            written[key] = p
+                first, named = written[key]
+                if named == out:
+                    return f"{first} and {p} both write {out}"
+                return f"{first} writes {named} and {p} writes {out}, one file"
+            written[key] = p, out
     return None
 
 

@@ -86,13 +86,15 @@ def _coords(raw, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _same_file(a: Path, b: Path) -> bool:
-    """Whether a and b name one file: one inode where both exist (two
-    stats, where a rerun finds its outputs), else one resolved path."""
+def _file_key(path: Path):
+    """What names one file: its (device, inode) where it exists (a rerun
+    finds its outputs, and a hard link is one file), else its resolved
+    path."""
     try:
-        return os.path.samefile(a, b)
+        st = os.stat(path)
     except OSError:
-        return a.resolve() == b.resolve()
+        return path.resolve()
+    return st.st_dev, st.st_ino
 
 
 def load_scenario(path) -> Scenario:
@@ -166,10 +168,10 @@ def load_scenario(path) -> Scenario:
     stem = path.stem
     csv_path = base / outputs.get("csv", f"{stem}_trajectory.csv")
     summary_path = base / outputs.get("summary", f"{stem}_summary.json")
-    if _same_file(csv_path, summary_path):
+    if _file_key(csv_path) == _file_key(summary_path):
         raise ScenarioError(f"outputs: the CSV and the summary are one file: {csv_path}")
     for key, out in (("csv", csv_path), ("summary", summary_path)):
-        if _same_file(out, path):
+        if _file_key(out) == _file_key(path):
             raise ScenarioError(f"outputs.{key} is the scenario file itself: {out}")
 
     # parse the expressions now so a bad scenario fails at load time

@@ -1,18 +1,35 @@
 """The seeded invariant suite: it passes, and it is deterministic."""
 
+import logging
 import math
+import os
+import pickle
 import re
+import signal
+import threading
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from gchs import PhasePoint, StructuredSystem, parse_field, run_invariant_suite
+from gchs import (ConsistencyError, PhasePoint, RealnessError, StructuredSystem,
+                  parse_field, run_invariant_suite)
 from gchs import brackets, bridge, checks, fields, integrate
 from gchs.checks import (random_points, random_polynomial, random_smooth_field,
                          random_system)
 from gchs.fields import eval_jet
+
+
+def _pin_processes(monkeypatch, processes):
+    """Run the suite's blocks on this many processes (at most one per
+    block), whatever the CPUs."""
+    monkeypatch.setattr(checks, "_processes", lambda blocks: min(blocks, processes))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_suite_passes_on_reference_system(structured):
@@ -124,7 +141,9 @@ def test_suite_computes_the_flow_gradient_once(flow_builds):
 
 
 def test_suite_computes_the_flow_gradient_once_per_block(flow_builds, monkeypatch):
-    # each block's order-2 jet of H keeps its own flow gradient
+    # each block's order-2 jet of H keeps its own flow gradient; one
+    # process, so that every block builds it here
+    _pin_processes(monkeypatch, 1)
     monkeypatch.setattr(checks, "BLOCK", 7)
     sys = random_system(np.random.default_rng(11), 2, max_degree=3)
     run_invariant_suite(sys, 42, 40, include_flow_checks=False)
@@ -152,18 +171,184 @@ def test_suite_builds_each_code_once_per_call(monkeypatch):
     assert max(Counter(builds).values()) == 1
 
 
+def _suite_bits(sys, count, **kwargs):
+    return [(r.name, r.max_dev.hex(), r.tol.hex()) for r in
+            run_invariant_suite(sys, 17, count, include_flow_checks=False, **kwargs)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("count", [8, 7 * 7 + 1])
 def test_blocked_suite_equals_one_block(monkeypatch, n, count):
     # every invariant is a maximum over points and no kernel mixes
-    # points, so blocks of 7 give the bits of one block of all points
-    def suite(block):
-        monkeypatch.setattr(checks, "BLOCK", block)
-        sys = random_system(np.random.default_rng(n), n)
-        return [(r.name, r.max_dev.hex(), r.tol.hex()) for r in
-                run_invariant_suite(sys, 17, count, include_flow_checks=False)]
+    # points, so blocks of 7 give the bits of one block of all points,
+    # on any number of processes
+    sys = random_system(np.random.default_rng(n), n)
+    one_block = _suite_bits(sys, count)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    for processes in (1, 2, 3):
+        _pin_processes(monkeypatch, processes)
+        assert _suite_bits(sys, count) == one_block, processes
+        _no_child_left()
 
-    assert suite(7) == suite(count)
+
+def test_processes_are_one_per_usable_cpu_and_block(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert [checks._processes(blocks) for blocks in (1, 2, 3, 10)] == [1, 2, 3, 3]
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert checks._processes(10) == 4
+    monkeypatch.delattr(os, "fork")
+    assert checks._processes(10) == 1
+
+
+def test_suite_forks_nothing_while_another_thread_is_alive(monkeypatch):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise AssertionError("forked with a second thread alive")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    sys = random_system(np.random.default_rng(2), 2)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert checks._processes(8) == 1
+        run_invariant_suite(sys, 17, 50, include_flow_checks=False)
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks == []
+    assert checks._processes(8) == 4   # the thread was the only reason
+
+
+def test_a_fork_that_fails_runs_its_chunk_here(monkeypatch):
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    sys = random_system(np.random.default_rng(2), 2)
+    sequential = _suite_bits(sys, 50)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    _pin_processes(monkeypatch, 3)
+    assert _suite_bits(sys, 50) == sequential
+
+
+def _positive_q1_before(monkeypatch, column):
+    """Draw the points of columns below `column` with q1 > 0."""
+    draw = checks._draw
+
+    def drawn(rng, n, count):
+        inp = draw(rng, n, count)
+        inp.Q[0, :column] = np.abs(inp.Q[0, :column]) + 0.5
+        return inp
+
+    monkeypatch.setattr(checks, "_draw", drawn)
+
+
+def _route_error_from(monkeypatch, column):
+    """A dual-route check fails in every block from `column` on, by an
+    amount that names the block."""
+    checks_2 = checks._second_order_checks
+
+    def poisoned(add, sys, inp, cols):
+        if cols.start >= column:
+            brackets._check_routes(np.zeros(1), np.full(1, cols.start + 1.0),
+                                   "poisoned block")
+        return checks_2(add, sys, inp, cols)
+
+    monkeypatch.setattr(checks, "_second_order_checks", poisoned)
+
+
+@pytest.mark.parametrize("error, poison", [
+    (RealnessError, _positive_q1_before), (ConsistencyError, _route_error_from)])
+@pytest.mark.parametrize("column", [0, 32], ids=["parent_chunk", "child_chunk"])
+def test_an_error_in_any_chunk_raises_the_text_of_one_process(monkeypatch, error,
+                                                              poison, column):
+    # from column 32 on, the first failing block (32..37 of 50 in blocks
+    # of 7) is in a child's chunk on 2 or 3 processes, and the parent
+    # raises what one process raises: the first failing block's error
+    if error is RealnessError:   # log(q1) is complex where q1 < 0
+        sys = StructuredSystem(1, parse_field("p1^2/2 + log(q1)", 1),
+                               parse_field("p1*log(q1)", 1))
+    else:
+        sys = random_system(np.random.default_rng(1), 1)
+    poison(monkeypatch, column)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    texts = []
+    for processes in (1, 2, 3):
+        _pin_processes(monkeypatch, processes)
+        with pytest.raises(error) as raised:
+            run_invariant_suite(sys, 17, 50, include_flow_checks=False)
+        texts.append(str(raised.value))
+        _no_child_left()
+    assert texts == texts[:1] * 3
+    if error is ConsistencyError:
+        assert f"differ by {column + 1:.3e}" in texts[0]
+
+
+def test_a_child_that_dies_costs_time_not_the_result(monkeypatch):
+    sys = random_system(np.random.default_rng(3), 2)
+    sequential = _suite_bits(sys, 50)
+    parent, checks_2 = os.getpid(), checks._second_order_checks
+
+    def killed(add, sys, inp, cols):
+        if os.getpid() != parent and cols.start >= 32:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return checks_2(add, sys, inp, cols)
+
+    monkeypatch.setattr(checks, "_second_order_checks", killed)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    for processes in (2, 3):
+        _pin_processes(monkeypatch, processes)
+        assert _suite_bits(sys, 50) == sequential
+        _no_child_left()
+
+
+def test_a_short_payload_costs_time_not_the_result(monkeypatch):
+    sys = random_system(np.random.default_rng(3), 2)
+    sequential = _suite_bits(sys, 50)
+    dumps = pickle.dumps
+    monkeypatch.setattr(checks.pickle, "dump", lambda obj, fh: fh.write(dumps(obj)[:-5]))
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    _pin_processes(monkeypatch, 3)
+    assert _suite_bits(sys, 50) == sequential
+    _no_child_left()
+
+
+@pytest.mark.parametrize("processes", [2, 3])
+def test_a_nan_in_a_childs_block_fails_its_invariant(structured, monkeypatch,
+                                                     processes):
+    # column 45 lies in the last block (44..49), run by the last child
+    draw = checks._draw
+
+    def poisoned(rng, n, count):
+        inp = draw(rng, n, count)
+        inp.dq[45] = np.nan
+        return inp
+
+    monkeypatch.setattr(checks, "_draw", poisoned)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    _pin_processes(monkeypatch, processes)
+    results = run_invariant_suite(structured, 42, 50, include_flow_checks=False)
+    [result] = [r for r in results if r.name == "phasespace.wirtinger_inverse"]
+    assert math.isnan(result.max_dev) and not result.passed
+    assert all(r.passed for r in results if r is not result)
+    _no_child_left()
+
+
+def test_suite_logs_its_blocks_processes_and_time(structured, monkeypatch, caplog):
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    _pin_processes(monkeypatch, 2)
+    caplog.set_level(logging.INFO, logger="gchs.checks")
+    run_invariant_suite(structured, 42, 50, include_flow_checks=False)
+    [record] = caplog.records
+    assert record.levelno == logging.INFO
+    assert re.fullmatch(r"invariant suite: 8 blocks, 2 processes, \d+\.\d{3} s",
+                        record.getMessage())
 
 
 def test_worst_keeps_a_nan_on_either_side():
@@ -189,6 +374,7 @@ def test_a_nan_fails_its_invariant_in_any_block_or_term(structured, monkeypatch,
             back[side] = np.full_like(back[side], np.nan)
         return tuple(back)
 
+    _pin_processes(monkeypatch, 1)   # so that the calls are counted here
     monkeypatch.setattr(checks, "BLOCK", 7)
     monkeypatch.setattr(checks, "real_from_wirtinger", poisoned)
     results = run_invariant_suite(structured, 42, 20, include_flow_checks=False)
@@ -198,8 +384,10 @@ def test_a_nan_fails_its_invariant_in_any_block_or_term(structured, monkeypatch,
     assert all(r.passed for r in results if r is not result)
 
 
-def test_suite_memory_does_not_grow_with_count():
-    # beyond the O(n * count) inputs, the suite holds one block's jets
+def test_suite_memory_does_not_grow_with_count(monkeypatch):
+    # beyond the O(n * count) inputs, the suite holds one block's jets;
+    # one process, so that tracemalloc sees every block
+    _pin_processes(monkeypatch, 1)
     sys = random_system(np.random.default_rng(5), 3)
     run_invariant_suite(sys, 42, 100, include_flow_checks=False)
     peaks = []

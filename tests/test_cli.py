@@ -295,6 +295,25 @@ def test_run_refuses_scenarios_that_write_one_file(write_scenario, capsys):
     _one_error_line(capsys.readouterr().err, f"error: {e1} and {e1} both write ")
 
 
+def test_run_refuses_scenarios_whose_outputs_are_hard_links(write_scenario, capsys):
+    # a.csv and b.csv are two names of one file
+    a = write_scenario(name="a.json", outputs={"csv": "a.csv", "summary": "a_sum.json"},
+                       stepper=SHORT)
+    b = write_scenario(name="b.json", outputs={"csv": "b.csv", "summary": "b_sum.json"},
+                       stepper=SHORT)
+    (a.parent / "a.csv").write_text("kept\n")
+    os.link(a.parent / "a.csv", a.parent / "b.csv")
+    for argv in (["run", str(a), str(b)], ["run", "--jobs", "2", str(a), str(b)]):
+        assert main(argv) == 1
+        _one_error_line(capsys.readouterr().err,
+                        f"error: {a} writes {a.parent / 'a.csv'} and {b} writes "
+                        f"{b.parent / 'b.csv'}, one file")
+        # refused before anything ran
+        assert sorted(p.name for p in a.parent.iterdir()) == [
+            "a.csv", "a.json", "b.csv", "b.json"]
+        assert (a.parent / "a.csv").read_text() == "kept\n"
+
+
 def test_run_refuses_an_output_that_is_another_scenario(write_scenario, capsys):
     e2 = write_scenario(name="e2.json", stepper=SHORT)
     e1 = write_scenario(name="e1.json", outputs={"summary": "e2.json"}, stepper=SHORT)
@@ -715,6 +734,28 @@ def test_debug_log_prints_hamiltonian_of_1100_terms(write_scenario):
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "Traceback" not in proc.stderr
     assert f"{1100 * 1e-6!r} * q1^2" in proc.stderr
+
+
+def test_check_reports_the_same_bytes_on_one_cpu_and_on_all():
+    # 5000 points are 3 blocks: one process with one usable CPU, two or
+    # three without the restriction
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    if len(cpus) < 2:
+        pytest.skip(f"{len(cpus) or 'no'} usable CPU(s): nothing to compare")
+    argv = [sys.executable, "-m", "gchs.cli", "check", "--seed", "42", "--count", "5000",
+            str(SCENARIOS / "structural.json")]
+
+    def one_cpu():   # runs in the child before it executes: this process only
+        os.sched_setaffinity(0, cpus[:1])
+
+    runs = [subprocess.run(argv, capture_output=True, text=True, preexec_fn=preexec,
+                           env=dict(os.environ, GCHS_LOG=level))
+            for preexec, level in ((one_cpu, "info"), (None, "info"), (None, "error"))]
+    assert [run.returncode for run in runs] == [0, 0, 0]
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
+    assert "3 blocks, 1 processes" in runs[0].stderr
+    assert f"3 blocks, {min(3, len(cpus))} processes" in runs[1].stderr
+    assert runs[2].stderr == ""
 
 
 def test_module_entry_point_help():

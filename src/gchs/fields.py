@@ -380,12 +380,10 @@ class _Emitter:
     def fold(self, fn, *args):
         """fn of literal operands, computed now as the code would compute
         it: on Python floats in float-valued code, else on complex arrays of
-        one element."""
+        one element.  Float-valued code folds only sin, cos and exp, of
+        finite literals, exp's at most 709 (see func), so nothing raises."""
         if self.floats:
-            try:
-                return fn(*args)
-            except OverflowError:
-                raise _NoFloatCode(f"{fn.__name__}{args!r} overflows") from None
+            return fn(*args)
         with np.errstate(all="ignore"):
             v = fn(*(np.array([x], dtype=complex) for x in args))[0].item()
         # a literal with imaginary part +0 reads as the float it equals

@@ -11,13 +11,16 @@ monitor is a state function.
 
 Every right-hand side takes t and a sequence of 2n floats and returns
 2n floats.  Both steppers march on floats in one loop (_march), which
-counts the right-hand sides, checks each state and records the samples.
-The right-hand side of the structural flow is the system's velocity
-kernel (dynamics.velocity_kernel), one compiled float function of the
-state that returns the floats the jets would, or an index where a guard
-fires or Python raises in it.  Where the system has no kernel or it
-returns an index, that stage takes the order-1 jets of H and s and
-real_velocity_jets instead, whose guards raise the errors.
+checks each state and records the samples; each method counts its
+right-hand sides, 4 per RK4 step and 7 per RK45 attempt.  RK4 runs a
+step generated and compiled once per state size (_rk4_code).  The
+right-hand side of the structural flow is the system's velocity kernel
+(dynamics.velocity_kernel), one compiled float function of the state
+that returns the floats the jets would, or an index where a guard fires
+or Python raises in it.  Each stage calls it once; only where there is
+no kernel or it returns an index does that stage take the order-1 jets
+of H and s and real_velocity_jets instead, whose guards raise the
+errors.
 
 Decay-law bookkeeping: along the structural flow dH/dt = -H w, so
 H(t) must track H(0) exp(-int w dt); along the equilibrium flow each
@@ -28,10 +31,12 @@ monitor.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import chain
+from time import perf_counter
 
 import numpy as np
 
@@ -96,7 +101,9 @@ class Trajectory:
     observables: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
     w0: float | None = None
+    steps: int = 0             # accepted steps of the march
     rhs_calls: int = 0         # right-hand sides the march called
+    monitor_s: float = 0.0     # wall time of the monitor pass, written to no output
 
     @property
     def samples(self) -> int:
@@ -114,30 +121,74 @@ class Trajectory:
 # steppers
 
 
-def _rk4(rhs, x, cfg: StepperConfig, near: float):
-    """Classic RK4 on a tuple of floats, yielding each step's (t, x).  Each
-    stage and the final sum do the IEEE operations of the whole-array form
-    in its order, so the states equal that form's bit for bit.  A
-    remainder shorter than near is no step."""
+def _stage(rhs, t, x):
+    """rhs(t, x), naming t in its DomainError or RealnessError."""
+    try:
+        return rhs(t, x)
+    except (DomainError, RealnessError) as e:
+        raise type(e)(f"{e} at t={t:.6g}") from None
+
+
+def _no_kernel(*x):
+    return 0
+
+
+@functools.cache
+def _rk4_code(size: int):
+    """The RK4 step and the norm test on states of size floats, compiled
+    once per size.
+
+    step(kernel, rhs, t, h, x0, ...) returns the state after one step as
+    a tuple.  Each stage calls kernel on its point's floats once, and
+    only where that returns no tuple takes rhs(t, point) by _stage.  The
+    stages and the final sum are the IEEE operations of the whole-array
+    form (tests/rk4_reference.py) in its order, component by component.
+    within(max_norm, x0, ...) is False unless every |x_i| <= max_norm,
+    so it is False on NaN."""
+    xs = [f"x{i}" for i in range(size)]
+    ys = [f"y{i}" for i in range(size)]
+
+    def stage(k, t, point):
+        args = ", ".join(point)
+        return [f"    k = kernel({args})",
+                "    if type(k) is not tuple:",
+                f"        k = _stage(rhs, {t}, ({args},))",
+                f"    {', '.join(f'{k}{i}' for i in range(size))}, = k"]
+
+    def point(scale, k):
+        return [f"    y{i} = x{i} + {scale} * {k}{i}" for i in range(size)]
+
+    lines = [f"def step(kernel, rhs, t, h, {', '.join(xs)}):",
+             "    hh = 0.5 * h",
+             "    th = t + hh",
+             *stage("a", "t", xs),
+             *point("hh", "a"), *stage("b", "th", ys),
+             *point("hh", "b"), *stage("c", "th", ys),
+             *point("h", "c"), *stage("d", "t + h", ys),
+             "    h6 = h / 6.0",
+             "    return (" + "".join(f"x{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i}), "
+                                      for i in range(size)) + ")",
+             f"def within(m, {', '.join(xs)}):",
+             "    n = -m",
+             "    return " + " and ".join(f"x{i} <= m and x{i} >= n" for i in range(size))]
+    namespace = {"_stage": _stage}
+    exec(compile("\n".join(lines), "<rk4 step>", "exec"), namespace)
+    return namespace["step"], namespace["within"]
+
+
+def _rk4(kernel, rhs, x, cfg: StepperConfig, near: float):
+    """Classic RK4 on a tuple of floats by _rk4_code's step, yielding each
+    step's (t, x, right-hand sides so far).  A remainder shorter than
+    near is no step."""
     h = cfg.step
     nfull = math.floor(cfg.t_end / h + 1e-12)
-
-    def advance(t, x, h):
-        hh = 0.5 * h
-        k1 = rhs(t, x)
-        k2 = rhs(t + hh, [a + hh * k for a, k in zip(x, k1)])
-        k3 = rhs(t + hh, [a + hh * k for a, k in zip(x, k2)])
-        k4 = rhs(t + h, [a + h * k for a, k in zip(x, k3)])
-        h6 = h / 6.0
-        return tuple([a + h6 * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
-                      for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)])
-
+    step = _rk4_code(len(x))[0]
     for i in range(nfull):
-        x = advance(i * h, x, h)
-        yield (i + 1) * h, x
+        x = step(kernel, rhs, i * h, h, *x)
+        yield (i + 1) * h, x, 4 * i + 4
     rem = cfg.t_end - nfull * h
     if rem >= near:
-        yield cfg.t_end, advance(nfull * h, x, rem)
+        yield cfg.t_end, step(kernel, rhs, nfull * h, rem, *x), 4 * nfull + 4
 
 
 # Dormand-Prince 5(4): the nodes and rows of stages 2..7, then the
@@ -168,10 +219,11 @@ def _dp_point(x, h, row, k):
     return out
 
 
-def _rk45(rhs, x, cfg: StepperConfig, near: float):
+def _rk45(kernel, rhs, x, cfg: StepperConfig, near: float):
     """Dormand-Prince 5(4) on floats with a PI step-size controller
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5; Gustafsson, ACM
-    TOMS 17, 1991), yielding each accepted step's (t, x).
+    TOMS 17, 1991), yielding each accepted step's (t, x, right-hand sides
+    so far), 7 per attempt.  Each stage tries kernel, then rhs by _stage.
 
     Stage j's point is x + h*(a_j1*k1 + a_j2*k2 + ...) per component, the
     sum taken left to right in tableau order.  A zero entry of the tableau
@@ -187,16 +239,23 @@ def _rk45(rhs, x, cfg: StepperConfig, near: float):
     h = min(t_end, max(1e-6, t_end / 100.0))
     err_prev = 1.0
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
+    attempts = 0
+
+    def f(t, x):
+        k = kernel(*x)
+        return k if type(k) is tuple else _stage(rhs, t, x)
+
     while t_end - t > near:
         capped = h >= t_end - t
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepUnderflowError(h, t)
 
-        k = [rhs(t, x)]
+        attempts += 1
+        k = [f(t, x)]
         for c, row in zip(_DP_C, _DP_A):
             x5 = _dp_point(x, h, row, k)
-            k.append(rhs(t + c * h, x5))
+            k.append(f(t + c * h, x5))
         x4 = _dp_point(x, h, _DP_B4, k)
         squares = 0.0
         for a, b5, b4 in zip(x, x5, x4):
@@ -207,7 +266,7 @@ def _rk45(rhs, x, cfg: StepperConfig, near: float):
         if err <= 1.0:
             t = t_end if capped else t + h
             x = x5
-            yield t, x
+            yield t, x, 7 * attempts
             e = max(err, 1e-10)
             factor = safety * e ** -0.14 * err_prev ** 0.08
             err_prev = e
@@ -216,32 +275,25 @@ def _rk45(rhs, x, cfg: StepperConfig, near: float):
         h = h * min(fac_max, max(fac_min, factor))
 
 
-def _march(rhs, x0: np.ndarray, cfg: StepperConfig):
-    """times, states and the number of right-hand sides of one march; rhs
-    takes t and a sequence of 2n floats and returns 2n floats.
+def _march(rhs, x0: np.ndarray, cfg: StepperConfig, kernel=None):
+    """times, states, steps and right-hand sides of one march.  rhs takes
+    t and a sequence of 2n floats and returns 2n floats.  kernel, where
+    given, is tried first at every stage: it takes the 2n floats and
+    returns them as a tuple, or an index where rhs must take the stage.
 
-    The method yields each accepted step's (t, x).  The loop checks x0 and
-    every step against max_norm, records x0 and every stride-th step, and
-    ends the record on t_end.  For both methods a time within
-    1e-12*max(1, t_end) of t_end is the horizon."""
-    calls = 0
-
-    def counted_rhs(t, x):
-        nonlocal calls
-        calls += 1
-        try:
-            return rhs(t, x)
-        except (DomainError, RealnessError) as e:
-            raise type(e)(f"{e} at t={t:.6g}") from None
-
+    The method yields each accepted step's (t, x, right-hand sides so
+    far).  The loop checks x0 and every step against max_norm, records x0
+    and every stride-th step, and ends the record on t_end.  For both
+    methods a time within 1e-12*max(1, t_end) of t_end is the horizon."""
     near = 1e-12 * max(1.0, cfg.t_end)
     x = tuple(x0.tolist())
+    within = _rk4_code(len(x))[1]
     method = _rk4 if cfg.method == "rk4" else _rk45
     times, states = [], []
-    for steps, (t, x) in enumerate(chain([(0.0, x)], method(counted_rhs, x, cfg, near))):
-        for v in x:
-            if not abs(v) <= cfg.max_norm:   # False on NaN; a NaN state's norm is NaN
-                raise BlowUpError(float(np.max(np.abs(x))), t)
+    for steps, (t, x, calls) in enumerate(chain(
+            [(0.0, x, 0)], method(kernel or _no_kernel, rhs, x, cfg, near))):
+        if not within(cfg.max_norm, *x):   # a NaN state's norm is NaN
+            raise BlowUpError(float(np.max(np.abs(x))), t)
         if steps % cfg.stride == 0:
             times.append(t)
             states.append(x)
@@ -249,7 +301,7 @@ def _march(rhs, x0: np.ndarray, cfg: StepperConfig):
         times.append(cfg.t_end)
         states.append(x)
     log.debug("%s: %d steps, %d right-hand sides", cfg.method, steps, calls)
-    return np.array(times), np.array(states), calls
+    return np.array(times), np.array(states), steps, calls
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +332,14 @@ def _state_jets(sys: StructuredSystem, x: np.ndarray):
 def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
             sys: StructuredSystem | None,
             observables: dict[str, ScalarField] | None,
-            w0: float | None = None) -> Trajectory:
-    """March rhs from pt0 and attach the monitors of the rate source: sys,
-    or the constant rate w0 when sys is None."""
-    times, states, rhs_calls = _march(rhs, pt0.flat(), cfg)
-    traj = Trajectory(flow, pt0.n, times, states, w0=w0, rhs_calls=rhs_calls)
+            w0: float | None = None, kernel=None) -> Trajectory:
+    """March rhs (and kernel, see _march) from pt0 and attach the
+    monitors of the rate source: sys, or the constant rate w0 when sys is
+    None."""
+    times, states, steps, rhs_calls = _march(rhs, pt0.flat(), cfg, kernel)
+    traj = Trajectory(flow, pt0.n, times, states, w0=w0, steps=steps,
+                      rhs_calls=rhs_calls)
+    start = perf_counter()
     try:
         _attach_monitors(traj, sys, observables or {})
     except (DomainError, RealnessError):
@@ -296,6 +351,7 @@ def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
             except (DomainError, RealnessError) as e:
                 raise type(e)(f"{e} at t={t:.6g}") from None
         raise
+    traj.monitor_s = perf_counter() - start
     return traj
 
 
@@ -306,16 +362,11 @@ def integrate_tghs(sys: StructuredSystem, z0, cfg: StepperConfig,
     The right-hand side is sys's velocity kernel where it has one and it
     returns the velocity; otherwise the order-1 jets of H and s, whose
     guards raise the errors."""
-    kernel = velocity_kernel(sys)
-
-    def rhs(t, x):
-        if kernel is not None:
-            v = kernel(*x)
-            if type(v) is tuple:
-                return v
+    def jets(t, x):
         return real_velocity_jets(*_state_jets(sys, np.array(x)))[:, 0].tolist()
 
-    return _finish("tghs", rhs, _initial_point(z0, sys), cfg, sys, observables)
+    return _finish("tghs", jets, _initial_point(z0, sys), cfg, sys, observables,
+                   kernel=velocity_kernel(sys))
 
 
 def integrate_equilibrium(z0, w_source, cfg: StepperConfig,

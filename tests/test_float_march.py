@@ -7,6 +7,7 @@ the same times and states bit for bit, the same BlowUpError and the same
 DomainError message."""
 
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -23,13 +24,17 @@ from gchs.checks import random_system
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def _reference_march(rhs, x0, cfg):
-    # the float right-hand side, seen through arrays as the array march saw
-    # it, with the stage time added to a DomainError as integrate._march does
+def _reference_march(rhs, x0, cfg, kernel=None):
+    # the float right-hand side (kernel first where there is one), seen
+    # through arrays as the array march saw it, with the stage time added
+    # to a DomainError as integrate._march does
     calls = []
 
     def array_rhs(t, x):
         calls.append(t)
+        v = kernel(*x.tolist()) if kernel else None
+        if type(v) is tuple:
+            return np.array(v)
         try:
             return np.array(rhs(t, x.tolist()))
         except DomainError as e:
@@ -37,9 +42,10 @@ def _reference_march(rhs, x0, cfg):
 
     if cfg.method == "rk4":
         times, states = rk4_reference.fixed_rk4(array_rhs, x0, cfg)
+        steps = len(calls) // 4
     else:
-        times, states, _, _ = rk45_reference.adaptive_rk45(array_rhs, x0, cfg)
-    return times, states, len(calls)
+        times, states, steps, _ = rk45_reference.adaptive_rk45(array_rhs, x0, cfg)
+    return times, states, steps, len(calls)
 
 
 def _tghs_cases():
@@ -180,7 +186,7 @@ def test_rhs_calls_count_every_right_hand_side(method, t_end):
         return [x[1], -x[0]]
 
     cfg = StepperConfig(method=method, step=0.25, t_end=t_end, stride=2)
-    times, _, rhs_calls = integrate._march(rhs, np.array([1.0, 0.0]), cfg)
+    times, _, _, rhs_calls = integrate._march(rhs, np.array([1.0, 0.0]), cfg)
     assert rhs_calls == len(calls)
     if method == "rk4":
         assert rhs_calls == 4 * math.ceil(t_end / 0.25)
@@ -203,3 +209,46 @@ def test_rk45_rejected_steps_equal_the_array_march():
     assert traj.rhs_calls == 7 * (accepted + rejected) == 5264
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generated_step_of_every_size_equals_the_array_march(n, monkeypatch):
+    rng = np.random.default_rng(40 + n)
+    sys = random_system(rng, n)
+    pt0 = PhasePoint(*rng.uniform(-0.5, 0.5, size=(2, n)))
+    # 10 full steps and a remainder of 0.004, recorded at stride 3
+    cfg = StepperConfig(step=0.01, t_end=0.104, stride=3)
+    floats, arrays = _both(lambda: integrate_tghs(sys, pt0, cfg), monkeypatch)
+    assert _bits(floats) == _bits(arrays)
+    assert floats.times.tolist()[-2:] == [0.09, 0.104]
+    assert floats.steps == arrays.steps == 11
+    assert floats.rhs_calls == arrays.rhs_calls == 4 * 11
+
+
+def test_generated_step_is_compiled_once_per_state_size():
+    assert integrate._rk4_code(6) is integrate._rk4_code(6)
+    assert integrate._rk4_code(4) is not integrate._rk4_code(6)
+
+
+def _digest(traj):
+    return hashlib.sha256(traj.times.tobytes() + traj.states.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method, flow, digest", [
+    ("rk4", "constant", "520db6d7c8116165dc4462765a858b677e919e632905ce06a8d440f94d83dfb7"),
+    ("rk4", "perturbed", "46db85453cacf846984a28342bdb1e022899a64019826364a42088c9f8f98391"),
+    ("rk45", "constant", "42270536c4e6a430d4ad469bc4ff673b4cb1ea8abcdbb1ac42843621b4e7b052"),
+    ("rk45", "perturbed", "d78b05cda7f0059c562ac938cac572948f2a7e565f4c19a9cc3b672cea6dac58"),
+])
+def test_equilibrium_and_disturbed_flows_keep_their_bytes(method, flow, digest):
+    # digests of the march before the generated step; each operation of
+    # these flows is one correctly rounded IEEE operation, which no CPU
+    # dispatch of numpy changes
+    pt0 = PhasePoint([0.5, -0.25], [0.25, 0.75])
+    cfg = StepperConfig(method=method, step=0.01, t_end=0.155, stride=2)
+    if flow == "constant":
+        traj = integrate_equilibrium(pt0, -0.7, cfg)
+    else:
+        h = parse_field("0.5 * t + i * z1", 2, allow_time=True)
+        traj = integrate_perturbed(0.3, pt0, h, cfg)
+    assert _digest(traj) == digest

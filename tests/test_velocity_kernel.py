@@ -232,3 +232,49 @@ def test_run_of_scenarios_sharing_H_and_s_builds_one_kernel(write_scenario, monk
         assert main(["run", str(path)]) == 0
         assert outputs(path) == want
     assert len(builds) == 3
+
+
+def test_a_stage_whose_kernel_fails_calls_it_once_and_takes_the_jets(monkeypatch):
+    rng = np.random.default_rng(8)
+    sys = random_system(rng, 2)
+    pt0 = PhasePoint(*rng.uniform(-0.5, 0.5, size=(2, 2)))
+    cfg = StepperConfig(step=0.01, t_end=0.105)   # 10 steps and a remainder
+    kernel = velocity_kernel(sys)
+    calls = []
+
+    def every_third_fails(*x):
+        calls.append(x)
+        return 0 if len(calls) % 3 == 0 else kernel(*x)
+
+    _, point_jets = _counted(monkeypatch)
+    monkeypatch.setattr(integrate, "velocity_kernel", lambda sys: every_third_fails)
+    traj = integrate_tghs(sys, pt0, cfg)
+    assert len(calls) == traj.rhs_calls == 4 * 11
+    assert point_jets == [sys.hamiltonian, sys.structural] * (44 // 3)
+    monkeypatch.setattr(integrate, "velocity_kernel", lambda sys: None)
+    assert _states(sys, pt0, cfg) == (traj.times.tobytes(), traj.states.tobytes())
+
+
+def test_run_over_the_norm_exits_2_naming_t(write_scenario):
+    # q1 = 0.5 e^t crosses 1 at t = ln 2
+    path = write_scenario(hamiltonian="q1 * p1", structural="0",
+                          initial={"q": [0.5], "p": [0.5]},
+                          stepper={"step": 0.01, "t_end": 1.0, "max_norm": 1.0})
+    assert run_one_scenario(path) == (
+        2, f"{path}: error: state norm 1.007e+00 exceeded the blow-up threshold at t=0.7")
+
+
+def test_nan_state_exits_2_naming_t(write_scenario, monkeypatch):
+    # a kernel that lets a NaN through (none of gchs's does) at the last
+    # stage of the third step, so that no later stage sees it
+    path = write_scenario(stepper={"step": 0.01, "t_end": 0.1})
+    kernel = velocity_kernel(load_scenario(path).system())
+    calls = []
+
+    def nan_on_the_twelfth(*x):
+        calls.append(x)
+        return (np.nan, 0.0) if len(calls) == 12 else kernel(*x)
+
+    monkeypatch.setattr(integrate, "velocity_kernel", lambda sys: nan_on_the_twelfth)
+    assert run_one_scenario(path) == (
+        2, f"{path}: error: state norm nan exceeded the blow-up threshold at t=0.03")

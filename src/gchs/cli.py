@@ -30,7 +30,6 @@ import concurrent.futures
 import functools
 import logging
 import os
-import stat
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -81,20 +80,6 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.17g}"
 
 
-def _rewrite(path, text: str, newline=None):
-    """Write text to path as open(path, "w", newline=newline) would, in
-    place: open without O_TRUNC (a new file gets open()'s mode), write,
-    then cut a regular file to what was written.  Truncating an existing
-    file first costs more than overwriting it, on some file systems many
-    times more.  Like open(path, "w"), this is not atomic."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline=newline) as fh:
-        fh.write(text)
-        fh.flush()
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            os.ftruncate(fd, fh.tell())
-
-
 def write_trajectory_csv(path, traj: Trajectory):
     """Deterministic CSV: '.' decimals, ',' separators, '\\n' line ends,
     17 significant digits; complex columns as re+imj literals."""
@@ -119,7 +104,8 @@ def write_trajectory_csv(path, traj: Trajectory):
     table = np.column_stack(columns) + 0.0
     row = ",".join(formats)
     lines = [",".join(header), *[row % tuple(r) for r in table.tolist()]]
-    _rewrite(path, "\n".join(lines) + "\n", newline="")
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_summary_json(path, sc: Scenario, traj: Trajectory):
@@ -132,15 +118,17 @@ def write_summary_json(path, sc: Scenario, traj: Trajectory):
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise DomainError("a summary value is not finite") from None
-    _rewrite(path, text + "\n")
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def run_one_scenario(path) -> tuple[int, str]:
     """Load, integrate and write outputs for one scenario file.
 
     Returns (exit_code, message); never raises, so it can run in a
-    worker process.  Logs the steps, the right-hand sides and the wall
-    time of each phase at level info.
+    worker process.  Logs the wall time of loading, integrating and
+    writing at level info, after integrate's line for the march and the
+    monitors.
     """
     try:
         with np.errstate(all="ignore"):   # as in main: the guards report them
@@ -150,13 +138,12 @@ def run_one_scenario(path) -> tuple[int, str]:
             observables = sc.observable_fields()
             loaded = perf_counter()
             traj = integrate_tghs(system, sc.initial, sc.stepper, observables=observables)
-            marched = perf_counter()
+            integrated = perf_counter()
             write_trajectory_csv(sc.csv_path, traj)
             write_summary_json(sc.summary_path, sc, traj)
-        log.info("%s: %d steps, %d right-hand sides; load %.3f ms, march %.3f ms, "
-                 "monitors %.3f ms, writers %.3f ms", path, traj.steps, traj.rhs_calls,
-                 1e3 * (loaded - start), 1e3 * (marched - loaded - traj.monitor_s),
-                 1e3 * traj.monitor_s, 1e3 * (perf_counter() - marched))
+        log.info("%s: load %.3f ms, integrate %.3f ms, writers %.3f ms", path,
+                 1e3 * (loaded - start), 1e3 * (integrated - loaded),
+                 1e3 * (perf_counter() - integrated))
         return 0, (f"{path}: {traj.samples} samples, t_final="
                    f"{traj.times[-1]:.6g} -> {sc.csv_path}, {sc.summary_path}")
     except _USER_ERRORS as e:
@@ -202,7 +189,8 @@ def cmd_run(args) -> int:
         log.info("running %d scenarios on %d workers", len(paths), workers)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                outcomes.extend(pool.map(run_one_scenario, paths))
+                for outcome in pool.map(run_one_scenario, paths):
+                    outcomes.append(outcome)
             except concurrent.futures.BrokenExecutor:
                 # a worker died (killed, out of memory): the scenarios
                 # from the first without an outcome on run here, in order

@@ -13,7 +13,7 @@ Every right-hand side takes t and a sequence of 2n floats and returns
 2n floats.  Both steppers march on floats in one loop (_march), which
 checks each state and records the samples; each method counts its
 right-hand sides, 4 per RK4 step and 7 per RK45 attempt.  RK4 runs a
-step generated and compiled once per state size (_rk4_code).  The
+step generated and compiled once per state size (_rk4_step).  The
 right-hand side of the structural flow is the system's velocity kernel
 (dynamics.velocity_kernel), one compiled float function of the state
 that returns the floats the jets would, or an index where a guard fires
@@ -101,9 +101,7 @@ class Trajectory:
     observables: dict[str, np.ndarray] = field(default_factory=dict)
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
     w0: float | None = None
-    steps: int = 0             # accepted steps of the march
     rhs_calls: int = 0         # right-hand sides the march called
-    monitor_s: float = 0.0     # wall time of the monitor pass, written to no output
 
     @property
     def samples(self) -> int:
@@ -121,7 +119,7 @@ class Trajectory:
 # steppers
 
 
-def _stage(rhs, t, x):
+def _jets_stage(rhs, t, x):
     """rhs(t, x), naming t in its DomainError or RealnessError."""
     try:
         return rhs(t, x)
@@ -129,22 +127,32 @@ def _stage(rhs, t, x):
         raise type(e)(f"{e} at t={t:.6g}") from None
 
 
+def _stage(kernel, rhs, t, x):
+    """One stage's right-hand side: kernel's floats where it returns a
+    tuple, else _jets_stage.  RK4's generated step spells this out."""
+    k = kernel(*x)
+    return k if type(k) is tuple else _jets_stage(rhs, t, x)
+
+
 def _no_kernel(*x):
     return 0
 
 
+def _compile(name: str, lines: list[str], namespace: dict):
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
 @functools.cache
-def _rk4_code(size: int):
-    """The RK4 step and the norm test on states of size floats, compiled
-    once per size.
+def _rk4_step(size: int):
+    """The RK4 step on states of size floats, compiled once per size.
 
     step(kernel, rhs, t, h, x0, ...) returns the state after one step as
-    a tuple.  Each stage calls kernel on its point's floats once, and
-    only where that returns no tuple takes rhs(t, point) by _stage.  The
-    stages and the final sum are the IEEE operations of the whole-array
-    form (tests/rk4_reference.py) in its order, component by component.
-    within(max_norm, x0, ...) is False unless every |x_i| <= max_norm,
-    so it is False on NaN."""
+    a tuple.  Each stage is _stage written out: it calls kernel on its
+    point's floats once, and only where that returns no tuple takes
+    rhs(t, point) by _jets_stage.  The stages and the final sum are the
+    IEEE operations of the whole-array form (tests/rk4_reference.py) in
+    its order, component by component."""
     xs = [f"x{i}" for i in range(size)]
     ys = [f"y{i}" for i in range(size)]
 
@@ -152,7 +160,7 @@ def _rk4_code(size: int):
         args = ", ".join(point)
         return [f"    k = kernel({args})",
                 "    if type(k) is not tuple:",
-                f"        k = _stage(rhs, {t}, ({args},))",
+                f"        k = _jets_stage(rhs, {t}, ({args},))",
                 f"    {', '.join(f'{k}{i}' for i in range(size))}, = k"]
 
     def point(scale, k):
@@ -167,22 +175,28 @@ def _rk4_code(size: int):
              *point("h", "c"), *stage("d", "t + h", ys),
              "    h6 = h / 6.0",
              "    return (" + "".join(f"x{i} + h6 * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i}), "
-                                      for i in range(size)) + ")",
-             f"def within(m, {', '.join(xs)}):",
-             "    n = -m",
-             "    return " + " and ".join(f"x{i} <= m and x{i} >= n" for i in range(size))]
-    namespace = {"_stage": _stage}
-    exec(compile("\n".join(lines), "<rk4 step>", "exec"), namespace)
-    return namespace["step"], namespace["within"]
+                                      for i in range(size)) + ")"]
+    return _compile("step", lines, {"_jets_stage": _jets_stage})
+
+
+@functools.cache
+def _norm_test(size: int):
+    """within(max_norm, x0, ...), compiled once per size: False unless
+    every |x_i| <= max_norm, so False on NaN."""
+    xs = [f"x{i}" for i in range(size)]
+    return _compile("within", [
+        f"def within(m, {', '.join(xs)}):",
+        "    n = -m",
+        "    return " + " and ".join(f"{x} <= m and {x} >= n" for x in xs)], {})
 
 
 def _rk4(kernel, rhs, x, cfg: StepperConfig, near: float):
-    """Classic RK4 on a tuple of floats by _rk4_code's step, yielding each
+    """Classic RK4 on a tuple of floats by _rk4_step, yielding each
     step's (t, x, right-hand sides so far).  A remainder shorter than
     near is no step."""
     h = cfg.step
     nfull = math.floor(cfg.t_end / h + 1e-12)
-    step = _rk4_code(len(x))[0]
+    step = _rk4_step(len(x))
     for i in range(nfull):
         x = step(kernel, rhs, i * h, h, *x)
         yield (i + 1) * h, x, 4 * i + 4
@@ -223,7 +237,7 @@ def _rk45(kernel, rhs, x, cfg: StepperConfig, near: float):
     """Dormand-Prince 5(4) on floats with a PI step-size controller
     (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5; Gustafsson, ACM
     TOMS 17, 1991), yielding each accepted step's (t, x, right-hand sides
-    so far), 7 per attempt.  Each stage tries kernel, then rhs by _stage.
+    so far), 7 per attempt.  Each stage is _stage.
 
     Stage j's point is x + h*(a_j1*k1 + a_j2*k2 + ...) per component, the
     sum taken left to right in tableau order.  A zero entry of the tableau
@@ -240,11 +254,6 @@ def _rk45(kernel, rhs, x, cfg: StepperConfig, near: float):
     err_prev = 1.0
     safety, fac_min, fac_max = 0.9, 0.2, 5.0
     attempts = 0
-
-    def f(t, x):
-        k = kernel(*x)
-        return k if type(k) is tuple else _stage(rhs, t, x)
-
     while t_end - t > near:
         capped = h >= t_end - t
         h = min(h, t_end - t)
@@ -252,10 +261,10 @@ def _rk45(kernel, rhs, x, cfg: StepperConfig, near: float):
             raise StepUnderflowError(h, t)
 
         attempts += 1
-        k = [f(t, x)]
+        k = [_stage(kernel, rhs, t, x)]
         for c, row in zip(_DP_C, _DP_A):
             x5 = _dp_point(x, h, row, k)
-            k.append(f(t + c * h, x5))
+            k.append(_stage(kernel, rhs, t + c * h, x5))
         x4 = _dp_point(x, h, _DP_B4, k)
         squares = 0.0
         for a, b5, b4 in zip(x, x5, x4):
@@ -287,7 +296,7 @@ def _march(rhs, x0: np.ndarray, cfg: StepperConfig, kernel=None):
     methods a time within 1e-12*max(1, t_end) of t_end is the horizon."""
     near = 1e-12 * max(1.0, cfg.t_end)
     x = tuple(x0.tolist())
-    within = _rk4_code(len(x))[1]
+    within = _norm_test(len(x))
     method = _rk4 if cfg.method == "rk4" else _rk45
     times, states = [], []
     for steps, (t, x, calls) in enumerate(chain(
@@ -300,7 +309,6 @@ def _march(rhs, x0: np.ndarray, cfg: StepperConfig, kernel=None):
     if abs(times[-1] - cfg.t_end) > near:
         times.append(cfg.t_end)
         states.append(x)
-    log.debug("%s: %d steps, %d right-hand sides", cfg.method, steps, calls)
     return np.array(times), np.array(states), steps, calls
 
 
@@ -336,10 +344,10 @@ def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
     """March rhs (and kernel, see _march) from pt0 and attach the
     monitors of the rate source: sys, or the constant rate w0 when sys is
     None."""
-    times, states, steps, rhs_calls = _march(rhs, pt0.flat(), cfg, kernel)
-    traj = Trajectory(flow, pt0.n, times, states, w0=w0, steps=steps,
-                      rhs_calls=rhs_calls)
     start = perf_counter()
+    times, states, steps, rhs_calls = _march(rhs, pt0.flat(), cfg, kernel)
+    traj = Trajectory(flow, pt0.n, times, states, w0=w0, rhs_calls=rhs_calls)
+    marched = perf_counter()
     try:
         _attach_monitors(traj, sys, observables or {})
     except (DomainError, RealnessError):
@@ -351,7 +359,9 @@ def _finish(flow: str, rhs, pt0: PhasePoint, cfg: StepperConfig,
             except (DomainError, RealnessError) as e:
                 raise type(e)(f"{e} at t={t:.6g}") from None
         raise
-    traj.monitor_s = perf_counter() - start
+    log.info("%s %s: %d steps, %d right-hand sides; march %.3f ms, monitors %.3f ms",
+             flow, cfg.method, steps, rhs_calls, 1e3 * (marched - start),
+             1e3 * (perf_counter() - marched))
     return traj
 
 

@@ -1,4 +1,4 @@
-"""gchs run's outputs: rewritten in place, the same bytes with telemetry on,
+"""gchs run's outputs: rewritten whole, the same bytes with telemetry on,
 and the same result when a worker of --jobs dies."""
 
 import concurrent.futures
@@ -30,7 +30,7 @@ def _copy_scenarios(folder: Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# in-place writer
+# writers
 
 
 def test_a_longer_older_output_is_cut_to_the_new_bytes(write_scenario, capsys):
@@ -51,29 +51,6 @@ def test_dev_null_as_an_output_exits_0(write_scenario, capsys):
     assert (path.parent / "scenario_summary.json").stat().st_size > 0
 
 
-@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
-def test_a_new_output_gets_the_mode_of_open(tmp_path, umask):
-    old = os.umask(umask)
-    try:
-        cli._rewrite(tmp_path / "new.txt", "text\n")
-        with open(tmp_path / "by_open.txt", "w") as fh:
-            fh.write("text\n")
-    finally:
-        os.umask(old)
-    assert ((tmp_path / "new.txt").stat().st_mode
-            == (tmp_path / "by_open.txt").stat().st_mode)
-    assert (tmp_path / "new.txt").read_bytes() == b"text\n"
-
-
-def test_an_existing_output_keeps_its_mode(tmp_path):
-    out = tmp_path / "out.csv"
-    out.write_text("a longer first version\n")
-    out.chmod(0o600)
-    cli._rewrite(out, "b\n")
-    assert out.read_bytes() == b"b\n"
-    assert out.stat().st_mode & 0o777 == 0o600
-
-
 def test_an_output_in_a_missing_directory_exits_1(write_scenario, capsys):
     path = write_scenario(stepper=SHORT, outputs={"summary": "nodir/s.json"})
     assert main(["run", str(path)]) == 1
@@ -92,7 +69,7 @@ def _run(args, level):
                           env=dict(os.environ, GCHS_LOG=level))
 
 
-def test_info_log_gives_one_line_per_scenario_and_the_same_bytes(tmp_path):
+def test_info_log_gives_two_lines_per_scenario_and_the_same_bytes(tmp_path):
     runs = {}
     for level in ("error", "info"):
         folder = tmp_path / level
@@ -105,12 +82,15 @@ def test_info_log_gives_one_line_per_scenario_and_the_same_bytes(tmp_path):
     assert info_files == quiet_files and len(info_files) == 4
     assert quiet.stderr == ""
     lines = info.stderr.splitlines()
-    assert len(lines) == 2
-    for line, (name, steps) in zip(lines, [("oscillator", 6284), ("structural", 2000)]):
+    assert len(lines) == 4
+    for k, (name, steps) in enumerate([("oscillator", 6284), ("structural", 2000)]):
+        march, scenario = lines[2 * k:2 * k + 2]
         assert re.fullmatch(
-            rf"INFO \S+: \S+{name}\.json: {steps} steps, {4 * steps} right-hand sides; "
-            r"load [0-9.]+ ms, march [0-9.]+ ms, monitors [0-9.]+ ms, writers [0-9.]+ ms",
-            line), line
+            rf"INFO gchs\.integrate: tghs rk4: {steps} steps, {4 * steps} right-hand sides; "
+            r"march [0-9.]+ ms, monitors [0-9.]+ ms", march), march
+        assert re.fullmatch(
+            rf"INFO \S+: \S+{name}\.json: "
+            r"load [0-9.]+ ms, integrate [0-9.]+ ms, writers [0-9.]+ ms", scenario), scenario
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,11 @@ from .fields import ScalarField, eval_jet, linear_combination, parse_field
 from .integrate import StepperConfig, integrate_tghs, monitor_report
 from .phasespace import PhasePoint, real_from_wirtinger, wirtinger_from_real
 
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
+
 log = logging.getLogger(__name__)
 
 _VAR_KINDS = ("q", "p")
@@ -242,10 +247,13 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     procs = _processes(len(blocks))
     chunks = [blocks[len(blocks) * k // procs:len(blocks) * (k + 1) // procs]
               for k in range(procs)]
+    faults0 = _minor_faults()
     t0 = time.perf_counter()
     _run_chunks(run, chunks, add)
-    log.info("invariant suite: %d blocks, %d processes, %.3f s",
-             len(blocks), procs, time.perf_counter() - t0)
+    elapsed = time.perf_counter() - t0
+    faults = "" if faults0 is None else f", {_minor_faults() - faults0} page faults"
+    log.info("invariant suite: %d blocks, %d processes, %.3f s%s",
+             len(blocks), procs, elapsed, faults)
 
     # bridge: both engines at the suite's first (up to 200) points
     pts = [PhasePoint(inp.Q[:, k], inp.P[:, k]) for k in range(min(count, 200))]
@@ -266,6 +274,15 @@ def _merger(worst: dict[str, tuple[float, float]]):
             dev = _worst(worst[name][0], dev)
         worst[name] = dev, tol
     return add
+
+
+def _minor_faults() -> int | None:
+    """Minor page faults so far of this process and its reaped children,
+    or None without the resource module."""
+    if resource is None:
+        return None
+    return sum(resource.getrusage(who).ru_minflt
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
 
 
 def _processes(blocks: int) -> int:

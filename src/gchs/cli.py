@@ -9,13 +9,14 @@ Three subcommands:
 Exit codes: 0 success, 1 input or parse error (messages name line and
 column where that applies), a quantity that must be real came out
 complex, a file that cannot be read or written (the message names it),
-or outputs that clash (one file for two outputs, or an output that is a
-scenario file; run refuses them before any scenario runs), 2 runtime
-integration failure (blow-up or step underflow, message names t; a NaN
-or infinite state is a blow-up), 3 invariant
-failure from check, 4 a field left the domain of an operation (division
-by zero, log of zero, zero to a negative power) or a guarded quantity
-came out NaN or infinite.  For codes 1 and 4 the message names the
+outputs that clash (one file for two outputs, or an output that is a
+scenario file; run refuses them before any scenario runs), or memory
+that cannot be allocated (check's inputs at a huge --count; the message
+names the allocation), 2 runtime integration failure (blow-up or step
+underflow, message names t; a NaN or infinite state is a blow-up), 3
+invariant failure from check, 4 a field left the domain of an operation
+(division by zero, log of zero, zero to a negative power) or a guarded
+quantity came out NaN or infinite.  For codes 1 and 4 the message names the
 scenario, and t when the march or the monitors of a recorded sample fail.
 
 The environment variable GCHS_LOG (error, info, debug) sets log
@@ -59,7 +60,8 @@ class _UsageError(Exception):
 #: the exit code of each failure the user causes; anything else, such as
 #: a ConsistencyError, is a bug and propagates as a traceback
 _EXIT_CODES = {ScenarioError: 1, ExpressionError: 1, RealnessError: 1,
-               ValueError: 1, IntegrationError: 2, DomainError: 4}
+               ValueError: 1, MemoryError: 1, IntegrationError: 2,
+               DomainError: 4}
 _USER_ERRORS = tuple(_EXIT_CODES)
 
 
@@ -235,7 +237,47 @@ def cmd_bracket(args) -> int:
     return 0
 
 
+#: glibc malloc thresholds for `gchs check`, in bytes.  The largest array
+#: a block allocates is an order-2 Hessian, (2n, 2n, checks.BLOCK)
+#: complex: 1.1 MiB at n = 3, and below 32 MiB up to n = 15.  Arrays under
+#: the mmap threshold come from the heap (32 MiB is also the ceiling of
+#: glibc's own adjustment on 64-bit).  A block holds several such arrays
+#: at once (7.3 MiB at its peak at n = 3), and glibc hands the free top of
+#: the heap back to the OS beyond the trim threshold: 64 MiB, twice the
+#: mmap threshold, the ratio glibc's own adjustment keeps.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep the memory each block of `gchs check` frees for the next one.
+
+    By default glibc hands a block's large arrays back to the OS when they
+    are freed, and the next block faults the same pages in again.  Setting
+    both thresholds (either one alone turns off glibc's adjustment of the
+    other) keeps them in the heap.  It acts once per process, on glibc
+    only; the forked children of the suite inherit it.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the parameter numbers of <malloc.h>
+    for name, param, value in (("M_MMAP_THRESHOLD", -3, _MMAP_THRESHOLD),
+                               ("M_TRIM_THRESHOLD", -1, _TRIM_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            log.debug("mallopt(%s, %d) refused", name, value)
+
+
 def cmd_check(args) -> int:
+    _keep_freed_memory()
     sc = load_scenario(args.scenario)
     system = sc.system()
     results = run_invariant_suite(system, args.seed, args.count,

@@ -6,8 +6,10 @@ Every jet here carries a full complex gradient (2n, m) and Hessian
 the textbook formulas to all of them, on complex arrays.  The generated
 code computes only the structurally nonzero entries and leaves out the
 terms an identically zero factor would contribute; on finite values the
-two give equal arrays up to the sign of an exact zero.  (Where a value
-is not finite, a dense jet multiplies it by a zero entry and gets NaN; a
+two give equal arrays up to the sign of an exact zero.  A subtree with
+no coordinate in it has exact-zero derivatives here too, as in the
+generated code, whatever its value.  (Elsewhere, where a value is not
+finite, a dense jet multiplies it by a zero entry and gets NaN; a
 left-out term has no such NaN.)
 
 dense_eval walks a parsed field's expression tree with these jets.
@@ -134,10 +136,12 @@ class DenseJet:
 
 
 class DenseSpace:
-    """The evaluation context of dense_eval: points, time and order."""
+    """The evaluation context of dense_eval: points, time, order, and the
+    ids of the nodes whose subtree has no coordinate."""
 
-    def __init__(self, n, Q, P, t, order):
+    def __init__(self, n, Q, P, t, order, constant):
         self.n, self.Q, self.P, self.t, self.order = n, Q, P, t, order
+        self.constant = constant
         self.m = Q.shape[1]
 
     def _zeros(self):
@@ -165,8 +169,27 @@ _BINARY = {fields.Add: operator.add, fields.Sub: operator.sub,
            fields.Mul: operator.mul, fields.Div: operator.truediv}
 
 
+_LEAVES = (fields.CoordQ, fields.CoordP, fields.CoordZ)
+
+
+def _constants(node, out: set) -> bool:
+    """Whether node's subtree has no coordinate; adds the id of every such
+    node in it to out."""
+    constant = not isinstance(node, _LEAVES)
+    for child in node.children():
+        constant &= _constants(child, out)
+    if constant:
+        out.add(id(node))
+    return constant
+
+
 def _walk(node, ctx):
     """The dense jet of one expression node."""
+    if ctx.order and id(node) in ctx.constant:
+        # exact zeros, also where the value is not finite: the dense
+        # product rule would give inf * 0 = NaN (1 / exp(1000))
+        at_order_0 = DenseSpace(ctx.n, ctx.Q, ctx.P, ctx.t, 0, ctx.constant)
+        return DenseJet(_walk(node, at_order_0).val, *ctx._zeros())
     kind = type(node)
     if kind is fields.Num:
         return ctx.const(node.value)
@@ -198,4 +221,6 @@ def dense_eval(f, Q, P, order, time=None):
     t = None
     if time is not None:
         t = np.broadcast_to(np.asarray(time, dtype=float), (Q.shape[1],))
-    return _walk(f.root, DenseSpace(f.n, Q, P, t, order))
+    constant = set()
+    _constants(f.root, constant)
+    return _walk(f.root, DenseSpace(f.n, Q, P, t, order, constant))

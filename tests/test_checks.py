@@ -347,7 +347,17 @@ def test_suite_logs_its_blocks_processes_and_time(structured, monkeypatch, caplo
     run_invariant_suite(structured, 42, 50, include_flow_checks=False)
     [record] = caplog.records
     assert record.levelno == logging.INFO
-    assert re.fullmatch(r"invariant suite: 8 blocks, 2 processes, \d+\.\d{3} s",
+    assert re.fullmatch(r"invariant suite: 8 blocks, 2 processes, \d+\.\d{3} s, \d+ page faults",
+                        record.getMessage())
+
+
+def test_suite_logs_no_page_faults_without_the_resource_module(structured, monkeypatch,
+                                                               caplog):
+    monkeypatch.setattr(checks, "resource", None)
+    caplog.set_level(logging.INFO, logger="gchs.checks")
+    run_invariant_suite(structured, 42, 50, include_flow_checks=False)
+    [record] = caplog.records
+    assert re.fullmatch(r"invariant suite: 1 blocks, 1 processes, \d+\.\d{3} s",
                         record.getMessage())
 
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -764,3 +765,106 @@ def test_module_entry_point_help():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "run" in proc.stdout and "bracket" in proc.stdout
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _python(code, *args, **env):
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, **env))
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not _glibc(), reason="glibc on Linux only")
+def test_a_second_check_in_one_process_keeps_its_blocks_memory(write_scenario, coupled):
+    # 16384 points are 8 blocks on one process; with glibc's default
+    # thresholds each block of this n=3 system hands its arrays back to
+    # the OS, and the next block faults them in again (about 25k minor
+    # faults per call)
+    code = (
+        "import contextlib, io, resource, sys\n"
+        "from gchs import checks, cli\n"
+        "checks._processes = lambda blocks: 1\n"
+        "argv = ['check', '--count', '16384', sys.argv[1]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(argv) == 0\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    proc = _python(code, str(write_scenario(**coupled)))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert int(proc.stdout) < 1000
+
+
+def test_check_reports_the_same_bytes_with_the_allocator_left_alone():
+    argv = ["check", "--seed", "42", "--count", "20000", str(SCENARIOS / "structural.json")]
+    runs = [_python(f"import sys; from gchs import cli; {patch}"
+                    "sys.exit(cli.main(sys.argv[1:]))", *argv)
+            for patch in ("", "cli._keep_freed_memory = lambda: None; ")]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.endswith("28/28 invariants passed (seed=42, count=20000)\n")
+
+
+def _fake_mallopt(monkeypatch, confstr, result):
+    """Calls of mallopt through ctypes, which returns result; no real one runs."""
+    import ctypes
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return result
+
+    if confstr is None:
+        monkeypatch.delattr(os, "confstr", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr", confstr, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    return calls
+
+
+def test_mallopt_sets_both_thresholds_and_logs_a_refusal(monkeypatch, caplog):
+    calls = _fake_mallopt(monkeypatch, lambda name: "glibc 2.36", 0)
+    caplog.set_level(logging.DEBUG, logger="gchs.cli")
+    cli._keep_freed_memory.__wrapped__()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.DEBUG, "mallopt(M_MMAP_THRESHOLD, 33554432) refused"),
+        (logging.DEBUG, "mallopt(M_TRIM_THRESHOLD, 67108864) refused")]
+
+
+def _unknown_name(name):
+    raise ValueError("unrecognized configuration name")
+
+
+def _no_value(name):
+    raise OSError(22, "Invalid argument")
+
+
+@pytest.mark.parametrize("confstr", [None, _unknown_name, _no_value, lambda name: None],
+                         ids=["no_confstr", "unknown_name", "einval", "unset"])
+def test_mallopt_is_left_alone_without_glibc(monkeypatch, caplog, confstr):
+    calls = _fake_mallopt(monkeypatch, confstr, 1)
+    caplog.set_level(logging.DEBUG, logger="gchs.cli")
+    cli._keep_freed_memory.__wrapped__()
+    assert calls == []
+    assert not caplog.records
+
+
+def test_check_at_a_count_beyond_any_memory_exits_1():
+    # 2^59 points are 4 EiB of inputs, more than any address space holds,
+    # so the allocation fails before anything is touched
+    count = str(2 ** 59)
+    proc = subprocess.run([sys.executable, "-m", "gchs.cli", "check", "--count", count,
+                           str(SCENARIOS / "structural.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: Unable to allocate 4.00 EiB")
+    assert count in line

@@ -17,8 +17,8 @@ must agree; a mismatch raises ConsistencyError since it can only come
 from a derivative bug, never from user input.  The kernels (*_jets) take
 order-1 jets sharing one batch, and nothing else: n comes from the jets,
 and each Wirtinger pair and each scale of a check is derived once per
-jet (Jet.wirtinger, Jet.amax).  pb_complex_jets and sdyn_jets run once
-per pair of jets (fields._memoized).
+jet (Jet.wirtinger, Jet.amax).  pb_complex_jets, structural_derivative_jets
+and sdyn_jets run once per pair of jets (fields._memoized).
 """
 
 from __future__ import annotations
@@ -123,6 +123,7 @@ def pb_complex_jets(fj, gj) -> np.ndarray:
     return 2j * np.add.reduce(fzb * gz - fz * gzb, 0)
 
 
+@_memoized
 def structural_derivative_jets(fj, sj) -> tuple[np.ndarray, np.ndarray]:
     """(Df/dz, Df/dzbar) = (df/dz + f * ds/dz, df/dzbar + f * ds/dzbar),
     (n, m) each: the one place the structural derivative is written."""
@@ -187,7 +188,7 @@ def pb_complex(f: ScalarField, g: ScalarField, pt: PhasePoint) -> complex:
 def structural_derivative(f: ScalarField, sys: StructuredSystem,
                           pt: PhasePoint) -> WirtingerGradient:
     """The product-corrected gradient Df/dz_j = df/dz_j + f * ds/dz_j
-    (and its conjugate-chart partner)."""
+    (and its conjugate-chart partner), in read-only arrays."""
     Dfz, Dfzb = structural_derivative_jets(
         *point_jets(pt, _time_free(f), sys.structural))
     return WirtingerGradient(Dfz[:, 0], Dfzb[:, 0])

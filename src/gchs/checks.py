@@ -13,13 +13,15 @@ parser, which keeps the generator honest about the public grammar.
 The point-based identities run over independent blocks of points, so
 the blocks are spread over the usable CPUs: contiguous chunks of blocks,
 the first in the calling process and each later one in a child made by
-os.fork, whose merged deviations come back over a pipe.  The report is
+os.fork, whose merged deviations come back over a pipe.  On glibc each
+child first hands back the free heap it inherits (_fork).  The report is
 the same bit for bit on any number of processes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import math
 import numbers
@@ -167,8 +169,10 @@ BLOCK = 2048
 @dataclass(frozen=True, eq=False)
 class _Inputs:
     """The suite's seeded draws over all points, and the fields built
-    from them once per call (linear_combination generates new code on
-    every call)."""
+    from them once per call, before the blocks.  Each field comes from a
+    store (parse_field, linear_combination), so a later call with the
+    same draws, in this process or a child forked after the first, builds
+    no code."""
 
     Q: np.ndarray
     P: np.ndarray
@@ -298,6 +302,31 @@ def _processes(blocks: int) -> int:
     return min(blocks, cpus)
 
 
+def _glibc_function(name: str, *argtypes: str):
+    """glibc's function name through ctypes, declared to take the ctypes
+    types named argtypes and to return a C int; None on any other C
+    library.  ctypes is imported here, so that no other command pays for
+    it."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return None
+    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
+        return None
+    import ctypes
+
+    fn = getattr(ctypes.CDLL(None), name)
+    fn.argtypes = tuple(getattr(ctypes, t) for t in argtypes)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+@functools.cache
+def _heap_trim():
+    """glibc's malloc_trim, or None: looked up once per process, by the
+    first call that forks (_run_chunks)."""
+    return _glibc_function("malloc_trim", "c_size_t")
+
+
 def _run_chunks(run, chunks: list, add):
     """run(chunk, add) for every chunk, merged through add in chunk order.
 
@@ -308,8 +337,9 @@ def _run_chunks(run, chunks: list, add):
     No child outlives this call.
     """
     children = {}   # pid -> read end of its pipe, for each child not yet reaped
+    trim = _heap_trim() if len(chunks) > 1 else None
     try:
-        forked = [(_fork(run, chunk, children), chunk) for chunk in chunks[1:]]
+        forked = [(_fork(run, chunk, children, trim), chunk) for chunk in chunks[1:]]
         run(chunks[0], add)
         for pid, chunk in forked:
             reported = _collect(pid, children)
@@ -329,11 +359,17 @@ def _run_chunks(run, chunks: list, add):
                 os.waitpid(pid, 0)
 
 
-def _fork(run, chunk: list, children: dict) -> int | None:
+def _fork(run, chunk: list, children: dict, trim) -> int | None:
     """Fork a child that runs run(chunk, add) and writes what it merged
     (name -> (dev, tol)) to a pipe; its pid, or None if it could not be
     made.  The child leaves by os._exit whatever happens, so it runs no
-    atexit handler and flushes no stdio buffer copied from the parent."""
+    atexit handler and flushes no stdio buffer copied from the parent.
+
+    Before its first block the child calls trim(0), glibc's malloc_trim
+    where given (_heap_trim): the free heap it shares with the parent
+    goes back to the OS, so its blocks fault in fresh zero pages, not
+    copies of the parent's garbage, and the parent's next writes to those
+    pages copy nothing either."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -345,6 +381,8 @@ def _fork(run, chunk: list, children: dict) -> int | None:
         code = 1
         try:
             os.close(r)
+            if trim is not None:
+                trim(0)
             worst = {}
             run(chunk, _merger(worst))
             with os.fdopen(w, "wb") as fh:

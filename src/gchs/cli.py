@@ -39,7 +39,7 @@ import numpy as np
 
 from .bridge import gspb_real
 from .brackets import geobracket, gspb, pb_complex
-from .checks import run_invariant_suite
+from .checks import _glibc_function, run_invariant_suite
 from .errors import (DomainError, ExpressionError, IntegrationError,
                      RealnessError, ScenarioError)
 from .fields import parse_field
@@ -154,6 +154,34 @@ def run_one_scenario(path) -> tuple[int, str]:
         return 1, f"{path}: error: cannot write {e.filename}: {e.strerror or e}"
 
 
+class _Held(logging.Handler):
+    """Keeps the records a worker of --jobs logs, each with its message
+    formatted, so that they can be sent back with its outcome."""
+
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
+def _run_held(path, level: int):
+    """run_one_scenario(path) in a worker of --jobs: its outcome, and the
+    records it logged at level and above, held back rather than written,
+    so that the parent emits them in argument order."""
+    root, held = logging.getLogger(), _Held()
+    handlers, old_level = root.handlers, root.level
+    root.handlers = [held]
+    root.setLevel(level)
+    try:
+        return run_one_scenario(path), held.records
+    finally:
+        root.handlers = handlers
+        root.setLevel(old_level)
+
+
 def _output_clash(paths) -> str | None:
     """Why the scenarios of one run may not run together, or None: an
     output that two of them write, or that is another's scenario file.
@@ -189,9 +217,13 @@ def cmd_run(args) -> int:
     outcomes = []
     if workers > 1:
         log.info("running %d scenarios on %d workers", len(paths), workers)
+        held = functools.partial(_run_held, level=logging.getLogger().level)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                for outcome in pool.map(run_one_scenario, paths):
+                # in argument order, each scenario's records before its outcome
+                for outcome, records in pool.map(held, paths):
+                    for record in records:
+                        logging.getLogger(record.name).handle(record)
                     outcomes.append(outcome)
             except concurrent.futures.BrokenExecutor:
                 # a worker died (killed, out of memory): the scenarios
@@ -259,16 +291,9 @@ def _keep_freed_memory() -> None:
     other) keeps them in the heap.  It acts once per process, on glibc
     only; the forked children of the suite inherit it.
     """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
+    mallopt = _glibc_function("mallopt", "c_int", "c_int")
+    if mallopt is None:
         return
-    import ctypes
-
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
     # the parameter numbers of <malloc.h>
     for name, param, value in (("M_MMAP_THRESHOLD", -3, _MMAP_THRESHOLD),
                                ("M_TRIM_THRESHOLD", -1, _TRIM_THRESHOLD)):

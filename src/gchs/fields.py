@@ -21,12 +21,12 @@ pairs are assembled from the real partials afterwards, once per jet
 (Jet.wirtinger).
 
 Jets are computed by straight-line code generated and compiled once per
-parsed text (see parse_field), order and kind (see _Emitter, _Code):
-numpy calls on complex arrays ("array"); for a real-form field, code
-that returns the same values on Python floats at a single point
-("float") and on float64 arrays over a batch ("batch"); and for any
-other field, the array code's statements on the Python numbers of a
-single point ("point").  Each code, dynamics' velocity kernel too, is
+parsed text or combination (see parse_field, linear_combination), order
+and kind (see _Emitter, _Code): numpy calls on complex arrays
+("array"); for a real-form field, code that returns the same values on
+Python floats at a single point ("float") and on float64 arrays over a
+batch ("batch"); and for any other field, the array code's statements
+on the Python numbers of a single point ("point").  Each code, dynamics' velocity kernel too, is
 one function from one compile step (_compiled), and only array code
 raises: the others return a reason's index.
 """
@@ -38,6 +38,7 @@ import logging
 import math
 import operator
 import re
+import threading
 import weakref
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -975,7 +976,8 @@ def _make_field(root: Node, n: int) -> ScalarField:
     return ScalarField(root, n, uses_time, real_form)
 
 
-#: texts kept by _parsed (gchs check parses 7, and 2n + 1 fixed fields)
+#: fields kept by each store, _parsed's and linear_combination's (gchs
+#: check parses 7 texts and 2n + 1 fixed fields, and combines 2)
 _STORE_SIZE = 64
 
 
@@ -1003,12 +1005,31 @@ def constant_field(c: float, n: int) -> ScalarField:
     return _make_field(_literal(c), n)
 
 
+#: the fields of linear_combination, by the bits of a and b and the codes
+#: of f and g, the last used last; at most _STORE_SIZE of them
+_combinations: dict[tuple, ScalarField] = {}
+_combinations_lock = threading.Lock()
+
+
 def linear_combination(a: float, f: ScalarField, b: float, g: ScalarField) -> ScalarField:
-    """The field a*f + b*g, used by the invariant suite."""
+    """The field a*f + b*g, used by the invariant suite: a new field,
+    sharing the tree and code of earlier ones of the same combination.
+
+    The store keys a and b by their exact bits (0.0 and -0.0 print apart)
+    and f and g by their code, which the fields of one parsed text share
+    (_parsed); never by a tree, whose == conflates 0.0 and -0.0 and whose
+    hash would recurse as deep as the tree."""
     if f.n != g.n:
         raise ValueError("fields must share the same n")
-    root = Add(Mul(_literal(a), f.root), Mul(_literal(b), g.root))
-    return _make_field(root, f.n)
+    key = (float(a).hex(), f._code, float(b).hex(), g._code)
+    with _combinations_lock:
+        stored = _combinations.pop(key, None)
+        if stored is None:
+            stored = _make_field(Add(Mul(_literal(a), f.root), Mul(_literal(b), g.root)), f.n)
+            if len(_combinations) >= _STORE_SIZE:
+                del _combinations[next(iter(_combinations))]
+        _combinations[key] = stored
+    return replace(stored)
 
 
 def coordinate_field(kind: str, j: int, n: int) -> ScalarField:

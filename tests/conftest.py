@@ -10,12 +10,14 @@ from gchs import PhasePoint, StructuredSystem, brackets, dynamics, fields, parse
 
 @pytest.fixture(autouse=True)
 def fresh_store():
-    """Empty the process-wide store of parsed fields (and so the velocity
-    kernels and point memos kept on their code) before each test, as in a
-    new process.  A test that checks a first build (its log line, its one
-    compile()) or refuses compile() then neither sees nor leaves behind
-    code that another test built from the same text."""
+    """Empty the process-wide stores of parsed fields and of linear
+    combinations (and so the velocity kernels and point memos kept on
+    their code) before each test, as in a new process.  A test that
+    checks a first build (its log line, its one compile()) or refuses
+    compile() then neither sees nor leaves behind code that another test
+    built from the same text."""
     fields._parsed.cache_clear()
+    fields._combinations.clear()
 
 
 @pytest.fixture
@@ -53,8 +55,8 @@ def kernel_runs(monkeypatch):
     that keeps its results per pair of jets (fields._memoized), from now
     on: a call its memo answers does not run the kernel's body."""
     runs = []
-    for kernel in (brackets.pb_complex_jets, brackets.sdyn_jets,
-                   dynamics.tghs_zdot_jets, dynamics.tghs_zbardot_jets,
+    for kernel in (brackets.pb_complex_jets, brackets.structural_derivative_jets,
+                   brackets.sdyn_jets, dynamics.tghs_zdot_jets, dynamics.tghs_zbardot_jets,
                    dynamics.flow_gradient_jets):
         def counted(a, b, name=kernel.__name__, body=kernel.__wrapped__):
             runs.append((name, a, b))

@@ -91,6 +91,19 @@ def test_structural_derivative_reference(structured, pt12):
     assert d.dzbar[0] == pytest.approx(0.5 + 1.0j, abs=1e-15)
 
 
+def test_structural_derivative_runs_once_per_point_in_read_only_arrays(
+        structured, pt12, kernel_runs):
+    # the memo of f's jet at the point keeps the pair, as gradient's jet
+    # keeps its Wirtinger pair
+    d = structural_derivative(Z1, structured, pt12)
+    again = structural_derivative(Z1, structured, pt12)
+    assert again.dz.base is d.dz.base and again.dzbar.base is d.dzbar.base
+    assert [name for name, _, _ in kernel_runs] == ["structural_derivative_jets"]
+    for a in (d.dz, d.dzbar):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 5.0
+
+
 def test_geobracket_reference(structured, pt12):
     assert geobracket(Z1, ZB1, structured, pt12) == pytest.approx(-2.0j,
                                                                   abs=1e-14)

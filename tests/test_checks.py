@@ -9,6 +9,7 @@ import signal
 import threading
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +151,28 @@ def test_suite_computes_the_flow_gradient_once_per_block(flow_builds, monkeypatc
     assert len(flow_builds) == 6   # ceil(40 / 7) blocks
 
 
+def test_suite_derives_each_structural_derivative_once_per_pair_and_block(
+        kernel_runs, monkeypatch):
+    # per block of this n = 2 system, with s: f, g, the combination, the
+    # real field, H, s, z_j and conj(z_j); and f and g with the zero field
+    _pin_processes(monkeypatch, 1)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    per_block, second = [], checks._second_order_checks
+
+    def counted(add, sys, inp, cols):
+        second(add, sys, inp, cols)
+        pairs = [(id(a), id(b)) for name, a, b in kernel_runs
+                 if name == "structural_derivative_jets"]
+        assert len(set(pairs)) == len(pairs)
+        per_block.append(len(pairs))
+        kernel_runs.clear()
+
+    monkeypatch.setattr(checks, "_second_order_checks", counted)
+    sys = random_system(np.random.default_rng(11), 2, max_degree=3)
+    run_invariant_suite(sys, 42, 40, include_flow_checks=False)
+    assert per_block == [6 + 2 * 2 + 2] * 6   # ceil(40 / 7) blocks
+
+
 def test_suite_builds_each_code_once_per_call(monkeypatch):
     # the fixed fields (two linear combinations, the reparsed f, 0, z_j
     # and conj(z_j)) are built before the blocks, so no block generates
@@ -288,6 +311,97 @@ def test_an_error_in_any_chunk_raises_the_text_of_one_process(monkeypatch, error
     assert texts == texts[:1] * 3
     if error is ConsistencyError:
         assert f"differ by {column + 1:.3e}" in texts[0]
+
+
+@pytest.fixture
+def fake_libc(monkeypatch, tmp_path):
+    """Put a fake C library in place of ctypes' (no real malloc_trim runs),
+    and log, to a file the forked children append to as well, each
+    "trim <pid> <pad>" of its malloc_trim and each "block <pid>" of the
+    suite.  Called with the os.confstr to use (None: none); returns the
+    log's path and the lookups of the library."""
+    import ctypes
+
+    log, lookups = tmp_path / "calls.log", []
+
+    def write(line):
+        with open(log, "a") as fh:
+            fh.write(line + "\n")
+
+    def malloc_trim(pad):
+        write(f"trim {os.getpid()} {pad}")
+        return 1
+
+    def cdll(name):
+        lookups.append(name)
+        return SimpleNamespace(malloc_trim=malloc_trim)
+
+    first = checks._first_order_checks
+
+    def logged(add, sys, inp, cols):
+        write(f"block {os.getpid()}")
+        return first(add, sys, inp, cols)
+
+    def install(confstr):
+        if confstr is None:
+            monkeypatch.delattr(os, "confstr", raising=False)
+        else:
+            monkeypatch.setattr(os, "confstr", confstr, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        monkeypatch.setattr(checks, "_first_order_checks", logged)
+        return log, lookups
+
+    checks._heap_trim.cache_clear()
+    yield install
+    checks._heap_trim.cache_clear()
+
+
+def _calls_by_process(log) -> dict[int, list[str]]:
+    calls = {}
+    for line in log.read_text().splitlines():
+        what, pid, *pad = line.split()
+        calls.setdefault(int(pid), []).append(" ".join([what, *pad]))
+    return calls
+
+
+def test_each_child_trims_the_heap_once_before_its_first_block(monkeypatch, fake_libc):
+    sys = random_system(np.random.default_rng(3), 2)
+    sequential = _suite_bits(sys, 50)
+    log, lookups = fake_libc(lambda name: "glibc 2.36")
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    _pin_processes(monkeypatch, 1)
+    assert _suite_bits(sys, 50) == sequential
+    assert lookups == []   # no fork, no lookup
+    for _ in range(2):
+        log.unlink()
+        _pin_processes(monkeypatch, 3)
+        assert _suite_bits(sys, 50) == sequential
+        _no_child_left()
+        calls = _calls_by_process(log)
+        assert calls.pop(os.getpid()) == ["block"] * 2   # chunks of 2, 3 and 3 of 8
+        assert [len(child) for child in calls.values()] == [1 + 3] * 2
+        for child in calls.values():
+            assert child == ["trim 0"] + ["block"] * (len(child) - 1)
+    assert lookups == [None]   # once per process
+
+
+def _not_glibc(name):
+    raise ValueError("unrecognized configuration name")
+
+
+@pytest.mark.parametrize("confstr", [None, _not_glibc, lambda name: None],
+                         ids=["no_confstr", "unknown_name", "unset"])
+def test_no_child_trims_without_glibc(monkeypatch, fake_libc, confstr):
+    log, lookups = fake_libc(confstr)
+    sys = random_system(np.random.default_rng(3), 2)
+    monkeypatch.setattr(checks, "BLOCK", 7)
+    _pin_processes(monkeypatch, 3)
+    _suite_bits(sys, 50)
+    _no_child_left()
+    calls = _calls_by_process(log)
+    assert len(calls) == 3
+    assert all(set(c) == {"block"} for c in calls.values())
+    assert lookups == []
 
 
 def test_a_child_that_dies_costs_time_not_the_result(monkeypatch):

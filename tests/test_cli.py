@@ -605,18 +605,17 @@ def test_check_is_byte_deterministic(write_scenario, capsys):
     assert reports[0] == reports[1]
 
 
-def test_second_check_builds_only_its_linear_combinations(write_scenario, capsys,
-                                                         code_builds):
-    # every other field of the suite comes from the store of parsed fields
+def test_second_check_builds_no_code(write_scenario, capsys, code_builds):
+    # every field of the suite comes from a store: the parsed texts, and
+    # the two linear combinations of the same draws
     path = write_scenario()
     assert main(["check", "--seed", "7", "--count", "50", str(path)]) == 0
-    assert len(code_builds) > 2
+    combined = [(order, kind) for f, order, kind in code_builds
+                if type(f.root) is fields.Add and type(f.root.left) is fields.Mul]
+    assert combined == [(1, "array")] * 2
     code_builds.clear()
     assert main(["check", "--seed", "7", "--count", "50", str(path)]) == 0
-    assert [(type(f.root), order, kind) for f, order, kind in code_builds] \
-        == [(fields.Add, 1, "array")] * 2
-    assert all(type(f.root.left) is type(f.root.right) is fields.Mul
-               for f, _, _ in code_builds)
+    assert code_builds == []
 
 
 def test_check_failure_exit_3(write_scenario, capsys, monkeypatch):
@@ -801,12 +800,14 @@ def test_a_second_check_in_one_process_keeps_its_blocks_memory(write_scenario, c
 
 
 def test_check_reports_the_same_bytes_with_the_allocator_left_alone():
+    # neither the thresholds nor the children's malloc_trim change a bit
     argv = ["check", "--seed", "42", "--count", "20000", str(SCENARIOS / "structural.json")]
-    runs = [_python(f"import sys; from gchs import cli; {patch}"
+    runs = [_python(f"import sys; from gchs import checks, cli; {patch}"
                     "sys.exit(cli.main(sys.argv[1:]))", *argv)
-            for patch in ("", "cli._keep_freed_memory = lambda: None; ")]
-    assert [run.returncode for run in runs] == [0, 0]
-    assert runs[0].stdout == runs[1].stdout
+            for patch in ("", "cli._keep_freed_memory = lambda: None; ",
+                          "checks._heap_trim = lambda: None; ")]
+    assert [run.returncode for run in runs] == [0, 0, 0]
+    assert runs[0].stdout == runs[1].stdout == runs[2].stdout
     assert runs[0].stdout.endswith("28/28 invariants passed (seed=42, count=20000)\n")
 
 

@@ -185,6 +185,80 @@ def test_store_keeps_the_most_recently_used_texts():
 
 
 # ---------------------------------------------------------------------------
+# the store of linear combinations: one tree and one code per combination
+
+
+def test_equal_combinations_share_one_tree_and_code():
+    f, g = parse_field("q1 * p2 + z1", 2), parse_field("sin(q2)", 2)
+    a = linear_combination(0.25, f, -1.5, g)
+    # other fields of the same texts, and coefficients of other types
+    b = linear_combination(np.float64(0.25), parse_field(str(f), 2), -1.5,
+                           parse_field("sin(q2)", 2))
+    assert a is not b
+    assert a.root is b.root and a._code is b._code
+    assert len(fields._combinations) == 1
+
+
+@pytest.mark.parametrize("a, other", [
+    (0.0, -0.0),
+    (0.3, math.nextafter(0.3, 1.0)),
+    (-2.0, math.nextafter(-2.0, 0.0)),
+], ids=["signed_zero", "next_up", "next_toward_zero"])
+def test_coefficients_that_differ_in_a_bit_never_share(a, other):
+    f, g = parse_field("q1", 1), parse_field("p1 * q1", 1)
+    for left, right in ((linear_combination(a, f, 1.0, g), linear_combination(other, f, 1.0, g)),
+                        (linear_combination(1.0, f, a, g), linear_combination(1.0, f, other, g))):
+        assert left._code is not right._code
+        assert str(left) != str(right)
+
+
+def test_fields_of_other_texts_or_codes_never_share():
+    f, g = parse_field("q1", 1), parse_field("p1", 1)
+    base = linear_combination(1.0, f, 2.0, g)
+    assert linear_combination(1.0, g, 2.0, f)._code is not base._code
+    assert linear_combination(1.0, f, 2.0, parse_field("p1", 1))._code is base._code
+    # a field built in code has code of its own, so each is a new combination
+    q = coordinate_field("q", 1, 1)
+    assert linear_combination(1.0, q, 2.0, g)._code \
+        is not linear_combination(1.0, coordinate_field("q", 1, 1), 2.0, g)._code
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_a_stored_combination_has_the_jets_of_a_fresh_build(m):
+    rng = np.random.default_rng(29)
+    f = random_polynomial(rng, 2, complex_ok=True)
+    g = random_smooth_field(rng, 2)
+    a, b = (float(v) for v in rng.uniform(-1.0, 1.0, size=2))
+    linear_combination(a, f, b, g)
+    stored = linear_combination(a, f, b, g)
+    fresh = fields._make_field(fields.Add(fields.Mul(fields.Num(a), f.root),
+                                          fields.Mul(fields.Num(b), g.root)), 2)
+    assert stored._code is not fresh._code
+    Q, P = rng.uniform(-1.0, 1.0, size=(2, 2, m))
+    for order in (0, 1, 2):
+        got, want = eval_jet(stored, Q, P, order=order), eval_jet(fresh, Q, P, order=order)
+        for part in ("val", "grad", "hess")[:order + 1]:
+            x, y = getattr(got, part), getattr(want, part)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def test_combination_store_is_bounded_and_keeps_the_last_used():
+    f, g = parse_field("q1", 1), parse_field("p1", 1)
+    first = linear_combination(0.0, f, 1.0, g)
+    codes = []
+    for k in range(1, fields._STORE_SIZE + 5):
+        codes.append(linear_combination(float(k), f, 1.0, g)._code)
+        linear_combination(0.0, f, 1.0, g)   # used again: it stays
+        assert len(fields._combinations) <= fields._STORE_SIZE
+    assert len(fields._combinations) == fields._STORE_SIZE
+    assert linear_combination(0.0, f, 1.0, g)._code is first._code
+    assert linear_combination(float(len(codes)), f, 1.0, g)._code is codes[-1]
+    evicted = linear_combination(1.0, f, 1.0, g)   # the oldest: built anew
+    assert evicted._code is not codes[0]
+    assert str(evicted) == "1.0 * q1 + 1.0 * p1"
+
+
+# ---------------------------------------------------------------------------
 # printing
 
 

@@ -271,9 +271,11 @@ def test_each_memoized_kernel_runs_once_per_pair_at_a_point(kernel_runs):
     counts = {}
     for name, _, _ in kernel_runs:
         counts[name] = counts.get(name, 0) + 1
-    # seven distinct pairs of pb_complex_jets, one of each other kernel
-    assert counts == {"pb_complex_jets": 7, "sdyn_jets": 1, "tghs_zdot_jets": 1,
-                      "tghs_zbardot_jets": 1, "flow_gradient_jets": 1}
+    # seven distinct pairs of pb_complex_jets, four of structural_derivative_jets
+    # (f, g, H and the unit field, each with s), one of each other kernel
+    assert counts == {"pb_complex_jets": 7, "structural_derivative_jets": 4,
+                      "sdyn_jets": 1, "tghs_zdot_jets": 1, "tghs_zbardot_jets": 1,
+                      "flow_gradient_jets": 1}
 
     # the order-2 queries again at the same point take the same jets from
     # point_jets and run nothing
@@ -312,7 +314,8 @@ def test_memoized_arrays_are_read_only():
     Q, P = np.random.default_rng(5).uniform(-1, 1, size=(2, 6, 4))
     Hj, sj = (eval_jet(h, Q, P, order=2) for h in (sys_.hamiltonian, sys_.structural))
     fj = eval_jet(f, Q, P, order=1)
-    results = [brackets.pb_complex_jets(fj, Hj), brackets.sdyn_jets(Hj, sj),
+    results = [brackets.pb_complex_jets(fj, Hj),
+               *brackets.structural_derivative_jets(fj, sj), brackets.sdyn_jets(Hj, sj),
                dynamics.tghs_zdot_jets(Hj, sj), dynamics.tghs_zbardot_jets(Hj, sj),
                *dynamics.flow_gradient_jets(Hj, sj)]
     for a in results:

@@ -93,6 +93,22 @@ def test_info_log_gives_two_lines_per_scenario_and_the_same_bytes(tmp_path):
             r"load [0-9.]+ ms, integrate [0-9.]+ ms, writers [0-9.]+ ms", scenario), scenario
 
 
+def test_info_log_of_jobs_is_in_argument_order(tmp_path):
+    # the workers hand their lines back with their outcomes, so stderr is
+    # that of --jobs 1 whichever worker finishes first, with one more line
+    # for the pool; the longer scenario comes first
+    paths = _copy_scenarios(tmp_path / "run")
+    want = _run(["--jobs", "1", *paths], "info")
+    assert want.returncode == 0
+    masked = re.sub(r"[0-9.]+ ms", "T ms", want.stderr)
+    for _ in range(3):
+        got = _run(["--jobs", "2", *paths], "info")
+        assert got.returncode == 0 and got.stdout == want.stdout
+        pool, rest = got.stderr.split("\n", 1)
+        assert re.fullmatch(r"INFO \S+: running 2 scenarios on 2 workers", pool), pool
+        assert re.sub(r"[0-9.]+ ms", "T ms", rest) == masked
+
+
 # ---------------------------------------------------------------------------
 # --jobs with a worker that dies
 

@@ -11,29 +11,22 @@ Random fields are generated as expression strings and run through the
 parser, which keeps the generator honest about the public grammar.
 
 The point-based identities run over independent blocks of points, so
-the blocks are spread over the usable CPUs: contiguous chunks of blocks,
-the first in the calling process and each later one in a child made by
-os.fork, whose merged deviations come back over a pipe.  On glibc each
-child first hands back the free heap it inherits (_fork).  The report is
-the same bit for bit on any number of processes.
+the blocks are spread over the usable CPUs by the fork runner
+(runner.map_items), and each block's worst deviations are merged in block
+order.  The report is the same bit for bit on any number of processes.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import logging
 import math
 import numbers
-import os
-import pickle
-import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bridge
+from . import bridge, runner
 from .brackets import (StructuredSystem, _amax, _worst, gspb_jets,
                        pb_complex_jets, pb_real_jets, structural_derivative_jets)
 from .dynamics import (acceleration_jets, beta_jets, flow_gradient_jets,
@@ -222,15 +215,14 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     is built and memory does not grow with `count` beyond the inputs.
     No kernel mixes points, so the deviations are those of one batch;
     only the guards inside the kernels (dual-route, realness, finiteness)
-    judge each block against that block's own magnitudes.  The blocks
-    run in contiguous chunks, one per process (_processes): the first
-    here, each later one in a forked child (_run_chunks).  An error comes
-    from the first block where one occurs, whatever the processes.  The
-    flow checks integrate short probe trajectories (the scenario's
-    initial point if given); the probe field is the run's one observable,
-    so its values, its residual {f,H}_s and w come from the monitor pass
-    that `gchs run` uses.  Every invariant is reported through one add,
-    in order of first report.
+    judge each block against that block's own magnitudes.  The blocks run
+    on the usable CPUs (runner.map_items), and an error comes from the
+    first block where one occurs, whatever the processes.  The flow
+    checks integrate short probe trajectories (the scenario's initial
+    point if given); the probe field is the run's one observable, so its
+    values, its residual {f,H}_s and w come from the monitor pass that
+    `gchs run` uses.  Every invariant is reported through one add, in
+    order of first report.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
@@ -241,19 +233,21 @@ def run_invariant_suite(sys: StructuredSystem, seed: int, count: int,
     worst: dict[str, tuple[float, float]] = {}   # in report order
     add = _merger(worst)
 
-    def run(chunk: list[slice], add):
-        for cols in chunk:
-            _first_order_checks(add, sys, inp, cols)
-            _second_order_checks(add, sys, inp, cols)
+    def run_block(cols: slice) -> dict[str, tuple[float, float]]:
+        block_worst = {}
+        block_add = _merger(block_worst)
+        _first_order_checks(block_add, sys, inp, cols)
+        _second_order_checks(block_add, sys, inp, cols)
+        return block_worst
 
     blocks = [slice(b[0], b[-1] + 1)
               for b in np.array_split(np.arange(count), math.ceil(count / BLOCK))]
-    procs = _processes(len(blocks))
-    chunks = [blocks[len(blocks) * k // procs:len(blocks) * (k + 1) // procs]
-              for k in range(procs)]
+    procs = runner.processes(runner.cpus(), len(blocks))
     faults0 = _minor_faults()
     t0 = time.perf_counter()
-    _run_chunks(run, chunks, add)
+    for block_worst in runner.map_items(run_block, blocks, procs):
+        for name, (dev, tol) in block_worst.items():
+            add(name, dev, tol)
     elapsed = time.perf_counter() - t0
     faults = "" if faults0 is None else f", {_minor_faults() - faults0} page faults"
     log.info("invariant suite: %d blocks, %d processes, %.3f s%s",
@@ -287,130 +281,6 @@ def _minor_faults() -> int | None:
         return None
     return sum(resource.getrusage(who).ru_minflt
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-
-
-def _processes(blocks: int) -> int:
-    """How many processes run the blocks: one per usable CPU, at most one
-    per block, and one where os.fork is missing or another thread is
-    alive (forking then is unsafe)."""
-    if blocks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity on this platform
-        cpus = os.cpu_count() or 1
-    return min(blocks, cpus)
-
-
-def _glibc_function(name: str, *argtypes: str):
-    """glibc's function name through ctypes, declared to take the ctypes
-    types named argtypes and to return a C int; None on any other C
-    library.  ctypes is imported here, so that no other command pays for
-    it."""
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return None
-    except (AttributeError, ValueError, OSError):   # no confstr, or not glibc
-        return None
-    import ctypes
-
-    fn = getattr(ctypes.CDLL(None), name)
-    fn.argtypes = tuple(getattr(ctypes, t) for t in argtypes)
-    fn.restype = ctypes.c_int
-    return fn
-
-
-@functools.cache
-def _heap_trim():
-    """glibc's malloc_trim, or None: looked up once per process, by the
-    first call that forks (_run_chunks)."""
-    return _glibc_function("malloc_trim", "c_size_t")
-
-
-def _run_chunks(run, chunks: list, add):
-    """run(chunk, add) for every chunk, merged through add in chunk order.
-
-    The first chunk runs here, each later one in a child (_fork).  A child
-    that fails in any way (an error, a signal, a short or unreadable
-    payload) has its chunk run here, after the chunks before it, so the
-    first error of the blocks is raised with the text one process gives.
-    No child outlives this call.
-    """
-    children = {}   # pid -> read end of its pipe, for each child not yet reaped
-    trim = _heap_trim() if len(chunks) > 1 else None
-    try:
-        forked = [(_fork(run, chunk, children, trim), chunk) for chunk in chunks[1:]]
-        run(chunks[0], add)
-        for pid, chunk in forked:
-            reported = _collect(pid, children)
-            if reported is None:
-                run(chunk, add)
-            else:
-                for name, (dev, tol) in reported.items():
-                    add(name, dev, tol)
-    finally:
-        if children:   # imported here, so that no other command pays for it
-            import signal
-        for pid, pipe in children.items():
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(pid, 0)
-
-
-def _fork(run, chunk: list, children: dict, trim) -> int | None:
-    """Fork a child that runs run(chunk, add) and writes what it merged
-    (name -> (dev, tol)) to a pipe; its pid, or None if it could not be
-    made.  The child leaves by os._exit whatever happens, so it runs no
-    atexit handler and flushes no stdio buffer copied from the parent.
-
-    Before its first block the child calls trim(0), glibc's malloc_trim
-    where given (_heap_trim): the free heap it shares with the parent
-    goes back to the OS, so its blocks fault in fresh zero pages, not
-    copies of the parent's garbage, and the parent's next writes to those
-    pages copy nothing either."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            if trim is not None:
-                trim(0)
-            worst = {}
-            run(chunk, _merger(worst))
-            with os.fdopen(w, "wb") as fh:
-                pickle.dump(worst, fh)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    children[pid] = os.fdopen(r, "rb")
-    return pid
-
-
-def _collect(pid: int | None, children: dict) -> dict | None:
-    """Reap the child pid; what it merged, or None where it did not exit
-    0 with a whole payload."""
-    if pid is None:
-        return None
-    pipe = children[pid]
-    payload = pipe.read()
-    pipe.close()
-    _, status = os.waitpid(pid, 0)
-    del children[pid]
-    if status != 0:
-        return None
-    try:
-        return pickle.loads(payload)
-    except (pickle.UnpicklingError, EOFError):   # a payload cut short
-        return None
 
 
 def _first_order_checks(add, sys: StructuredSystem, inp: _Inputs, cols: slice):

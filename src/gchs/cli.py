@@ -27,7 +27,6 @@ scenario and seed, byte for byte.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import logging
 import os
@@ -37,9 +36,10 @@ from time import perf_counter
 
 import numpy as np
 
+from . import runner
 from .bridge import gspb_real
 from .brackets import geobracket, gspb, pb_complex
-from .checks import _glibc_function, run_invariant_suite
+from .checks import run_invariant_suite
 from .errors import (DomainError, ExpressionError, IntegrationError,
                      RealnessError, ScenarioError)
 from .fields import parse_field
@@ -127,10 +127,10 @@ def write_summary_json(path, sc: Scenario, traj: Trajectory):
 def run_one_scenario(path) -> tuple[int, str]:
     """Load, integrate and write outputs for one scenario file.
 
-    Returns (exit_code, message); never raises, so it can run in a
-    worker process.  Logs the wall time of loading, integrating and
-    writing at level info, after integrate's line for the march and the
-    monitors.
+    Returns (exit_code, message); never raises, so that a failing
+    scenario leaves the others to run.  Logs the wall time of loading,
+    integrating and writing at level info, after integrate's line for the
+    march and the monitors.
     """
     try:
         with np.errstate(all="ignore"):   # as in main: the guards report them
@@ -152,34 +152,6 @@ def run_one_scenario(path) -> tuple[int, str]:
         return _exit_code(e), f"{path}: error: {e}"
     except OSError as e:   # load_scenario reports a scenario it cannot read
         return 1, f"{path}: error: cannot write {e.filename}: {e.strerror or e}"
-
-
-class _Held(logging.Handler):
-    """Keeps the records a worker of --jobs logs, each with its message
-    formatted, so that they can be sent back with its outcome."""
-
-    def __init__(self):
-        super().__init__()
-        self.records = []
-
-    def emit(self, record):
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-
-
-def _run_held(path, level: int):
-    """run_one_scenario(path) in a worker of --jobs: its outcome, and the
-    records it logged at level and above, held back rather than written,
-    so that the parent emits them in argument order."""
-    root, held = logging.getLogger(), _Held()
-    handlers, old_level = root.handlers, root.level
-    root.handlers = [held]
-    root.setLevel(level)
-    try:
-        return run_one_scenario(path), held.records
-    finally:
-        root.handlers = handlers
-        root.setLevel(old_level)
 
 
 def _output_clash(paths) -> str | None:
@@ -212,25 +184,10 @@ def cmd_run(args) -> int:
     if clash:
         print(f"error: {clash}", file=sys.stderr)
         return 1
-    # a fork pool starts all its workers at once: no more than there are files
-    workers = min(args.jobs, len(paths))
-    outcomes = []
+    workers = runner.processes(args.jobs, len(paths))
     if workers > 1:
         log.info("running %d scenarios on %d workers", len(paths), workers)
-        held = functools.partial(_run_held, level=logging.getLogger().level)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                # in argument order, each scenario's records before its outcome
-                for outcome, records in pool.map(held, paths):
-                    for record in records:
-                        logging.getLogger(record.name).handle(record)
-                    outcomes.append(outcome)
-            except concurrent.futures.BrokenExecutor:
-                # a worker died (killed, out of memory): the scenarios
-                # from the first without an outcome on run here, in order
-                log.info("a worker died; running %d scenarios here",
-                         len(paths) - len(outcomes))
-    outcomes += [run_one_scenario(p) for p in paths[len(outcomes):]]
+    outcomes = runner.map_items(run_one_scenario, paths, workers)
 
     code = 0
     for rc, message in outcomes:
@@ -251,11 +208,19 @@ def _point_from_at(at: str, n: int) -> PhasePoint:
     return PhasePoint(vals[0::2], vals[1::2])
 
 
+def _parse_option(option: str, src: str, n: int):
+    """The field of an expression option, a parse error naming it."""
+    try:
+        return parse_field(src, n)
+    except ExpressionError as e:
+        raise ValueError(f"{option}: {e}") from None
+
+
 def cmd_bracket(args) -> int:
     sc = load_scenario(args.scenario)
     system = sc.system()
-    f = parse_field(args.f, sc.n)
-    g = parse_field(args.g, sc.n)
+    f = _parse_option("-f", args.f, sc.n)
+    g = _parse_option("-g", args.g, sc.n)
     pt = _point_from_at(args.at, sc.n) if args.at else sc.initial
 
     rows = [
@@ -291,7 +256,7 @@ def _keep_freed_memory() -> None:
     other) keeps them in the heap.  It acts once per process, on glibc
     only; the forked children of the suite inherit it.
     """
-    mallopt = _glibc_function("mallopt", "c_int", "c_int")
+    mallopt = runner._glibc_function("mallopt", "c_int", "c_int")
     if mallopt is None:
         return
     # the parameter numbers of <malloc.h>

@@ -31,6 +31,7 @@ _REQUIRED = {"n", "hamiltonian", "structural", "initial"}
 _STEPPER_KEYS = {f.name for f in fields(StepperConfig)}
 _OUTPUT_KEYS = {"csv", "summary"}
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+_COORD_RE = re.compile(r"[qp]([1-9][0-9]*)\Z")
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,6 +87,14 @@ def _coords(raw, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _is_state_column(name: str, n: int) -> bool:
+    """Whether name is one of the CSV's columns t, H, w, q1..qn, p1..pn
+    (the length first: int() refuses thousands of digits)."""
+    m = _COORD_RE.match(name)
+    return name in ("t", "H", "w") or (
+        m is not None and len(m[1]) <= len(str(n)) and int(m[1]) <= n)
+
+
 def _file_key(path: Path):
     """What names one file: its (device, inode) where it exists (a rerun
     finds its outputs, and a hard link is one file), else its resolved
@@ -125,21 +134,6 @@ def load_scenario(path) -> Scenario:
         if not isinstance(raw[key], str):
             raise ScenarioError(f"{key} must be an expression string")
 
-    observables = raw.get("observables", {})
-    if not isinstance(observables, dict):
-        raise ScenarioError("observables must be an object of name: expression")
-    csv_columns = {"t", "H", "w", *(f"{c}{j}" for c in "qp" for j in range(1, n + 1))}
-    for name, src in observables.items():
-        if not _NAME_RE.match(name):
-            raise ScenarioError(f"observable name {name!r} is not an identifier")
-        if not isinstance(src, str):
-            raise ScenarioError(f"observables.{name} must be an expression string")
-        for column in (name, f"{name}_residual"):
-            if column in csv_columns:
-                raise ScenarioError(f"observable {name!r}: the CSV already has "
-                                    f"a column {column!r}")
-            csv_columns.add(column)
-
     initial = raw["initial"]
     if not isinstance(initial, dict):
         raise ScenarioError("initial must be an object with q and p lists")
@@ -147,6 +141,21 @@ def load_scenario(path) -> Scenario:
     if "q" not in initial or "p" not in initial:
         raise ScenarioError("initial needs both q and p")
     pt = PhasePoint(_coords(initial["q"], n, "q"), _coords(initial["p"], n, "p"))
+
+    observables = raw.get("observables", {})
+    if not isinstance(observables, dict):
+        raise ScenarioError("observables must be an object of name: expression")
+    taken = set()   # the observables' own columns so far
+    for name, src in observables.items():
+        if not _NAME_RE.match(name):
+            raise ScenarioError(f"observable name {name!r} is not an identifier")
+        if not isinstance(src, str):
+            raise ScenarioError(f"observables.{name} must be an expression string")
+        for column in (name, f"{name}_residual"):
+            if column in taken or _is_state_column(column, n):
+                raise ScenarioError(f"observable {name!r}: the CSV already has "
+                                    f"a column {column!r}")
+            taken.add(column)
 
     stepper_raw = raw.get("stepper", {})
     if not isinstance(stepper_raw, dict):

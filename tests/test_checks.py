@@ -16,7 +16,7 @@ import pytest
 
 from gchs import (ConsistencyError, PhasePoint, RealnessError, StructuredSystem,
                   parse_field, run_invariant_suite)
-from gchs import brackets, bridge, checks, fields, integrate
+from gchs import brackets, bridge, checks, fields, integrate, runner
 from gchs.checks import (random_points, random_polynomial, random_smooth_field,
                          random_system)
 from gchs.fields import eval_jet
@@ -25,7 +25,7 @@ from gchs.fields import eval_jet
 def _pin_processes(monkeypatch, processes):
     """Run the suite's blocks on this many processes (at most one per
     block), whatever the CPUs."""
-    monkeypatch.setattr(checks, "_processes", lambda blocks: min(blocks, processes))
+    monkeypatch.setattr(runner, "cpus", lambda: processes)
 
 
 def _no_child_left():
@@ -214,14 +214,18 @@ def test_blocked_suite_equals_one_block(monkeypatch, n, count):
         _no_child_left()
 
 
+def _suite_processes(blocks):
+    return runner.processes(runner.cpus(), blocks)
+
+
 def test_processes_are_one_per_usable_cpu_and_block(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
-    assert [checks._processes(blocks) for blocks in (1, 2, 3, 10)] == [1, 2, 3, 3]
+    assert [_suite_processes(blocks) for blocks in (1, 2, 3, 10)] == [1, 2, 3, 3]
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert checks._processes(10) == 4
+    assert _suite_processes(10) == 4
     monkeypatch.delattr(os, "fork")
-    assert checks._processes(10) == 1
+    assert _suite_processes(10) == 1
 
 
 def test_suite_forks_nothing_while_another_thread_is_alive(monkeypatch):
@@ -239,13 +243,13 @@ def test_suite_forks_nothing_while_another_thread_is_alive(monkeypatch):
     thread = threading.Thread(target=done.wait)
     thread.start()
     try:
-        assert checks._processes(8) == 1
+        assert _suite_processes(8) == 1
         run_invariant_suite(sys, 17, 50, include_flow_checks=False)
     finally:
         done.set()
         thread.join(timeout=10)
     assert not thread.is_alive() and forks == []
-    assert checks._processes(8) == 4   # the thread was the only reason
+    assert _suite_processes(8) == 4   # the thread was the only reason
 
 
 def test_a_fork_that_fails_runs_its_chunk_here(monkeypatch):
@@ -292,7 +296,7 @@ def _route_error_from(monkeypatch, column):
 def test_an_error_in_any_chunk_raises_the_text_of_one_process(monkeypatch, error,
                                                               poison, column):
     # from column 32 on, the first failing block (32..37 of 50 in blocks
-    # of 7) is in a child's chunk on 2 or 3 processes, and the parent
+    # of 7, the sixth) is a child's on 2 or 3 processes, and the parent
     # raises what one process raises: the first failing block's error
     if error is RealnessError:   # log(q1) is complex where q1 < 0
         sys = StructuredSystem(1, parse_field("p1^2/2 + log(q1)", 1),
@@ -351,9 +355,9 @@ def fake_libc(monkeypatch, tmp_path):
         monkeypatch.setattr(checks, "_first_order_checks", logged)
         return log, lookups
 
-    checks._heap_trim.cache_clear()
+    runner._heap_trim.cache_clear()
     yield install
-    checks._heap_trim.cache_clear()
+    runner._heap_trim.cache_clear()
 
 
 def _calls_by_process(log) -> dict[int, list[str]]:
@@ -378,8 +382,9 @@ def test_each_child_trims_the_heap_once_before_its_first_block(monkeypatch, fake
         assert _suite_bits(sys, 50) == sequential
         _no_child_left()
         calls = _calls_by_process(log)
-        assert calls.pop(os.getpid()) == ["block"] * 2   # chunks of 2, 3 and 3 of 8
-        assert [len(child) for child in calls.values()] == [1 + 3] * 2
+        # blocks 0, 3, 6 here; 1, 4, 7 and 2, 5 in the children
+        assert calls.pop(os.getpid()) == ["block"] * 3
+        assert sorted(len(child) for child in calls.values()) == [1 + 2, 1 + 3]
         for child in calls.values():
             assert child == ["trim 0"] + ["block"] * (len(child) - 1)
     assert lookups == [None]   # once per process
@@ -426,7 +431,7 @@ def test_a_short_payload_costs_time_not_the_result(monkeypatch):
     sys = random_system(np.random.default_rng(3), 2)
     sequential = _suite_bits(sys, 50)
     dumps = pickle.dumps
-    monkeypatch.setattr(checks.pickle, "dump", lambda obj, fh: fh.write(dumps(obj)[:-5]))
+    monkeypatch.setattr(runner.pickle, "dump", lambda obj, fh: fh.write(dumps(obj)[:-5]))
     monkeypatch.setattr(checks, "BLOCK", 7)
     _pin_processes(monkeypatch, 3)
     assert _suite_bits(sys, 50) == sequential
@@ -436,7 +441,7 @@ def test_a_short_payload_costs_time_not_the_result(monkeypatch):
 @pytest.mark.parametrize("processes", [2, 3])
 def test_a_nan_in_a_childs_block_fails_its_invariant(structured, monkeypatch,
                                                      processes):
-    # column 45 lies in the last block (44..49), run by the last child
+    # column 45 lies in the last block (44..49), the eighth, run by a child
     draw = checks._draw
 
     def poisoned(rng, n, count):

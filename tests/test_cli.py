@@ -1,6 +1,5 @@
 """Command line behaviour: exit codes, file outputs, determinism."""
 
-import concurrent.futures
 import json
 import logging
 import os
@@ -14,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gchs import DomainError, InvariantResult, Trajectory, cli, fields, integrate
+from gchs import DomainError, InvariantResult, Trajectory, cli, fields, integrate, runner
 from gchs.cli import main, run_one_scenario, write_summary_json
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -328,46 +327,37 @@ def test_run_refuses_an_output_that_is_another_scenario(write_scenario, capsys):
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Put a recorder of max_workers in place of ProcessPoolExecutor; it
-    runs the work inline, so no test starts a pool of the asked size."""
+def process_counts(monkeypatch):
+    """Put a recorder of the process count in place of the runner's map;
+    it runs the work inline, so no test forks the asked number."""
     sizes = []
 
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recorder(fn, items, processes):
+        sizes.append(processes)
+        return [fn(item) for item in items]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(runner, "map_items", recorder)
     return sizes
 
 
 @pytest.mark.parametrize("jobs, files, sizes", [
-    ("100000", 2, [2]), ("3", 5, [3]), ("8", 1, []), ("1", 3, [])])
-def test_run_jobs_capped_at_the_file_count(write_scenario, capsys, pool_sizes,
+    ("100000", 2, [2]), ("3", 5, [3]), ("8", 1, [1]), ("1", 3, [1])])
+def test_run_jobs_capped_at_the_file_count(write_scenario, capsys, process_counts,
                                           jobs, files, sizes):
     paths = [str(write_scenario(name=f"s{k}.json", stepper={"step": 0.1, "t_end": 0.2}))
              for k in range(files)]
     assert main(["run", "--jobs", jobs, *paths]) == 0
-    assert pool_sizes == sizes
+    assert process_counts == sizes
     assert capsys.readouterr().out.count("samples") == files
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_run_jobs_below_one_is_usage_error(write_scenario, capsys, pool_sizes, jobs):
+def test_run_jobs_below_one_is_usage_error(write_scenario, capsys, process_counts, jobs):
     path = write_scenario()
     assert main(["run", "--jobs", jobs, str(path), str(path)]) == 1
     assert capsys.readouterr().err.startswith(
         "usage error: argument --jobs: must be at least 1")
-    assert pool_sizes == []
+    assert process_counts == []
 
 
 def test_run_step_underflow_exit_2_names_t(write_scenario, capsys):
@@ -578,10 +568,15 @@ def test_bracket_bad_point_count(write_scenario, capsys):
 
 
 def test_bracket_parse_error(write_scenario, capsys):
+    # the message names the option whose expression failed
     path = write_scenario()
-    rc = main(["bracket", "-f", "q1 +", "-g", "p1", str(path)])
-    assert rc == 1
-    assert "line 1, column" in capsys.readouterr().err
+    for argv, option, column in ((["-f", "q1 +", "-g", "p1"], "-f", 5),
+                                 (["-f", "q1", "-g", "p1 +"], "-g", 5),
+                                 (["-f", "q1 +* 2", "-g", "p1"], "-f", 5)):
+        assert main(["bracket", *argv, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option}: line 1, column {column}: "), err
+        assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +753,21 @@ def test_check_reports_the_same_bytes_on_one_cpu_and_on_all():
     assert runs[2].stderr == ""
 
 
+def test_check_reports_the_same_bytes_on_one_two_and_three_processes(monkeypatch, capsys,
+                                                                     caplog):
+    # 5000 points are 3 blocks, handed out round-robin
+    argv = ["check", "--seed", "42", "--count", "5000", str(SCENARIOS / "structural.json")]
+    caplog.set_level(logging.INFO, logger="gchs.checks")
+    reports = []
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(runner, "cpus", lambda: processes)
+        assert main(argv) == 0
+        reports.append(capsys.readouterr())
+        assert f"3 blocks, {processes} processes" in caplog.records[-1].getMessage()
+    assert reports == reports[:1] * 3
+    assert reports[0].out.endswith("28/28 invariants passed (seed=42, count=5000)\n")
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "gchs.cli", "--help"],
@@ -786,8 +796,8 @@ def test_a_second_check_in_one_process_keeps_its_blocks_memory(write_scenario, c
     # faults per call)
     code = (
         "import contextlib, io, resource, sys\n"
-        "from gchs import checks, cli\n"
-        "checks._processes = lambda blocks: 1\n"
+        "from gchs import cli, runner\n"
+        "runner.cpus = lambda: 1\n"
         "argv = ['check', '--count', '16384', sys.argv[1]]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(argv) == 0\n"
@@ -802,10 +812,10 @@ def test_a_second_check_in_one_process_keeps_its_blocks_memory(write_scenario, c
 def test_check_reports_the_same_bytes_with_the_allocator_left_alone():
     # neither the thresholds nor the children's malloc_trim change a bit
     argv = ["check", "--seed", "42", "--count", "20000", str(SCENARIOS / "structural.json")]
-    runs = [_python(f"import sys; from gchs import checks, cli; {patch}"
+    runs = [_python(f"import sys; from gchs import cli, runner; {patch}"
                     "sys.exit(cli.main(sys.argv[1:]))", *argv)
             for patch in ("", "cli._keep_freed_memory = lambda: None; ",
-                          "checks._heap_trim = lambda: None; ")]
+                          "runner._heap_trim = lambda: None; ")]
     assert [run.returncode for run in runs] == [0, 0, 0]
     assert runs[0].stdout == runs[1].stdout == runs[2].stdout
     assert runs[0].stdout.endswith("28/28 invariants passed (seed=42, count=20000)\n")

@@ -94,4 +94,4 @@ def test_parser_errors_exit_1_with_line_and_column(text, where, message,
     assert main(["run", str(path)]) == 1
     assert capsys.readouterr().err == f"{path}: error: hamiltonian: {where}: {message}\n"
     assert main(["bracket", "-f", text, "-g", "p1", str(write_scenario(name="ok.json"))]) == 1
-    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert capsys.readouterr().err == f"error: -f: {where}: {message}\n"

@@ -1,13 +1,14 @@
 """gchs run's outputs: rewritten whole, the same bytes with telemetry on,
 and the same result when a worker of --jobs dies."""
 
-import concurrent.futures
 import os
 import re
 import shutil
 import signal
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,9 +95,9 @@ def test_info_log_gives_two_lines_per_scenario_and_the_same_bytes(tmp_path):
 
 
 def test_info_log_of_jobs_is_in_argument_order(tmp_path):
-    # the workers hand their lines back with their outcomes, so stderr is
-    # that of --jobs 1 whichever worker finishes first, with one more line
-    # for the pool; the longer scenario comes first
+    # every scenario's lines are held and written in argument order, so
+    # stderr is that of --jobs 1 whichever worker finishes first, with one
+    # more line for the workers; the longer scenario comes first
     paths = _copy_scenarios(tmp_path / "run")
     want = _run(["--jobs", "1", *paths], "info")
     assert want.returncode == 0
@@ -104,8 +105,8 @@ def test_info_log_of_jobs_is_in_argument_order(tmp_path):
     for _ in range(3):
         got = _run(["--jobs", "2", *paths], "info")
         assert got.returncode == 0 and got.stdout == want.stdout
-        pool, rest = got.stderr.split("\n", 1)
-        assert re.fullmatch(r"INFO \S+: running 2 scenarios on 2 workers", pool), pool
+        workers, rest = got.stderr.split("\n", 1)
+        assert re.fullmatch(r"INFO \S+: running 2 scenarios on 2 workers", workers), workers
         assert re.sub(r"[0-9.]+ ms", "T ms", rest) == masked
 
 
@@ -135,31 +136,36 @@ def test_scenarios_of_a_killed_worker_rerun_in_the_parent(tmp_path, capsys, monk
     assert _outputs(folder) == sequential[1]
 
 
-def test_a_broken_pool_reruns_from_the_first_scenario_without_an_outcome(
-        write_scenario, capsys, monkeypatch):
-    paths = [str(write_scenario(name=f"s{k}.json", stepper=SHORT)) for k in range(3)]
-    ran = []
+def test_a_killed_worker_costs_the_other_no_second_run(write_scenario, tmp_path, capsys,
+                                                       monkeypatch):
+    # four scenarios on --jobs 2: this process runs s0 and s2, a child s1
+    # and s3.  The child dies on s1 once s2 is done, and only its own two
+    # scenarios run again here
+    paths = [str(write_scenario(name=f"s{k}.json", stepper=SHORT)) for k in range(4)]
+    assert main(["run", "--jobs", "1", *paths]) == 0
+    sequential = capsys.readouterr(), _outputs(tmp_path)
+    for name in sequential[1]:
+        (tmp_path / name).unlink()
 
-    class Breaks:
-        def __init__(self, max_workers):
-            pass
+    ran, parent, run = tmp_path / "ran.log", os.getpid(), cli.run_one_scenario
 
-        def __enter__(self):
-            return self
+    def finished():
+        return ran.read_text().splitlines() if ran.exists() else []
 
-        def __exit__(self, *exc):
-            return False
+    def run_and_log(path):
+        # forked workers inherit this binding; the parent is never killed
+        if os.getpid() != parent and path == paths[1]:
+            deadline = time.monotonic() + 60
+            while paths[2] not in finished() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        outcome = run(path)
+        with open(ran, "a") as fh:
+            fh.write(path + "\n")
+        return outcome
 
-        def map(self, fn, items):
-            yield fn(items[0])
-            raise concurrent.futures.process.BrokenProcessPool("a worker died")
-
-    def run(path):
-        ran.append(path)
-        return 0, f"{path}: done"
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Breaks)
-    monkeypatch.setattr(cli, "run_one_scenario", run)
-    assert main(["run", "--jobs", "3", *paths]) == 0
-    assert ran == paths
-    assert capsys.readouterr().out == "".join(f"{p}: done\n" for p in paths)
+    monkeypatch.setattr(cli, "run_one_scenario", run_and_log)
+    assert main(["run", "--jobs", "2", *paths]) == 0
+    assert Counter(finished()) == Counter(paths)   # each once, s2 too
+    assert capsys.readouterr() == sequential[0]
+    assert _outputs(tmp_path) == sequential[1]

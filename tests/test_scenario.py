@@ -128,6 +128,37 @@ def test_observable_may_be_named_like_a_coordinate_beyond_n(write_scenario):
     assert set(sc.observables) == {"q2", "H_"}
 
 
+def test_observable_like_a_coordinate_with_a_leading_zero_is_no_column(write_scenario):
+    sc = load_scenario(write_scenario(observables={"q01": "q1", "p0": "p1"}))
+    assert set(sc.observables) == {"q01", "p0"}
+
+
+BIG_N = 10 ** 6
+
+
+def test_a_short_initial_point_of_a_huge_n_is_refused(write_scenario):
+    # the refusal comes before anything of size n is built
+    path = write_scenario(n=BIG_N, initial={"q": [0.5], "p": [0.5]})
+    with pytest.raises(ScenarioError,
+                       match=f"^initial.q must be a list of {BIG_N} numbers$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("name, clash", [("p1000000", "p1000000"), ("q1000001", None)])
+def test_observable_columns_of_a_huge_n(tmp_path, name, clash):
+    # neither q1000001 nor q1000001_residual is a column
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "n": BIG_N, "hamiltonian": "p1^2 / 2", "structural": "0",
+        "observables": {name: "q1"},
+        "initial": {"q": [0.5] * BIG_N, "p": [0.5] * BIG_N}}))
+    if clash is None:
+        assert set(load_scenario(path).observables) == {name}
+    else:
+        with pytest.raises(ScenarioError, match=f"has a column '{clash}'$"):
+            load_scenario(path)
+
+
 def test_bad_observable_name(write_scenario):
     path = write_scenario(observables={"no spaces": "q1"})
     with pytest.raises(ScenarioError, match="identifier"):

@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +76,41 @@ def test_imports_inside_functions_are_not_top_level():
     tree = ast.parse("import os\ntry:\n    import signal\nexcept ImportError:\n    pass\n"
                      "def f():\n    import ctypes\n")
     assert _imported_on_import(tree) == ["os", "signal"]
+
+
+def _os_calls(tree: ast.Module, names: set[str]) -> list[str]:
+    return sorted({node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in names
+                   and isinstance(node.value, ast.Name) and node.value.id == "os"})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_runner_forks(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = _os_calls(tree, {"fork", "waitpid"})
+    assert calls == (["fork", "waitpid"] if path.name == "runner.py" else [])
+
+
+#: process pools that the fork runner stands in for
+POOLS = ("concurrent", "multiprocessing")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_a_process_pool(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    names = [alias.name for node in imported if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in imported
+              if isinstance(node, ast.ImportFrom) and node.module and not node.level]
+    assert [name for name in names if name.split(".")[0] in POOLS] == []
+
+
+def test_the_cli_imports_no_process_pool():
+    code = ("import sys, gchs.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *POOLS], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -21,15 +21,15 @@ and s, never from finite differences.
 
 The velocity alone, which the integrator needs at every stage, also
 has one compiled float function per pair of H and s (velocity_kernel):
-the float code of H and of s emitted into one function that shares their
-coordinate leaves and common subexpressions and returns (qdot, pdot).
+H and s emitted into one tape that shares their coordinate leaves and
+common subexpressions and returns (qdot, pdot), written as float code.
 Each entry is summed as real_velocity_jets sums the complex batch, so
 the two return the same floats.  It applies where H and s both have
-float code (no log, no exponent beyond numpy's multiply chain, no
-non-finite literal) and compile() takes the function.  Built by the
-compile step of fields, it never raises: where a guard of H or s fires,
-a velocity is not finite or Python raises, it returns an index, and the
-caller takes the jets instead.
+float code (no log or conj, no complex or non-finite literal, no
+exponent beyond numpy's multiply chain) and compile() takes the
+function.  Built by the compile step of fields, it never raises: where
+a guard of H or s fires, a velocity is not finite or Python raises, it
+returns an index, and the caller takes the jets instead.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def velocity_kernel(sys: StructuredSystem):
 def _velocity_function(sys: StructuredSystem):
     t0 = perf_counter()
     n = sys.n
-    em = _Emitter(n, 1, "float")
+    em = _Emitter(n, 1)
     Hval, GH, _ = em.tree(sys.hamiltonian.root)
     sval, Gs, _ = em.tree(sys.structural.root)
 
@@ -123,9 +123,10 @@ def _velocity_function(sys: StructuredSystem):
 
     outs = [rate(n + j) for j in range(n)] + [em.neg(rate(j)) for j in range(n)]
     # H's and s's own finiteness guards too: it returns where either would
-    fn, _ = _compiled(em, outs, [Hval, *GH.values(), sval, *Gs.values(), *outs])
+    fn, source, _ = _compiled(em, "float", outs,
+                              [Hval, *GH.values(), sval, *Gs.values(), *outs])
     log.debug("velocity kernel for %s: %d statements, %.3f ms", sys,
-              len(em.tape), 1e3 * (perf_counter() - t0))
+              source.count("\n") - 1, 1e3 * (perf_counter() - t0))
     return fn
 
 

@@ -20,14 +20,15 @@ coordinates; nothing is ever differentiated symbolically.  Wirtinger
 pairs are assembled from the real partials afterwards, once per jet
 (Jet.wirtinger).
 
-Jets are computed by straight-line code generated and compiled once per
-parsed text or combination (see parse_field, linear_combination), order
-and kind (see _Emitter, _Code): numpy calls on complex arrays
+Jets are computed by straight-line code generated once per parsed text
+or combination (see parse_field, linear_combination) and order: one
+tape of numpy calls on complex arrays (_Emitter).  Each kind of code is
+a writer of that tape, compiled once (_Writer, _Code): the array code
 ("array"); for a real-form field, code that returns the same values on
 Python floats at a single point ("float") and on float64 arrays over a
-batch ("batch"); and for any other field, the array code's statements
-on the Python numbers of a single point ("point").  Each code, dynamics' velocity kernel too, is
-one function from one compile step (_compiled), and only array code
+batch ("batch"); and for any other field, the tape on the Python numbers
+of a single point ("point").  Each code, dynamics' velocity kernel too,
+is one function from one compile step (_compiled), and only array code
 raises: the others return a reason's index.
 """
 
@@ -204,7 +205,7 @@ _PRINT_RULES = {
 
 
 # ---------------------------------------------------------------------------
-# jets by generated code: one emitter, three kinds of code
+# jets by generated code: one tape per field and order, written for each kind
 
 
 class _NoFloatCode(Exception):
@@ -218,7 +219,7 @@ _CHAIN_LIMIT = 100
 _FLOAT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv}
 
-# outputs summed by one finiteness guard of float-valued code
+# outputs summed by one finiteness guard of the kinds that never raise
 _GUARD_TERMS = 32
 
 
@@ -227,11 +228,10 @@ _REFUSALS = {"divisor": "division by zero", "log_arg": "log of zero",
              "power_base": "zero raised to a negative power"}
 
 
-def _refuse_zero(message: str):
-    def check(x):
-        if np.count_nonzero(x == 0):
-            raise DomainError(message)
-    return check
+def _refuse(x, check: str):
+    # a check of the array code: its DomainError where x has a zero
+    if np.count_nonzero(x == 0):
+        raise DomainError(_REFUSALS[check])
 
 
 def _outer(a, b):
@@ -267,9 +267,8 @@ _NAMESPACES = {
               "float_errors": _FLOAT_ERRORS},
     "array": {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "conj": np.conj, "outer": _outer, "complex": complex,
-              "inf": math.inf, "nan": math.nan,
-              **{check: _refuse_zero(message) for check, message in _REFUSALS.items()}},
-    # the array code's numpy calls on Python scalars (see _point_line)
+              "inf": math.inf, "nan": math.nan, "refuse": _refuse},
+    # the array code's numpy calls on Python scalars (see _Writer.point)
     "point": {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
               "mul": np.multiply, "div": np.true_divide, "power": _power,
               "complex": complex, "inf": math.inf, "nan": math.nan,
@@ -297,7 +296,8 @@ def _keys(*dicts) -> dict:
 
 
 class _Emitter:
-    """Translate one field at one order into straight-line code.
+    """Translate fields at one order into straight-line code: the tape,
+    the same for every kind of code (see _Writer).
 
     Emitting a node gives its value, gradient and Hessian over the 2n
     real coordinates as operands of the code, each a literal or the name
@@ -313,62 +313,36 @@ class _Emitter:
         a / b      ((((ha_ij - g_i gb_j) - gb_i g_j) - val hb_ij) / b
         u(x)       d1 h_ij + d2 (g_i g_j),  with d1 = u'(x), d2 = u''(x)
 
-    The statements (self.tape) are written for a kind of code, by rules
-    that depend only on whether the kind is float-valued (float, batch),
-    except for the guards of point code:
-
-    - "array" runs on complex (m,) arrays and makes numpy's calls of those
-      formulas, entry by entry: a / b, v ** k, sin, cos, exp, log, conj,
-      and the leaf z_j = q_j + 1j * p_j with seeds 1 and 1j.  Products
-      keep their operand order, since numpy's complex * rounds like an FMA
-      whose result depends on it; the terms g_i g_j of an outer product
-      take the textbook product (_outer).  Literals are folded by the same
-      numpy calls, so zero imaginary parts keep their signs.  The code
-      raises DomainError where a divisor, the argument of log or the base
-      of a negative power has a zero.  Every parsed field has array code.
-    - "float" runs a field without i, z_j, conj, log or exponents beyond
-      numpy's multiply chain on the Python floats of one point.  With
-      every imaginary part zero, numpy's complex arithmetic rounds like
-      the float operation below it: a + b, a * b, sin and cos exactly,
-      exp up to an argument of 709 (above it numpy's complex exp scales
-      the argument and may round another way, so a guard hands the point
-      on); a / b as a * (1 / b); integer powers through numpy's
-      binary-exponentiation chain.  So the float code returns the array
-      code's numbers while every value stays finite, up to the sign of an
-      exact zero.  Overflow and NaN carry through its operations up to
-      the outputs, except where a division, a negative power or
-      sin/cos/exp could turn them back into a finite number or raise;
-      each of those gets a guard, and the last guards check that every
-      output is finite.  A guard that fires returns its index, as the
-      code does where Python raises, and eval_jet runs the point on the
-      array code instead.  "batch" code is the same statements, literals
-      folded alike, on float64 arrays (see _compiled); there the whole
-      batch falls back.
-    - "point" is the array code's tape, locals and literals alike, which
-      _compiled writes for the Python numbers of one point (_point_line).
-      Where the array code raises DomainError, a guard returns its index
-      instead, as it does where a divisor, the argument of log or the
-      base of a negative power is not finite, and where the argument of
-      exp is not: those operations could turn an overflow into a finite
-      number.  So could numpy's power at exponents beyond its multiply
-      chain (it goes through log), and log of a negative real number,
-      whose branch the sign of a zero imaginary part picks, which a
-      real-typed local does not carry: the first has no point code, the
-      second a guard.  With the finiteness guards of the outputs, point
-      code returns the array code's numbers up to the sign of an exact
-      zero, or an index.
+    The statements (self.tape) are numpy's calls of those formulas on
+    complex (m,) arrays, entry by entry: a / b, v ** k, sin, cos, exp,
+    log, conj, and the leaf z_j = q_j + 1j * p_j with seeds 1 and 1j.
+    Products keep their operand order, since numpy's complex * rounds
+    like an FMA whose result depends on it; the terms g_i g_j of an outer
+    product take the textbook product (_outer).  Literals are folded by
+    the same numpy calls, so zero imaginary parts keep their signs.  A
+    statement (target, op, operands, source) has the op +, -, *, /, **,
+    neg, outer or a function's name; a check (target None) names an
+    operand that may be zero where the array code raises DomainError: a
+    divisor, the argument of log or the base of a negative power (see
+    _REFUSALS).  Every parsed field has a tape.
     """
 
-    def __init__(self, n: int, order: int, kind: str):
-        self.n, self.order, self.kind = n, order, kind
-        self.floats = kind in ("float", "batch")
+    def __init__(self, n: int, order: int):
+        self.n, self.order = n, order
         self.tape: list[tuple] = []       # (target or None, op, operands, source)
         self.locals: dict[str, str] = {}  # source -> the local holding it
-        self.reasons: list[str] = []      # float guard index -> why it fires
 
     # ---- statements ----------------------------------------------------
 
-    def _local(self, op: str, *args, text: str = "") -> str:
+    def _local(self, op: str, fn, *args, text: str = ""):
+        """op of args: the local holding it, one per equal source, or where
+        every operand is a literal, fn of them computed now as the code
+        would compute it, on complex arrays of one element."""
+        if not any(isinstance(x, str) for x in args):
+            with np.errstate(all="ignore"):
+                v = fn(*(np.array([x], dtype=complex) for x in args))[0].item()
+            # a literal with imaginary part +0 reads as the float it equals
+            return v.real if v.imag == 0 and math.copysign(1.0, v.imag) > 0 else v
         if not text:
             s = [_src(x) for x in args]
             text = f"-{s[0]}" if op == "neg" else f"{op}({', '.join(s)})"
@@ -378,71 +352,22 @@ class _Emitter:
             self.tape.append((name, op, args, text))
         return name
 
-    def fold(self, fn, *args):
-        """fn of literal operands, computed now as the code would compute
-        it: on Python floats in float-valued code, else on complex arrays of
-        one element.  Float-valued code folds only sin, cos and exp, of
-        finite literals, exp's at most 709 (see func), so nothing raises."""
-        if self.floats:
-            return fn(*args)
-        with np.errstate(all="ignore"):
-            v = fn(*(np.array([x], dtype=complex) for x in args))[0].item()
-        # a literal with imaginary part +0 reads as the float it equals
-        return v.real if v.imag == 0 and math.copysign(1.0, v.imag) > 0 else v
-
     def op(self, a, sym: str, b):
-        if not isinstance(a, str) and not isinstance(b, str):
-            if not self.floats:
-                return self.fold(_FLOAT_OPS[sym], a, b)
-            v = _FLOAT_OPS[sym](a, b)   # the same IEEE operation as at run time
-            if math.isfinite(v):
-                return v
-        if self.floats and sym == "*" and (a == 1.0 or b == 1.0):
-            return b if a == 1.0 else a
         sa, sb = _src(a), _src(b)
-        if (sym == "+" or sym == "*" and self.floats) and sb < sa:
+        if sym == "+" and sb < sa:
             a, b, sa, sb = b, a, sb, sa
-        return self._local(sym, a, b, text=f"{sa} {sym} {sb}")
+        return self._local(sym, _FLOAT_OPS[sym], a, b, text=f"{sa} {sym} {sb}")
 
     def neg(self, a):
-        if isinstance(a, str):
-            return self._local("neg", a)
-        return -a if self.floats else self.fold(np.negative, a)
+        return self._local("neg", np.negative, a)
 
     def call(self, name: str, x):
-        if isinstance(x, str):
-            return self._local(name, x)
-        return self.fold(_NAMESPACES["float" if self.floats else "array"][name], x)
+        return self._local(name, _NAMESPACES["array"][name], x)
 
-    def guard(self, x, reason: str, zero: bool = False, most: float | None = None):
-        """Float and point code: return the guard's index where x is not
-        finite, or where zero and x == 0; or, given most, where not
-        x <= most.  Batch code returns it where the test fires at any point."""
-        if not isinstance(x, str):
-            if not math.isfinite(x) or (zero and x == 0.0) or (most is not None and x > most):
-                raise _NoFloatCode(reason)
-            return
-        some, every = ("any", "all") if self.kind == "batch" else ("", "")
-        ok = f"{x} - {x} == 0.0" if most is None else f"{x} <= {most!r}"
-        test = f"not {every}({ok})"
-        if zero:
-            test = f"{some}({x} == 0.0) or {test}"
-        self.tape.append((None, None, (x,), f"if {test}: return {len(self.reasons)}"))
-        self.reasons.append(reason)
-
-    def refuse_zero(self, x, check: str):
-        """Array code: raise the DomainError of check where x has a zero.
-        Point code returns a guard's index there, and where x is not
-        finite (a division, a negative power or log could make a finite
-        number of it)."""
-        if self.kind == "point":
-            self.guard(x, f"{_REFUSALS[check]} or a non-finite operand", zero=True)
-        elif isinstance(x, str) or x == 0:
-            self.tape.append((None, None, (x,), f"{check}({_src(x)})"))
-
-    def array_only(self, what: str):
-        if self.floats:
-            raise _NoFloatCode(f"{what} has no float code")
+    def check(self, x, check: str):
+        """The check statement of x, where x may be zero."""
+        if isinstance(x, str) or x == 0:
+            self.tape.append((None, check, (x,), f"refuse({_src(x)}, {check!r})"))
 
     def prod(self, a, b):
         """The term a * b of a derivative; None where a factor is absent.
@@ -456,12 +381,9 @@ class _Emitter:
 
     def outer(self, a, b):
         """The term a * b of an outer product of two gradients."""
-        if self.floats or a is None or b is None or _plain(a) or _plain(b):
+        if a is None or b is None or _plain(a) or _plain(b):
             return self.prod(a, b)
-        if isinstance(a, str) or isinstance(b, str):
-            return self._local("outer", a, b)
-        return complex(a.real * b.real - a.imag * b.imag,
-                       a.real * b.imag + a.imag * b.real)
+        return self._local("outer", _outer, a, b)
 
     def total(self, terms):
         """Sum the present (sign, term) pairs left to right; None is an
@@ -480,26 +402,11 @@ class _Emitter:
         return {(i, j): None for i in x for j in y} if self.order == 2 else {}
 
     def power(self, v, k: int):
-        """v ** k: numpy's power in the array code, and in the float code
-        the order numpy's complex power multiplies it out in."""
-        if not self.floats:
-            if k in (0, 1):
-                return 1.0 if k == 0 else v   # numpy returns these exactly
-            return self._local("**", v, k, text=f"{v} ** {k}") if isinstance(v, str) \
-                else self.fold(lambda x: x ** k, v)
-        e, acc, sq = abs(k), 1.0, v
-        while True:
-            if e & 1:
-                acc = self.op(acc, "*", sq)
-            e >>= 1
-            if not e:
-                break
-            sq = self.op(sq, "*", sq)
-        if k >= 0:
-            return acc
-        # 1 / inf would hide the overflow, 1 / 0 is a domain error
-        self.guard(acc, "zero or non-finite value to a negative power", zero=True)
-        return self.op(1.0, "/", acc)
+        """v ** k, numpy's power (which returns v ** 0 and v ** 1 exactly)."""
+        if k in (0, 1):
+            return 1.0 if k == 0 else v
+        # k is the statement's second operand; a fold raises to the int k
+        return self._local("**", lambda x, _: x ** k, v, k, text=f"{v} ** {k}")
 
     def chain(self, d1, d2, g: dict, h: dict):
         """Gradient d1 * g_i and Hessian d1 * h_ij + d2 * (g_i g_j) of a
@@ -523,29 +430,18 @@ class _Emitter:
             return rule(self, node, *args)
         return root.fold(emit)
 
-    def num(self, node):
-        value = float(node.value)
-        if self.floats:
-            self.guard(value, f"non-finite literal {value!r}")
-        return value, {}, {}
-
-    def imag_unit(self, node):
-        self.array_only("i")
-        return 1j, {}, {}
-
     def coord(self, a: int):
         return f"x{a}", ({a: 1.0} if self.order else {}), {}
 
     def coord_z(self, node):
-        self.array_only(f"z{node.j}")
         k, n = node.j - 1, self.n
         val = self.op(f"x{k}", "+", self.op(1j, "*", f"x{n + k}"))
         return val, ({k: 1.0, n + k: 1j} if self.order else {}), {}
 
-    def neg_node(self, node, child):
+    def each(self, fn, child):
+        # a linear function of one operand: fn of its value and of every entry
         v, g, h = child
-        return (self.neg(v), {i: self.neg(d) for i, d in g.items()},
-                {ij: self.neg(d) for ij, d in h.items()})
+        return fn(v), {i: fn(d) for i, d in g.items()}, {ij: fn(d) for ij, d in h.items()}
 
     def add_sub(self, node, left, right):
         sym = "+" if isinstance(node, Add) else "-"
@@ -571,24 +467,15 @@ class _Emitter:
 
     def div(self, node, left, right):
         (a, ga, ha), (b, gb, hb) = left, right
-        if self.floats:
-            self.guard(b, "division by zero or by a non-finite value", zero=True)
-            r = self.op(1.0, "/", b)
-
-            def scale(x):
-                return self.op(x, "*", r)
-        else:
-            self.refuse_zero(b, "divisor")
-
-            def scale(x):
-                return self.op(x, "/", b)
-        val = scale(a)
-        g = {i: scale(self.total([("+", ga.get(i)), ("-", self.prod(val, gb.get(i)))]))
+        self.check(b, "divisor")
+        val = self.op(a, "/", b)
+        g = {i: self.op(self.total([("+", ga.get(i)), ("-", self.prod(val, gb.get(i)))]),
+                        "/", b)
              for i in _keys(ga, gb)}
-        h = {(i, j): scale(self.total([("+", ha.get((i, j))),
-                                       ("-", self.outer(g.get(i), gb.get(j))),
-                                       ("-", self.outer(gb.get(i), g.get(j))),
-                                       ("-", self.prod(val, hb.get((i, j))))]))
+        h = {(i, j): self.op(self.total([("+", ha.get((i, j))),
+                                         ("-", self.outer(g.get(i), gb.get(j))),
+                                         ("-", self.outer(gb.get(i), g.get(j))),
+                                         ("-", self.prod(val, hb.get((i, j))))]), "/", b)
              for i, j in _keys(ha, self.pairs(g, gb), self.pairs(gb, g), hb)}
         return val, g, h
 
@@ -599,12 +486,8 @@ class _Emitter:
             return 1.0, {}, {}
         if k == 1:
             return v, g, h
-        if self.kind != "array" and not -_CHAIN_LIMIT < k < _CHAIN_LIMIT:
-            # beyond it numpy's complex power goes through log, whose branch
-            # the sign of a zero imaginary part picks (see func)
-            raise _NoFloatCode(f"exponent {k} is outside numpy's multiply chain")
-        if k < 0 and not self.floats:
-            self.refuse_zero(v, "power_base")
+        if k < 0:
+            self.check(v, "power_base")
         val = self.power(v, k)
         if not g:
             return val, {}, {}
@@ -616,27 +499,10 @@ class _Emitter:
     def func(self, node, child):
         name = node.name
         x, g, h = child
-        if name in ("log", "conj"):
-            # conj is complex; numpy's complex log rounds unlike math.log
-            self.array_only(name)
         if name == "conj":
-            return (self.call(name, x), {i: self.call(name, d) for i, d in g.items()},
-                    {ij: self.call(name, d) for ij, d in h.items()})
-        if self.floats or self.kind == "point" and name == "exp":
-            # exp(-inf) is finite; sin and cos of a non-finite number are not
-            self.guard(x, f"non-finite argument of {name}")
-        if self.floats and name == "exp":
-            # numpy's complex exp scales a larger argument and then
-            # rounds unlike math.exp in the last bit
-            self.guard(x, "argument of exp above 709", most=709.0)
+            return self.each(lambda d: self.call(name, d), child)
         if name == "log":
-            self.refuse_zero(x, "log_arg")
-            if self.kind == "point" and isinstance(x, str):
-                # a real-typed local of point code has no signed zero
-                # imaginary part, which picks log's branch on the cut
-                self.tape.append((None, None, (x,), f"if not {x}.imag and {x}.real < 0.0: "
-                                  f"return {len(self.reasons)}"))
-                self.reasons.append("log of a negative real number")
+            self.check(x, "log_arg")
         val = self.call(name, x)
         if not g:
             return val, {}, {}
@@ -652,8 +518,10 @@ class _Emitter:
 
 
 _EMIT_RULES = {
-    Num: _Emitter.num, ImagUnit: _Emitter.imag_unit, CoordZ: _Emitter.coord_z,
-    Neg: _Emitter.neg_node, Add: _Emitter.add_sub, Sub: _Emitter.add_sub,
+    Num: lambda em, node: (float(node.value), {}, {}),
+    ImagUnit: lambda em, node: (1j, {}, {}),
+    CoordZ: _Emitter.coord_z, Neg: lambda em, node, child: em.each(em.neg, child),
+    Add: _Emitter.add_sub, Sub: _Emitter.add_sub,
     Mul: _Emitter.mul, Div: _Emitter.div, Pow: _Emitter.pow, Func: _Emitter.func,
     CoordQ: lambda em, node: em.coord(node.j - 1),
     CoordP: lambda em, node: em.coord(em.n + node.j - 1),
@@ -661,25 +529,17 @@ _EMIT_RULES = {
 }
 
 
-def _with_dels(tape: list, outs: list) -> list:
-    """The tape with each local deleted after its last use, so the array
-    code holds only the arrays it still needs."""
-    last = {}   # local -> the statement that reads it last
-    for k, (_, _, args, _) in enumerate(tape):
-        for x in args:
-            if type(x) is str and x[0] == "v":
-                last[x] = k
-    for x in outs:
-        last.pop(x, None)
-    dead: dict[int, list] = {}
-    for x, k in last.items():
-        dead.setdefault(k, []).append(x)
-    kept = []
-    for k, statement in enumerate(tape):
-        kept.append(statement)
-        if k in dead:
-            kept.append((None, None, dead[k], "del " + ", ".join(dead[k])))
-    return kept
+def _with_dels(lines: list, outs: list) -> list:
+    """The lines with each local deleted after its last use, so code on
+    arrays holds only the arrays it still needs."""
+    kept, used = [], set(outs)
+    for line in reversed(lines):   # each local's last use comes first
+        dead = [x for x in dict.fromkeys(line[2])
+                if type(x) is str and x[0] == "v" and x not in used]
+        used.update(dead)
+        kept += [(None, "del " + ", ".join(dead), ())] if dead else []
+        kept.append(line)
+    return kept[::-1]
 
 
 def _compile(source: str, namespace: dict) -> dict:
@@ -688,101 +548,234 @@ def _compile(source: str, namespace: dict) -> dict:
     return namespace
 
 
-def _point_line(op, args: tuple, text: str, real: set) -> tuple[str, bool]:
-    """A statement of the array code written for point code, which runs
-    it on the Python numbers of one point: its source, and whether its
-    value is real-typed (a Python float).  The operations below round
-    each part of a complex number once, in Python as in numpy, so they
-    run in Python: + and -, negation, conj, the textbook product of an
-    outer product, and a product with a real-typed or a _plain operand.
-    Every other one is the array code's numpy call on scalars, on complex
-    operands as there: the product of two complex values (numpy's rounds
-    like an FMA), a / b, v ** k (_power), sin, cos, exp and log."""
-    reals = [x in real if type(x) is str else type(x) is float for x in args]
-    if op in ("+", "-", "neg") or op == "*" and any(
-            r or _plain(x) for r, x in zip(reals, args)):
-        return text, all(reals)
-    if op == "outer":
-        return " * ".join(map(_src, args)), all(reals)
-    if op == "conj":
-        return f"{args[0]}.conjugate()", reals[0]
-    srcs = [_src(x) for x in args]
-    if all(reals):
-        srcs[0] = f"complex({srcs[0]})"
-    return f"{_POINT_CALLS.get(op, op)}({', '.join(srcs)})", False
+class _Writer:
+    """A tape (see _Emitter) written as the lines of one kind of code.
+
+    - "array" is the tape as it is; a check raises DomainError where its
+      operand has a zero.  Every tape has array code.
+    - "float" runs a real-form field on the Python floats of one point,
+      "batch" on float64 arrays (where sin, cos and exp are the real part
+      of numpy's complex functions).  Neither takes a complex literal (an
+      imaginary part other than ±0), conj or log.  With every imaginary
+      part zero, numpy's complex arithmetic rounds like the float
+      operation below it: a + b, a * b, sin and cos exactly, exp up to an
+      argument of 709 (above it numpy's complex exp scales the argument
+      and may round another way); a / b as a * r, with r = 1.0 / b once
+      per divisor; integer powers multiplied out in numpy's binary-
+      exponentiation order.  So the code returns the array code's
+      numbers while every value stays finite, up to the sign of an exact
+      zero.  Equal lines are written once.
+    - "point" writes each statement for the Python numbers of one point
+      (see point).
+
+    Neither float, batch nor point code takes an exponent beyond numpy's
+    multiply chain (numpy's power goes through log there).  Each guards
+    what could make a finite number of a non-finite one, or raise: a
+    check fires where its operand is zero or not finite, as does the
+    argument of sin, cos and exp, and float and batch code guard the
+    product of a negative power; the last guards check that every output
+    is finite.  A guard that fires returns its index (reasons says why),
+    as the code does where Python raises, and eval_jet runs the point, or
+    the whole batch, on the array code instead; a guard on a literal that
+    would fire leaves the kind without code."""
+
+    def __init__(self, em: _Emitter, kind: str):
+        self.kind = kind
+        self.lines: list[tuple] = []      # (target or None, source, names read)
+        self.reasons: list[str] = []      # guard index -> why it fires
+        self.made: dict[str, str] = {}    # source -> the local holding it; a guard's test -> None
+        self.alias: dict[str, str] = {}   # tape local -> the local holding its value
+        self.base = len(em.locals)       # the tape's locals are v0 .. v{base - 1}
+        self.real = {f"x{a}" for a in range(2 * em.n)} | {"t"}   # point code's floats
+        for target, op, args, text in em.tape:
+            if kind == "array":
+                self.lines.append((target, text, args))
+            elif target is None:
+                self.guard(args[0], f"{_REFUSALS[op]} or a non-finite operand", zero=True)
+            elif op == "**" and not -_CHAIN_LIMIT < args[1] < _CHAIN_LIMIT:
+                raise _NoFloatCode(f"exponent {args[1]} is outside numpy's multiply chain")
+            else:
+                if op in ("sin", "cos", "exp"):
+                    # exp(-inf) is finite; sin and cos of a non-finite number are not
+                    self.guard(args[0], f"non-finite argument of {op}")
+                if kind == "point":
+                    self.point(target, op, args, text)
+                else:
+                    self.real_valued(target, op, *args)
+
+    def src(self, x) -> str:
+        """An operand in the source; float-valued code has a float for a
+        literal, and no code for a complex or non-finite one."""
+        if isinstance(x, str):
+            return self.alias.get(x, x)
+        if self.kind not in ("float", "batch"):
+            return _src(x)
+        if x.imag != 0 or not math.isfinite(x.real):
+            raise _NoFloatCode(f"{'non-finite' if x.imag == 0 else 'complex'} literal {x!r}")
+        return repr(float(x.real))
+
+    def write(self, text: str, *reads, target: str | None = None) -> str:
+        """The local holding text: target's, or a new one's, unless an
+        equal line was written before."""
+        name = self.made.get(text)
+        if name is None:
+            name = self.made[text] = target or f"v{self.base + len(self.made)}"
+            self.lines.append((name, text, reads))
+        elif target:
+            self.alias[target] = name
+        return name
+
+    def guard(self, x, reason: str, zero: bool = False, most: float | None = None):
+        """Return the guard's index where x is not finite, or where zero
+        and x == 0; or, given most (for a local), where not x <= most."""
+        if not isinstance(x, str):
+            if not (math.isfinite(x.real) and math.isfinite(x.imag)) or (zero and x == 0):
+                raise _NoFloatCode(reason)
+            return
+        x = self.src(x)
+        some, every = ("any", "all") if self.kind == "batch" else ("", "")
+        ok = f"{x} - {x} == 0.0" if most is None else f"{x} <= {most!r}"
+        test = f"not {every}({ok})"
+        if zero:
+            test = f"{some}({x} == 0.0) or {test}"
+        if test not in self.made:
+            self.made[test] = None
+            self.lines.append((None, f"if {test}: return {len(self.reasons)}", (x,)))
+            self.reasons.append(reason)
+
+    def point(self, target, op, args, text):
+        """A statement for the Python numbers of one point.  The operations
+        below round each part of a complex number once, in Python as in
+        numpy, so they run in Python: + and -, negation, conj, the
+        textbook product of an outer product, and a product with a
+        real-typed (a Python float) or a _plain operand.  Every other one
+        is the array code's numpy call on scalars, on complex operands as
+        there: the product of two complex values (numpy's rounds like an
+        FMA), a / b, v ** k (_power), sin, cos, exp and log.  A guard
+        fires where log's argument is a negative real number, whose branch
+        the sign of a zero imaginary part picks, which a real-typed local
+        does not carry."""
+        x = args[0]
+        if op == "log":
+            self.lines.append((None, f"if not {x}.imag and {x}.real < 0.0: "
+                               f"return {len(self.reasons)}", (x,)))
+            self.reasons.append("log of a negative real number")
+        reals = [a in self.real if type(a) is str else type(a) is float for a in args]
+        real = all(reals)
+        if op == "outer":
+            text = " * ".join(map(_src, args))
+        elif op == "conj":
+            text = f"{x}.conjugate()"
+        elif op not in ("+", "-", "neg") and not (op == "*" and any(
+                r or _plain(a) for r, a in zip(reals, args))):
+            srcs = [_src(a) for a in args]
+            if real:
+                srcs[0] = f"complex({srcs[0]})"
+            text, real = f"{_POINT_CALLS.get(op, op)}({', '.join(srcs)})", False
+        if real:
+            self.real.add(target)
+        self.lines.append((target, text, args))
+
+    def real_valued(self, target, op, x, b=None):
+        if op in ("log", "conj"):
+            raise _NoFloatCode(f"{op} has no float code")
+        if op == "**":
+            return self.power(target, x, b)
+        if op == "exp":
+            # numpy's complex exp scales a larger argument and then
+            # rounds unlike math.exp in the last bit
+            self.guard(x, "argument of exp above 709", most=709.0)
+        if b is None:
+            sx = self.src(x)
+            return self.write(f"-{sx}" if op == "neg" else f"{op}({sx})", sx, target=target)
+        if op == "/":   # its check guards a local divisor; src refuses a non-finite literal
+            b = self.write(f"1.0 / {self.src(b)}", self.src(b))
+        sa, sb = self.src(x), self.src(b)
+        op = "*" if op in ("/", "outer") else op
+        return self.write(f"{sa} {op} {sb}", sa, sb, target=target)
+
+    def power(self, target, v: str, k: int):
+        """v ** k as numpy's complex power multiplies it out, by binary
+        exponentiation, and for k < 0 one over that."""
+        e, acc, sq = abs(k), None, self.src(v)
+        while e:
+            if e & 1:
+                acc = sq if acc is None else self.real_valued(None, "*", acc, sq)
+            e >>= 1
+            if e:
+                sq = self.real_valued(None, "*", sq, sq)
+        if k < 0:
+            # 1 / inf would hide the overflow, 1 / 0 is a domain error
+            self.guard(acc, "zero or non-finite value to a negative power", zero=True)
+            acc = self.write(f"1.0 / {acc}", acc)
+        self.alias[target] = acc
 
 
 _POINT_CALLS = {"*": "mul", "/": "div", "**": "power"}
 
 
-def _compiled(em: _Emitter, outs: list, finite: list | None = None):
-    """em's statements as the function _jet(x0, ..., x{2n-1}, t=0.0) that
-    returns outs, compiled in the namespace of em's kind, and its source.
-    Code of the kinds that never raise (all but array code) first guards
-    that each output of finite (default outs) is finite, in bounded sums
-    (NaN and inf reach the outputs, see _Emitter; compile() recurses on a
-    chain of +), and returns a reason's index where Python or numpy
-    raises one of float_errors.  Code on arrays deletes each local after
-    its last use; in batch code a guard fires where it would at any
-    point (see _Emitter.guard), and sin, cos and exp are the real part of
-    numpy's complex functions.  Point code writes each statement by
-    _point_line.  _NoFloatCode where compile() refuses the code."""
-    falls_back = em.kind != "array"
-    if falls_back:
-        names = list(dict.fromkeys(x for x in (outs if finite is None else finite)
+def _compiled(em: _Emitter, kind: str, outs: list, finite: list | None = None):
+    """em's tape written for kind (_Writer) as the function _jet(x0, ...,
+    x{2n-1}, t=0.0) that returns outs, compiled in the kind's namespace:
+    the function, its source and the reasons of its guards.  All but
+    array code first guard each output of finite (default outs), in
+    bounded sums (compile() recurses on a chain of +), and return a
+    reason's index where Python or numpy raises one of float_errors.
+    Code on arrays deletes each local after its last use.  _NoFloatCode
+    where the kind has no code or compile() refuses it."""
+    w = _Writer(em, kind)
+    if kind != "array":
+        names = list(dict.fromkeys(w.src(x) for x in (outs if finite is None else finite)
                                    if isinstance(x, str)))
         for k in range(0, len(names), _GUARD_TERMS):
-            em.guard(em.total(("+", x) for x in names[k:k + _GUARD_TERMS]),
-                     "non-finite result")
-    tape = em.tape if em.kind in ("float", "point") else _with_dels(em.tape, outs)
-    real = {f"x{a}" for a in range(2 * em.n)} | {"t"}
-    lines = []
-    for lhs, op, args, text in tape:
-        if lhs is not None and em.kind == "point":
-            text, is_real = _point_line(op, args, text, real)
-            if is_real:
-                real.add(lhs)
-        lines.append(text if lhs is None else f"{lhs} = {text}")
-    lines.append(f"return ({', '.join(map(_src, outs))},)")
-    if falls_back:
+            terms = names[k:k + _GUARD_TERMS]
+            w.guard(w.write(" + ".join(terms), *terms) if len(terms) > 1 else terms[0],
+                    "non-finite result")
+    outs = [w.src(x) for x in outs]
+    lines = w.lines if kind in ("float", "point") else _with_dels(w.lines, outs)
+    lines = [text if lhs is None else f"{lhs} = {text}" for lhs, text, _ in lines]
+    lines.append(f"return ({', '.join(outs)},)")
+    if kind != "array":
         lines = ["try:", *(f"    {line}" for line in lines),
-                 f"except float_errors: return {len(em.reasons)}"]
-        em.reasons.append("Python or numpy raised OverflowError, ValueError, "
-                          "ZeroDivisionError or FloatingPointError")
+                 f"except float_errors: return {len(w.reasons)}"]
+        w.reasons.append("Python or numpy raised OverflowError, ValueError, "
+                         "ZeroDivisionError or FloatingPointError")
     params = "".join(f"x{a}, " for a in range(2 * em.n))
     source = f"def _jet({params}t=0.0):\n" + "".join(f"    {line}\n" for line in lines)
     try:
-        return _compile(source, _NAMESPACES[em.kind])["_jet"], source
+        return _compile(source, _NAMESPACES[kind])["_jet"], source, w.reasons
     except (RecursionError, MemoryError, SyntaxError) as e:
-        raise _NoFloatCode(f"compile() refuses {em.kind} code of "
+        raise _NoFloatCode(f"compile() refuses {kind} code of "
                            f"{source.count(chr(10))} lines: {type(e).__name__}: {e}") from None
 
 
 class _Code:
-    """The generated code of one field at one order and of one kind,
-    compiled when it is built (_compiled): fn(x0, ..., x{2n-1}, t)
-    returns the outputs, which slots places in a dense jet (float-valued
-    code returns instead the index of a guard that fired or of Python
+    """The generated code of one field at one order and of one kind: the
+    field's tape at that order written for the kind and compiled when it
+    is built (_compiled).  The tape (the emitter, the outputs and their
+    slots) is emitted once per field code and order and kept in
+    f._code.tapes for every kind.  fn(x0, ..., x{2n-1}, t) returns the
+    outputs, which slots places in a dense jet (the kinds other than
+    array return instead the index of a guard that fired or of Python
     raising; reasons says why).  Raises _NoFloatCode where the field has
-    no code of this kind (see _Emitter) or compile() refuses the code.
-    Each kind emits and compiles its own tape, so a field evaluated both
-    at one point and over a batch pays for its float statements twice:
-    once as float code and once as batch code.
+    no code of this kind (see _Writer) or compile() refuses the code.
     """
 
     def __init__(self, f: ScalarField, order: int, kind: str):
         t0 = perf_counter()
-        em = _Emitter(f.n, order, kind)
-        val, grad, hess = em.tree(f.root)
-        two_n = 2 * f.n
-        outs = [val, *grad.values(), *hess.values()]
-        # the flat slot of each output in a dense (val, grad, hess) column
-        self.slots = np.array([0, *(1 + a for a in grad),
-                               *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
-        self.fn, self.source = _compiled(em, outs)
-        self.reasons = em.reasons
-        log.debug("%s code for %s at order %d: %d statements, %.3f ms", kind,
-                  f, order, len(em.tape), 1e3 * (perf_counter() - t0))
+        tapes = f._code.tapes
+        if order not in tapes:
+            em = _Emitter(f.n, order)
+            val, grad, hess = em.tree(f.root)
+            two_n = 2 * f.n
+            # the flat slot of each output in a dense (val, grad, hess) column
+            slots = np.array([0, *(1 + a for a in grad),
+                              *(1 + two_n * (1 + a) + b for a, b in hess)], dtype=np.intp)
+            tapes[order] = em, [val, *grad.values(), *hess.values()], slots
+        em, outs, self.slots = tapes[order]
+        self.fn, self.source, self.reasons = _compiled(em, kind, outs)
+        log.debug("%s code for %s at order %d: %d statements, %.3f ms", kind, f, order,
+                  self.source.count("\n") - 1, 1e3 * (perf_counter() - t0))
 
 
 # ---------------------------------------------------------------------------
@@ -934,13 +927,15 @@ class _Parser:
 
 
 class _FieldCode:
-    """A field's codes by (kind, order) (None where it has no code of a
-    float-valued kind), and as H of a system, the velocity kernels by s's
-    code (dynamics.velocity_kernel; an entry goes when s's code does),
-    and point, the (key, jet) point_jets evaluated last.  The fields of
-    one parsed text share one (see _parsed)."""
+    """A field's tapes by order (see _Code), its codes by (kind, order) (None
+    where it has no code of a kind other than array), and as H of a
+    system, the velocity kernels by s's code (dynamics.velocity_kernel;
+    an entry goes when s's code does), and point, the (key, jet)
+    point_jets evaluated last.  The fields of one parsed text share one
+    (see _parsed)."""
 
     def __init__(self):
+        self.tapes = {}
         self.codes = {}
         self.kernels = weakref.WeakKeyDictionary()
         self.point = None
@@ -1137,7 +1132,7 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
 
     Q and P have shape (n, m).  This is the single entry point every
     bracket and rate in the package funnels through.  It runs the code
-    generated once per field, order and kind (see _Emitter): at a single
+    written once per field, order and kind (see _Writer): at a single
     point (m == 1) the float code of a real-form field, and the point
     code of any other, into complex arrays; over a batch the batch code
     of a real-form field into float64 arrays; the array code, into
@@ -1165,8 +1160,8 @@ def eval_jet(f: ScalarField, Q: np.ndarray, P: np.ndarray,
 
 
 def _code_for(f: ScalarField, order: int, kind: str) -> _Code | None:
-    """f's code of one kind at one order (None where a float-valued kind
-    has none), built once and cached in f._code."""
+    """f's code of one kind at one order (None where a kind other than
+    array has none), built once and cached in f._code."""
     codes, key = f._code.codes, (kind, order)
     if key not in codes:
         try:

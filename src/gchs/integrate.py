@@ -192,8 +192,8 @@ def _norm_test(size: int):
 
 def _rk4(kernel, rhs, x, cfg: StepperConfig, near: float):
     """Classic RK4 on a tuple of floats by _rk4_step, yielding each
-    step's (t, x, right-hand sides so far).  A remainder shorter than
-    near is no step."""
+    step's (t, x, right-hand sides so far).  A remainder of at most near
+    is no step, as in _rk45."""
     h = cfg.step
     nfull = math.floor(cfg.t_end / h + 1e-12)
     step = _rk4_step(len(x))
@@ -201,7 +201,7 @@ def _rk4(kernel, rhs, x, cfg: StepperConfig, near: float):
         x = step(kernel, rhs, i * h, h, *x)
         yield (i + 1) * h, x, 4 * i + 4
     rem = cfg.t_end - nfull * h
-    if rem >= near:
+    if rem > near:
         yield cfg.t_end, step(kernel, rhs, nfull * h, rem, *x), 4 * nfull + 4
 
 

@@ -28,7 +28,7 @@ def fixed_rk4(rhs, x0: np.ndarray, cfg):
     t_end = cfg.t_end
     nfull = int(np.floor(t_end / h + 1e-12))
     rem = t_end - nfull * h
-    if rem < 1e-12 * max(1.0, t_end):
+    if rem <= 1e-12 * max(1.0, t_end):
         rem = 0.0
 
     times = [0.0]

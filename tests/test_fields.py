@@ -917,10 +917,10 @@ def test_each_code_and_the_velocity_kernel_is_one_function(monkeypatch):
     sources = []
     compiled = gchs.dynamics._compiled
 
-    def kept(em, outs, finite=None):
-        fn, source = compiled(em, outs, finite)
+    def kept(*args):
+        fn, source, reasons = compiled(*args)
         sources.append(source)
-        return fn, source
+        return fn, source, reasons
 
     monkeypatch.setattr(gchs.dynamics, "_compiled", kept)
     kernel = velocity_kernel(StructuredSystem(1, f, parse_field("0.1 * q1 / (3 + p1)", 1)))

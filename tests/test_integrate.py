@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import rk4_reference
 
 from gchs import (BlowUpError, PhasePoint, StepperConfig, StructuredSystem,
                   Trajectory, exponential_solution, integrate_equilibrium,
@@ -287,6 +288,20 @@ def test_horizon_below_the_time_tolerance_is_the_start(oscillator, method):
     assert traj.times.tolist() == [0.0]
     assert traj.states.tolist() == [[1.0, 0.0]]
     assert traj.rhs_calls == 0
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_horizon_equal_to_the_time_tolerance_is_the_start(oscillator, method):
+    # at t_end = 1e-12 the remainder equals the tolerance: no step, for
+    # either method, and the float march agrees with the array reference
+    config = cfg(method=method, t_end=1e-12)
+    traj = integrate_tghs(oscillator, PhasePoint([1.0], [0.0]), config)
+    assert traj.times.tolist() == [0.0]
+    assert traj.states.tolist() == [[1.0, 0.0]]
+    assert traj.rhs_calls == 0
+    if method == "rk4":
+        times, states = rk4_reference.fixed_rk4(lambda t, x: x, np.array([1.0, 0.0]), config)
+        assert times.tolist() == [0.0] and states.tolist() == [[1.0, 0.0]]
 
 
 def test_stride_thins_samples(oscillator):

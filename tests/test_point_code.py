@@ -19,7 +19,7 @@ from gchs import PhasePoint, StructuredSystem, brackets, dynamics, fields, parse
 from gchs.checks import random_polynomial, random_smooth_field
 from gchs.cli import main
 from gchs.errors import ConsistencyError, DomainError
-from gchs.fields import _outer, _power, eval_jet
+from gchs.fields import _outer, _power, eval_jet, point_jets
 from test_fields import _array_jet, _n6_system
 
 FIXED_TEXTS = [
@@ -118,6 +118,34 @@ def test_a_guard_hands_the_point_to_the_array_code(text, q, p, reason):
             if g is not None:
                 assert g.tobytes() == w.tobytes()   # the array code's own bits
 
+
+
+@pytest.mark.parametrize("text", ["log(i)", "1/i", "q1/(1+i)", "(i)^-2", "(0 / i)",
+                                  "1/(0*i)"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_complex_literal_divisor_log_argument_or_power_base(text, order):
+    # a guard on a complex literal is settled when the code is written; it
+    # used to crash with a TypeError from math.isfinite at one point
+    f = parse_field(text, 1)
+    Q, P = np.array([[0.5]]), np.array([[0.5]])
+    if text == "1/(0*i)":   # 0 * i folds to 0: the array code's error
+        for evaluate_ in (eval_jet, _array_jet):
+            with pytest.raises(DomainError, match="^division by zero$"):
+                evaluate_(f, Q, P, order=order)
+        return
+    _equal_jets(eval_jet(f, Q, P, order=order), _array_jet(f, Q, P, order))
+    _equal_jets(point_jets(PhasePoint([0.5], [0.5]), f, order=order)[0],
+                _array_jet(f, Q, P, order))
+
+
+def test_complex_literal_guards_at_one_point_through_the_api_and_the_cli(write_scenario,
+                                                                        capsys):
+    assert gchs.evaluate(parse_field("1/i", 1), PhasePoint([0.5], [0.5])) == -1j
+    path = write_scenario()
+    for text in ("log(i)", "1/i", "q1/(1+i)", "(i)^-2", "(0 / i)"):
+        assert main(["bracket", "-f", text, "-g", "p1", "--at", "0.5,0.5", str(path)]) == 0
+    assert main(["bracket", "-f", "1/(0*i)", "-g", "p1", "--at", "0.5,0.5", str(path)]) == 4
+    assert capsys.readouterr().err.endswith("error: division by zero\n")
 
 def test_a_numpy_error_in_point_code_hands_the_point_on():
     # under np.errstate(over="raise") numpy raises in the point code; the

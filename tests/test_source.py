@@ -2,12 +2,15 @@
 
 import ast
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from gchs import fields
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gchs"
@@ -114,3 +117,12 @@ def test_the_cli_imports_no_process_pool():
                           text=True, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_the_emitter_takes_no_kind():
+    # one tape per field and order: only the writers and their guards
+    # depend on the kind of code
+    em = fields._Emitter(2, 1)
+    em.tree(fields.parse_field("q1 / p2 + sin(z1)^-2", 2).root)
+    assert not {"kind", "floats"} & (set(vars(em)) | set(dir(fields._Emitter)))
+    assert list(inspect.signature(fields._Emitter).parameters) == ["n", "order"]
